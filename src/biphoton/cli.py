@@ -145,9 +145,17 @@ def resolve_config(args):
     if values["phi0"] is None and values["theta0"] is None:
         raise ConfigError("one of phi0 / theta0 is required")
     cfg = RunConfig(**values)
-    for name in ("lambda_p", "waist", "length", "z"):
+    for name in sorted(_FLOAT_KEYS):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    for name in ("lambda_p", "waist", "length", "z", "rel_tol"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
+    if cfg.slit is not None and cfg.slit <= 0:
+        raise ConfigError("slit must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if cfg.grid < 3:
         raise ConfigError("grid must hold at least 3 points")
     if cfg.pairs <= 0:
@@ -189,12 +197,10 @@ def cmd_dispersion(cfg):
     header = [f"biphoton dispersion ({disp.name})"] + cfg.echo_lines()
 
     phis = np.linspace(0.0, 1.2, cfg.grid)
-    dn = np.array([cr.phase_match(disp, cr.CutConfig(p, cfg.lambda_p)).delta_n
-                   for p in phis])
-    theta = np.array([
-        (lambda r: r.theta0 if r.theta0 is not None else math.nan)(
-            cr.phase_match(disp, cr.CutConfig(p, cfg.lambda_p)))
-        for p in phis])
+    matches = [cr.phase_match(disp, cr.CutConfig(p, cfg.lambda_p)) for p in phis]
+    dn = np.array([r.delta_n for r in matches])
+    theta = np.array([r.theta0 if r.theta0 is not None else math.nan
+                      for r in matches])
     _write_table(out / "index_difference.dat", header, [phis, dn],
                  ["phi0_rad", "delta_n"])
     _write_table(out / "cone_angle.dat", header, [phis, theta],
@@ -223,19 +229,18 @@ def cmd_fcurve(cfg):
         f"resolved: theta0={params.theta0!r} n_o={params.n_o!r}"]
 
     two_theta = 2.0 * params.theta0
-    span = 1.5 * max(two_theta, math.sqrt(params.lambda_cm / params.L))
-    kap = np.linspace(-span, span, cfg.grid)
+    kap = dist.default_kappa_grid(params, cfg.grid)
     ks = params.k_from_kappa(kap)
-    exact = np.array([dist.f_exact(k, params, cfg.rel_tol) for k in ks])
-    approx = np.array([dist.f_approx(k, params) for k in ks])
+    exact = dist.f_exact(ks, params, cfg.rel_tol)
+    approx = dist.f_approx(ks, params)
     _write_table(out / "difference_distribution.dat", header,
                  [kap, exact, approx], ["kappa_minus", "exact", "cone_interior"])
 
     if params.theta0 > 0:
         zm = np.linspace(two_theta - 0.01, two_theta + 0.004, 801)
         kz = params.k_from_kappa(zm)
-        zex = np.array([dist.f_exact(k, params, cfg.rel_tol) for k in kz])
-        zap = np.array([dist.f_approx(k, params) for k in kz])
+        zex = dist.f_exact(kz, params, cfg.rel_tol)
+        zap = dist.f_approx(kz, params)
         zap[~np.isfinite(zap)] = math.nan
         _write_table(out / "difference_distribution_edge.dat", header,
                      [zm, zex, zap], ["kappa_minus", "exact", "cone_interior"])
@@ -245,9 +250,11 @@ def cmd_fcurve(cfg):
 
 def _report_text(params, single, plane):
     rep = dist.entanglement_report(params)
+    w_single, w_plane = single.half_area_width(), plane.half_area_width()
     extra = [
-        f"single-curve fwhm     : {single.fwhm():.6g} (kappa axis, informational)",
-        f"plane-curve fwhm      : {plane.fwhm():.6g} (kappa axis, informational)",
+        f"single half-area width: {w_single:.6g} (kappa axis)",
+        f"plane half-area width : {w_plane:.6g} (kappa axis)",
+        f"plane/single ratio    : {w_plane / w_single:.6g}",
     ]
     return rep.render(extra_lines=extra)
 
@@ -290,9 +297,8 @@ def cmd_scan(cfg):
         f"resolved: theta0={params.theta0!r} n_o={params.n_o!r} "
         f"r0_cm={ring.r0!r} delta_r_cm={ring.delta_r!r} slit_cm={slit!r}"]
 
-    span = 1.5 * max(2.0 * params.theta0, math.sqrt(params.lambda_cm / params.L))
     n_bins = min(cfg.grid, 241)
-    positions = np.linspace(-0.5 * span, 0.5 * span, n_bins) * cfg.z
+    positions = 0.5 * dist.default_kappa_grid(params, n_bins) * cfg.z
 
     analytic = rs.scan_single(ring, positions)
     analytic.write(out / "scan_single_analytic.dat")
@@ -309,8 +315,7 @@ def cmd_scan(cfg):
         print("warning: coincidence scan captured no pairs", file=sys.stderr)
 
     kappas = positions / cfg.z
-    theory = np.array([dist.f_exact(2.0 * k, params, cfg.rel_tol)
-                       for k in params.k_from_kappa(kappas)])
+    theory = dist.f_exact(2.0 * params.k_from_kappa(kappas), params, cfg.rel_tol)
 
     def ua(v):
         return v / np.trapezoid(v, kappas)
@@ -357,7 +362,8 @@ def _add_common(p):
     p.add_argument("--normalize", choices=sorted(_NORM_MAP),
                    help="curve normalization")
     p.add_argument("--rel-tol", dest="rel_tol", type=float,
-                   help="quadrature relative tolerance")
+                   help="relative accuracy required of f_exact; below the "
+                        "accuracy of its closed-form evaluation it exits 3")
 
 
 def build_parser():

@@ -58,6 +58,9 @@ class SpdcParams:
     n_o: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lambda_p, self.w_p, self.L,
+                                       self.theta0, self.n_o))):
+            raise ValueError("lambda_p, w_p, L, theta0 and n_o must all be finite")
         if self.lambda_p <= 0 or self.w_p <= 0 or self.L <= 0:
             raise ValueError("lambda_p, w_p and L must all be positive")
         if self.theta0 < 0:

@@ -265,34 +265,13 @@ def test_c11_coincidence_scan(params_b, batch_b):
             f"(tol {tol:.2%}, {n_c:.0f} coincidences)")
 
 
-def half_area_width(curve):
-    """Total length of the smallest set that holds half the curve's area.
-
-    Grid cells (trapezoid weights) are taken highest value first until
-    they hold half the area; the last cell counts by the fraction it
-    needs.  Unlike the half-maximum width, this measures where the
-    probability lies, whatever the height of the curve's peaks.
-    """
-    x, y = curve.x, curve.y
-    dx = np.diff(x)
-    cell = 0.5 * (np.concatenate([dx, [0.0]]) + np.concatenate([[0.0], dx]))
-    order = np.argsort(-y, kind="stable")
-    mass = (y * cell)[order]
-    held = np.cumsum(mass)
-    half = 0.5 * held[-1]
-    last = int(np.searchsorted(held, half))
-    before = held[last - 1] if last else 0.0
-    return float(cell[order][:last].sum()
-                 + (half - before) / mass[last] * cell[order][last])
-
-
 def test_c12_plane_restriction_contrast(bbo, params_b):
     with verdict(12, "plane-restriction width contrast"):
         def contrast(params):
             grid = default_kappa_grid(params, 2001)
             plane = plane_restricted_curve(grid, params)
             single = single_particle_curve(grid, params)
-            return plane, half_area_width(plane) / half_area_width(single)
+            return plane, plane.half_area_width() / single.half_area_width()
 
         plane, ratio = contrast(params_b)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from biphoton import cli, read_curve
-from biphoton import distributions as dist
 
 
 def run(*argv):
@@ -164,8 +163,25 @@ def test_theta0_zero_distributions_ok(tmp_path):
     assert "collinear" in (out / "report.txt").read_text()
 
 
-def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(dist, "_MAX_PANELS", 500)
+@pytest.mark.parametrize("argv", [
+    ("fcurve", "--theta0", "nan"),
+    ("fcurve", "--theta0", "inf"),
+    ("scan", "--seed", "-3"),
+    ("scan", "--z", "inf"),
+    ("fcurve", "--rel-tol", "-1"),
+    ("fcurve", "--rel-tol", "nan"),
+    ("scan", "--slit", "-1"),
+])
+def test_rejects_bad_input(tmp_path, capsys, argv):
+    key = argv[1].lstrip("-").replace("-", "_")
+    assert run(*argv, "--out", str(tmp_path / "x"), "--grid", "11") == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_numeric_failure_exit_code(tmp_path, capsys):
+    # no evaluation of G(u) is accurate to 1e-18
     out = tmp_path / "n"
     assert run("fcurve", "--out", str(out), "--rel-tol", "1e-18",
                "--grid", "11") == 3

@@ -68,6 +68,20 @@ def test_fwhm_flat_top_whole_grid():
     assert c.fwhm() == pytest.approx(1.0, rel=1e-12)
 
 
+def test_half_area_width_gaussian():
+    # the central half of a Gaussian spans 2 * 0.6745 sigma
+    sigma = 2.0
+    assert gaussian_curve(sigma).half_area_width() == pytest.approx(
+        1.3490 * sigma, rel=1e-3)
+
+
+def test_half_area_width_two_boxes():
+    # two equal disjoint boxes: half the area is one box, whatever the gap
+    x = np.linspace(0.0, 6.0, 60001)
+    y = (((x >= 1.0) & (x <= 2.0)) | ((x >= 4.0) & (x <= 5.0))).astype(float)
+    assert Curve(x=x, y=y).half_area_width() == pytest.approx(1.0, rel=1e-3)
+
+
 def test_argmax_x():
     x = np.linspace(-5, 5, 101)
     c = Curve(x=x, y=np.exp(-((x - 1.3) ** 2)))

@@ -12,7 +12,7 @@ from biphoton import (Curve, QuadratureError, SpdcParams, classify_regime,
                       width_single)
 from biphoton import distributions as dist
 
-from conftest import brute_reduced, f_exact_simpson
+from conftest import brute_reduced, f_exact_panels, f_exact_simpson
 
 
 def test_f_exact_is_even(params_a):
@@ -68,12 +68,48 @@ def test_f_exact_far_tail_decay(params_b):
     assert abs(far - slow) <= 1e-4 * slow + bound
 
 
-def test_quadrature_budget_error(params_b, monkeypatch):
-    monkeypatch.setattr(dist, "_MAX_PANELS", 2000)
+def test_quadrature_budget_error(params_b):
+    # a tolerance finer than G(u)'s accuracy constant cannot be met
     with pytest.raises(QuadratureError) as err:
-        dist._f_of_c(0.04, params_b.sinc_scale, rel_tol=1e-18)
+        f_exact(0.0, params_b, rel_tol=1e-18)
     assert err.value.estimate is not None
     assert err.value.estimate == pytest.approx(f_exact(0.0, params_b), rel=1e-6)
+    assert err.value.bound == pytest.approx(dist._G_REL_ERR * err.value.estimate)
+
+
+def test_f_exact_long_crystal_against_panel_oracle(bbo):
+    # L = 10 cm, tight waist: u up to 1.8e4, where fixed-order rules break.
+    # The oracle's tail closure is off by 1.7e-5 at 1.5 * 2 theta0, so the
+    # check stops at 1.2 * 2 theta0.
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=0.28)
+    two_theta = 2.0 * p.theta0
+    kappas = np.concatenate([
+        np.linspace(0.0, two_theta - 0.01, 25),                # cone
+        np.linspace(two_theta - 0.01, two_theta + 0.004, 25),  # edge zoom
+        np.linspace(two_theta + 0.004, 1.2 * two_theta, 25)])  # outside
+    ks = p.k_from_kappa(kappas)
+    fast = f_exact(ks, p, rel_tol=1e-9)
+    slow = np.array([f_exact_panels(k, p, rel_tol=1e-10) for k in ks])
+    np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0.0)
+
+
+def test_f_exact_array_equals_scalar_calls(params_a):
+    ks = params_a.k_from_kappa(np.linspace(-0.7, 0.7, 301))
+    assert np.array_equal(f_exact(ks, params_a),
+                          [f_exact(k, params_a) for k in ks])
+    assert np.array_equal(f_approx(ks, params_a),
+                          [f_approx(k, params_a) for k in ks])
+    k1, k2 = 0.5 * ks + 0.3 / params_a.w_p, 0.3 / params_a.w_p - 0.5 * ks
+    assert np.array_equal(reduced_bipartite(k1, k2, params_a),
+                          [reduced_bipartite(a, b, params_a) for a, b in zip(k1, k2)])
+
+
+def test_g_continuous_across_method_switch():
+    # Gauss-Legendre in s at |u| <= switch, stationary point plus
+    # steepest-descent endpoint integral beyond it
+    for edge in (dist._G_SWITCH, -dist._G_SWITCH):
+        below, above = dist._g_of_u(edge * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
+        assert abs(above / below - 1.0) <= 2.0 * dist._G_REL_ERR
 
 
 def test_f_approx_reference_points(params_a):

@@ -121,6 +121,11 @@ def test_params_validation(bbo):
         SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=-0.1, n_o=1.66)
     with pytest.raises(ValueError):
         SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=0.1, n_o=0.9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=bad, n_o=1.66)
+        with pytest.raises(ValueError):
+            SpdcParams(lambda_p=0.4047, w_p=0.1, L=bad, theta0=0.1, n_o=1.66)
     with pytest.raises(ValueError):
         SpdcParams.from_crystal(bbo, 0.4047, 0.1, 0.1)
     with pytest.raises(ValueError):
