@@ -54,7 +54,6 @@ from .distributions import (
 from .ringscan import (
     NoRingError,
     RingGeometry,
-    PairBatch,
     ScanResult,
     ring_from_params,
     chord_length,

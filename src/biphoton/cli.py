@@ -154,6 +154,12 @@ def resolve_config(args):
             raise ConfigError(f"{name} must be positive")
     if cfg.slit is not None and cfg.slit <= 0:
         raise ConfigError("slit must be positive")
+    # past the vacuum wavenumber pi/lambda_p of a degenerate photon the
+    # partner is evanescent (and near 1e190 the coincidence grid rounds away)
+    k_photon = math.pi / (cfg.lambda_p * cr.MICRON_TO_CM)
+    if cfg.k2x is not None and abs(cfg.k2x) >= k_photon:
+        raise ConfigError("k2x must be below the photon wavenumber pi/lambda_p "
+                          f"in magnitude, got {cfg.k2x!r}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     if cfg.grid < 3:
@@ -303,13 +309,18 @@ def cmd_scan(cfg):
     analytic = rs.scan_single(ring, positions)
     analytic.write(out / "scan_single_analytic.dat")
 
-    batch = rs.sample_pairs(params, cfg.z, cfg.pairs, cfg.seed)
-    mc = rs.scan_single(batch, positions)
-    mc.write(out / "scan_single_mc.dat")
-
     sigma_x = cfg.z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
-    coinc = rs.scan_coincidence(batch, ring.r0, slit, cpos)
+
+    mc = coinc = None
+    for block, start in enumerate(range(0, cfg.pairs, rs._BLOCK)):
+        # one block of pairs at a time, so memory does not grow with --pairs
+        m = min(rs._BLOCK, cfg.pairs - start)
+        batch = rs.sample_pairs(params, cfg.z, m, cfg.seed, block=block)
+        part = (rs.scan_single(batch, positions),
+                rs.scan_coincidence(batch, ring.r0, slit, cpos))
+        mc, coinc = part if mc is None else (mc + part[0], coinc + part[1])
+    mc.write(out / "scan_single_mc.dat")
     coinc.write(out / "scan_coincidence.dat")
     if coinc.is_empty:
         print("warning: coincidence scan captured no pairs", file=sys.stderr)

@@ -20,26 +20,25 @@ density.  Two independent routes to that curve are provided:
 
 Positions are in cm in the detection plane; x = z * kappa links them
 to the dimensionless momentum axis used by the theory curves.
-Sampling is reproducible: a 64-bit seed (and optional shard count)
-fully determines the output, and shard streams are spawned and merged
-in index order.
+Sampling is exact (rejection from the squared-sinc law, no table) and
+reproducible: pairs are drawn in blocks of _BLOCK, block i from the
+stream SeedSequence(seed, spawn_key=(i,)), so a scan summed block by
+block depends on (seed, pair count) alone and runs in constant memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curves import Curve
 from .distributions import width_coincidence
-from .wavefunction import SpdcParams
 
 __all__ = [
     "NoRingError",
     "RingGeometry",
-    "PairBatch",
     "ScanResult",
     "ring_from_params",
     "chord_length",
@@ -110,89 +109,71 @@ class PairBatch:
     y1: np.ndarray
     x2: np.ndarray
     y2: np.ndarray
-    z: float
     seed: int
-    shards: int
-    params: SpdcParams
 
     def __len__(self):
         return len(self.x1)
 
 
-def _radial_table(params, kappa_cut, n_knots):
-    """Inverse-CDF table for the difference-momentum magnitude.
+# pairs per block: block i of a run is drawn from SeedSequence(seed, spawn_key=(i,))
+_BLOCK = 2 ** 16
 
-    Radial density kappa * sinc^2(S*(4 theta0^2 - kappa^2)) tabulated on
-    a uniform kappa grid; the trapezoid cumulative is normalized and
-    inverted by monotone linear interpolation at sampling time.
+
+def _sinc2_variates(rng, x_max, m):
+    """m exact draws from the density sinc^2(x) restricted to x <= x_max.
+
+    Rejection from the envelope min(1, 1/x^2)/4 (Devroye 1986, II.3),
+    accepted at rate pi/4 before the cut at x_max.  The proposal is
+    y ~ U(-2, 2), kept as x = y on |y| <= 1 and mapped to the tails as
+    x = sign(y)/(2 - |y|); y = -2 gives x = -inf, whose NaN sine rejects it.
     """
-    kap = np.linspace(0.0, kappa_cut, n_knots)
-    arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
-    s = np.sinc(arg / math.pi)
-    pdf = kap * s * s
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(kap))])
-    cdf /= cdf[-1]
-    return kap, cdf
+    need, parts = m, []
+    while need > 0:
+        k = need * 4 // 3 + 64
+        y = 4.0 * rng.random(k) - 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.divide(np.sign(y), 2.0 - np.abs(y), out=y, where=np.abs(y) > 1.0)
+            s = np.sin(x)
+        keep = (s * s >= rng.random(k) * np.minimum(1.0, x * x)) & (x <= x_max)
+        parts.append(x[keep][:need])
+        need -= parts[-1].size
+    return np.concatenate(parts)
 
 
-def _default_kappa_cut(params):
-    return 3.0 * max(2.0 * params.theta0,
-                     math.sqrt(params.lambda_cm / params.L))
-
-
-def _default_knots(params, kappa_cut):
-    # resolve the narrowest squared-sinc arch near the cone with >= ~32 knots
-    peak = max(2.0 * params.theta0, math.sqrt(math.pi / params.sinc_scale))
-    lobe = math.pi / (2.0 * params.sinc_scale * peak)
-    return int(min(500_000, max(10_000, math.ceil(32.0 * kappa_cut / lobe))))
-
-
-def sample_pairs(params, z, n, seed, azimuth_origin=0.0, shards=1):
+def sample_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
     """Draw n photon pairs and map them to the detection plane at distance z.
 
     Summed momenta are Gaussian with the pump-envelope variance; the
-    difference-momentum magnitude follows the squared-sinc radial law by
-    inverse-transform sampling from a tabulated cumulative; the azimuth
-    is uniform (measured from azimuth_origin, whose value must not
-    affect any binned statistic).  A fixed (seed, shards) pair gives a
-    bit-identical batch; shards are generated from spawned substreams
-    and concatenated in shard order.
+    difference-momentum magnitude kappa follows the squared-sinc radial
+    law exactly: x = S(4 theta0^2 - kappa^2) has density sinc^2(x) on
+    x <= 4 S theta0^2, so x is drawn by rejection and mapped back.  The
+    azimuth is uniform (measured from azimuth_origin, whose value must
+    not affect any binned statistic).  Pairs come in blocks of _BLOCK,
+    the j-th from the stream SeedSequence(seed, spawn_key=(block + j,)),
+    so (seed, block, n) fixes the batch bit for bit, and n pairs from
+    block 0 are the single blocks 0, 1, 2, ... laid end to end: a scan
+    may draw and histogram them one at a time.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    kappa_cut = _default_kappa_cut(params)
-    kap_knots, cdf = _radial_table(params, kappa_cut, _default_knots(params, kappa_cut))
-
-    counts = [n // shards] * shards
-    counts[-1] += n - sum(counts)
-    streams = np.random.SeedSequence(seed).spawn(shards)
-
-    sigma_kplus = 1.0 / (params.w_p * math.sqrt(2.0))
-    lam_over_pi = params.lambda_cm / math.pi
-
-    xs1, ys1, xs2, ys2 = [], [], [], []
-    for ss, m in zip(streams, counts):
-        rng = np.random.default_rng(ss)
-        kpx = rng.normal(0.0, sigma_kplus, m)
-        kpy = rng.normal(0.0, sigma_kplus, m)
-        u = rng.random(m)
-        kappa_minus = np.interp(u, cdf, kap_knots)
+    if block < 0:
+        raise ValueError("block must be >= 0")
+    # x1 + x2 and x1 - x2 in cm: the pump-limited Gaussian spread, and the
+    # difference momentum z * kappa_minus (clipped at 0 against rounding)
+    sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
+    four_theta_sq = 4.0 * params.theta0 ** 2
+    parts = []
+    for i, start in enumerate(range(0, n, _BLOCK), start=block):
+        m = min(_BLOCK, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        px, py = rng.normal(0.0, sigma, m), rng.normal(0.0, sigma, m)
+        x = _sinc2_variates(rng, params.sinc_scale * four_theta_sq, m)
+        rho = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
         phi = azimuth_origin + 2.0 * math.pi * rng.random(m)
-        kmx = kappa_minus * np.cos(phi) / lam_over_pi
-        kmy = kappa_minus * np.sin(phi) / lam_over_pi
-        k1x, k1y = 0.5 * (kpx + kmx), 0.5 * (kpy + kmy)
-        k2x, k2y = 0.5 * (kpx - kmx), 0.5 * (kpy - kmy)
-        scale = z * lam_over_pi
-        xs1.append(scale * k1x)
-        ys1.append(scale * k1y)
-        xs2.append(scale * k2x)
-        ys2.append(scale * k2y)
-
-    return PairBatch(x1=np.concatenate(xs1), y1=np.concatenate(ys1),
-                     x2=np.concatenate(xs2), y2=np.concatenate(ys2),
-                     z=z, seed=seed, shards=shards, params=params)
+        mx, my = rho * np.cos(phi), rho * np.sin(phi)
+        parts.append((px + mx, py + my, px - mx, py - my))
+    x1, y1, x2, y2 = (0.5 * np.concatenate(c) for c in zip(*parts))
+    return PairBatch(x1=x1, y1=y1, x2=x2, y2=y2, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -235,6 +216,13 @@ class ScanResult:
         for key in sorted(self.meta):
             lines.append(f"meta: {key}={self.meta[key]}")
         return lines
+
+    def __add__(self, other):
+        """One Monte-Carlo scan of two disjoint batches over the same lines."""
+        if not np.array_equal(self.positions, other.positions):
+            raise ValueError("cannot add scans over different lines")
+        return replace(self, counts=self.counts + other.counts,
+                       pairs_sampled=self.pairs_sampled + other.pairs_sampled)
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -103,11 +107,39 @@ def test_scan_command(tmp_path):
     comparison = load_table(out / "scan_comparison.dat")
     assert comparison.shape[1] == 6
     assert np.all(np.isfinite(comparison))
-    mc_bytes = (out / "scan_single_mc.dat").read_bytes()
     out2 = tmp_path / "s2"
     assert run("scan", "--out", str(out2), "--pairs", "100000",
                "--grid", "201") == 0
-    assert (out2 / "scan_single_mc.dat").read_bytes() == mc_bytes
+    for name in ("scan_single_analytic.dat", "scan_single_mc.dat",
+                 "scan_coincidence.dat", "scan_comparison.dat"):
+        assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
+
+
+_PEAK_RSS = """
+import sys
+from biphoton import cli
+if cli.main(sys.argv[1:]) != 0:
+    sys.exit("scan failed")
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for the peak resident set")
+def test_scan_memory_does_not_grow_with_pairs(tmp_path):
+    # the scan histograms fixed-size blocks, so ten times the pairs must
+    # not raise the peak resident set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    peaks_mb = []
+    for pairs in ("200000", "2000000"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "scan", "--pairs", pairs,
+             "--out", str(tmp_path / pairs)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        peaks_mb.append(int(proc.stdout.split()[-1]) / 1024.0)
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 20.0, peaks_mb
 
 
 def test_report_command_and_precedence(tmp_path, capsys):
@@ -171,6 +203,7 @@ def test_theta0_zero_distributions_ok(tmp_path):
     ("fcurve", "--rel-tol", "-1"),
     ("fcurve", "--rel-tol", "nan"),
     ("scan", "--slit", "-1"),
+    ("distributions", "--k2x", "1e200"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")

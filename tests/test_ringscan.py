@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
+from scipy.stats import kstest
 
-from biphoton import (Curve, NoRingError, SpdcParams, chord_length,
+from biphoton import (Curve, NoRingError, SpdcParams, chord_length, cli,
                       ring_from_params, sample_pairs, scan_coincidence,
                       scan_single, single_particle_curve, width_coincidence)
+from biphoton.ringscan import _BLOCK
 
 from conftest import MC_SEED, Z_CM
 
@@ -52,18 +55,75 @@ def test_sampling_determinism(params_b):
     assert np.array_equal(a.x1, b.x1) and np.array_equal(a.y2, b.y2)
     c = sample_pairs(params_b, Z_CM, 2000, seed=8)
     assert not np.array_equal(a.x1, c.x1)
-    # sharded runs are reproducible for a fixed (seed, shards) pair
-    s1 = sample_pairs(params_b, Z_CM, 2000, seed=7, shards=4)
-    s2 = sample_pairs(params_b, Z_CM, 2000, seed=7, shards=4)
-    assert np.array_equal(s1.x2, s2.x2)
+    # each block index is its own reproducible stream
+    s1 = sample_pairs(params_b, Z_CM, 2000, seed=7, block=3)
+    s2 = sample_pairs(params_b, Z_CM, 2000, seed=7, block=3)
+    assert np.array_equal(s1.x2, s2.x2) and np.array_equal(s1.y1, s2.y1)
     assert len(s1) == 2000
+    s3 = sample_pairs(params_b, Z_CM, 2000, seed=7, block=4)
+    assert not np.array_equal(s1.x2, s3.x2)
+    assert not np.array_equal(a.x2, s1.x2)
 
 
 def test_sampling_argument_validation(params_b):
     with pytest.raises(ValueError):
         sample_pairs(params_b, Z_CM, 0, seed=1)
     with pytest.raises(ValueError):
-        sample_pairs(params_b, Z_CM, 10, seed=1, shards=0)
+        sample_pairs(params_b, Z_CM, 10, seed=1, block=-1)
+
+
+def _sinc2_cdf(x):
+    """Closed-form cumulative of sinc^2 on the real line: pi/2 + Si(2x) - sin^2(x)/x."""
+    x = np.asarray(x, dtype=float)
+    s2 = np.sin(x) ** 2
+    return (math.pi / 2.0 + sici(2.0 * x)[0]
+            - np.divide(s2, x, out=np.zeros_like(x), where=x != 0.0))
+
+
+@pytest.mark.parametrize("length, theta0", [(0.1, 0.1), (0.5, 0.28), (10.0, 0.28),
+                                            (0.5, 0.0)])
+def test_radial_sampler_matches_sinc2_law(bbo, length, theta0):
+    # x = S(4 theta0^2 - kappa^2) is sinc^2-distributed on x <= 4 S theta0^2
+    params = SpdcParams.from_crystal(bbo, 0.4047, length, length, theta0=theta0)
+    batch = sample_pairs(params, 1.0, 200_000, seed=MC_SEED)  # at z = 1, x1 - x2 = kappa_x
+    kappa_sq = (batch.x1 - batch.x2) ** 2 + (batch.y1 - batch.y2) ** 2
+    x_max = 4.0 * params.sinc_scale * theta0 ** 2
+    x = params.sinc_scale * (4.0 * theta0 ** 2 - kappa_sq)
+    assert np.all(x <= x_max * (1.0 + 1e-9) + 1e-9)
+    total = _sinc2_cdf(x_max)
+    result = kstest(x, lambda t: _sinc2_cdf(t) / total)
+    assert result.pvalue > 1e-3
+
+
+def test_blockwise_scans_equal_one_scan(params_b, ring_b, tmp_path):
+    n = 2 * _BLOCK + 1
+    whole = sample_pairs(params_b, Z_CM, n, seed=MC_SEED)
+    blocks = [sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=i)
+              for i, m in enumerate([_BLOCK, _BLOCK, 1])]
+    for key in ("x1", "y1", "x2", "y2"):
+        assert np.array_equal(getattr(whole, key),
+                              np.concatenate([getattr(b, key) for b in blocks]))
+    centers = Z_CM * np.linspace(-0.15, 0.15, 201)
+    cpos = -ring_b.r0 + np.linspace(-0.05, 0.05, 61)
+    slit = 0.5 * ring_b.delta_r
+    single = sum((scan_single(b, centers) for b in blocks[1:]),
+                 scan_single(blocks[0], centers))
+    coinc = sum((scan_coincidence(b, ring_b.r0, slit, cpos) for b in blocks[1:]),
+                scan_coincidence(blocks[0], ring_b.r0, slit, cpos))
+    assert np.array_equal(single.counts, scan_single(whole, centers).counts)
+    assert np.array_equal(coinc.counts,
+                          scan_coincidence(whole, ring_b.r0, slit, cpos).counts)
+    assert single.pairs_sampled == n and coinc.pairs_sampled == n
+    assert coinc.counts.sum() > 0
+    with pytest.raises(ValueError):
+        scan_single(blocks[0], centers) + scan_single(blocks[1], 2.0 * centers)
+    # the scan command histograms the same n pairs, block by block
+    out = tmp_path / "blocks"
+    assert cli.main(["scan", "--theta0", "0.1", "--out", str(out),
+                     "--pairs", str(n), "--seed", str(MC_SEED)]) == 0
+    assert f"pairs_sampled: {n}" in (out / "scan_single_mc.dat").read_text()
+    table = np.loadtxt(out / "scan_single_mc.dat")
+    np.testing.assert_array_equal(table[:, 1], scan_single(whole, table[:, 0]).counts)
 
 
 def test_radial_histogram_peaks_on_ring(params_b, ring_b, batch_b):
