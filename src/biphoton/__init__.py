@@ -9,7 +9,6 @@ detection-plane scan simulator) and `cli` (the command-line front end).
 from .crystal import (
     CrystalDispersion,
     CutConfig,
-    PhaseMatchResult,
     CrystalFileError,
     WavelengthRangeError,
     NoCollinearRootError,
@@ -33,7 +32,6 @@ from .wavefunction import (
 from .curves import Curve, read_curve
 from .distributions import (
     QuadratureError,
-    EntanglementReport,
     f_exact,
     f_approx,
     width_minus,
@@ -44,7 +42,6 @@ from .distributions import (
     entanglement_report,
     reduced_bipartite,
     default_kappa_grid,
-    coincidence_kappa_grid,
     single_particle_curve,
     coincidence_curve,
     plane_restricted_curve,
@@ -53,8 +50,6 @@ from .distributions import (
 )
 from .ringscan import (
     NoRingError,
-    RingGeometry,
-    ScanResult,
     ring_from_params,
     chord_length,
     sample_pairs,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands produce plain two-column text files that any plotting tool
-can consume; no rendering is built in.  Every output carries a header
-echoing the fully resolved configuration (including the seed), so a
-rerun with the same arguments is byte-identical.
+Subcommands produce plain text tables (`#` header lines, then rows of
+numbers) that any plotting tool can consume; no rendering is built in.
+Every output carries a header echoing the fully resolved configuration
+(including the seed), so a rerun with the same arguments is
+byte-identical.
 
 Configuration precedence: command-line flags override config-file
 entries, which override the built-in defaults (the moderate waist-and-
@@ -26,6 +27,7 @@ import numpy as np
 from . import crystal as cr
 from . import distributions as dist
 from . import ringscan as rs
+from .curves import write_table
 from .wavefunction import SpdcParams
 from pathlib import Path
 
@@ -78,10 +80,8 @@ class RunConfig:
     rel_tol: float
 
     def echo_lines(self):
-        pairs = [(k, getattr(self, k)) for k in (
-            "crystal", "lambda_p", "phi0", "theta0", "waist", "length", "z",
-            "grid", "seed", "normalize", "pairs", "k2x", "slit", "rel_tol")]
-        return ["config: " + " ".join(f"{k}={v!r}" for k, v in pairs)]
+        return ["config: " + " ".join(f"{k}={getattr(self, k)!r}"
+                                      for k in DEFAULTS if k != "out")]
 
 
 def _parse_config_file(path):
@@ -108,10 +108,14 @@ def _parse_config_file(path):
 _FLOAT_KEYS = {"lambda_p", "phi0", "theta0", "waist", "length", "z", "k2x",
                "slit", "rel_tol"}
 _INT_KEYS = {"grid", "seed", "pairs"}
+# keys whose resolved value may be None; any other key must be given a value
+_NONE_KEYS = {"crystal", "phi0", "theta0", "slit"}
 
 
 def _coerce(key, raw):
     if raw is None or raw == "" or raw.lower() == "none":
+        if key not in _NONE_KEYS:
+            raise ConfigError(f"config key {key!r} needs a value, got {raw!r}")
         return None
     try:
         if key in _FLOAT_KEYS:
@@ -157,7 +161,7 @@ def resolve_config(args):
     # past the vacuum wavenumber pi/lambda_p of a degenerate photon the
     # partner is evanescent (and near 1e190 the coincidence grid rounds away)
     k_photon = math.pi / (cfg.lambda_p * cr.MICRON_TO_CM)
-    if cfg.k2x is not None and abs(cfg.k2x) >= k_photon:
+    if abs(cfg.k2x) >= k_photon:
         raise ConfigError("k2x must be below the photon wavenumber pi/lambda_p "
                           f"in magnitude, got {cfg.k2x!r}")
     if cfg.seed < 0:
@@ -189,12 +193,7 @@ def _outdir(cfg):
 
 
 def _write_table(path, header_lines, columns, names):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("# columns: " + " ".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(" ".join(f"{v:.12e}" for v in row) + "\n")
+    write_table(path, [*header_lines, "columns: " + " ".join(names)], columns)
 
 
 def cmd_dispersion(cfg):
@@ -331,7 +330,7 @@ def cmd_scan(cfg):
     def ua(v):
         return v / np.trapezoid(v, kappas)
 
-    cols = [kappas, ua(analytic.counts), ua(mc.counts), ua(theory)]
+    cols = [kappas, ua(analytic.y), ua(mc.y), ua(theory)]
     diff_am = np.abs(cols[1] - cols[3])
     diff_mm = np.abs(cols[2] - cols[3])
     _write_table(out / "scan_comparison.dat", header,

@@ -1,11 +1,11 @@
 """Sampled 1-D distribution curves: normalization, moments, widths, file I/O.
 
 A Curve is a strictly increasing abscissa grid plus nonnegative values.
-Abscissae are either dimensionless momenta (lam*k/pi, xunit "kappa") or
-plain wave numbers in cm^-1 (xunit "cm^-1"); the unit tag travels with
-the data.  Files are two-column delimiter-separated text with `#`
-header lines carrying the unit tag, the normalization tag and an echo
-of whatever metadata the producer attached.
+Abscissae are dimensionless momenta (lam*k/pi, xunit "kappa"), wave
+numbers (xunit "cm^-1") or detection-plane positions (xunit "cm"); the
+unit tag travels with the data.  write_table writes every table of the
+package: `#` header lines, then space-separated rows.  A curve's header
+carries its unit tag, its normalization tag and a metadata echo.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["Curve", "read_curve"]
+__all__ = ["Curve", "read_curve", "write_table"]
 
 NORMALIZATIONS = ("raw", "unit-area", "unit-peak")
-XUNITS = ("kappa", "cm^-1")
+XUNITS = ("kappa", "cm^-1", "cm")
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,17 @@ class Curve:
         return lines
 
     def write(self, path, extra_header=()):
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.header_lines(extra_header):
-                fh.write(f"# {line}\n")
-            for xi, yi in zip(self.x, self.y):
-                fh.write(f"{xi:.12e} {yi:.12e}\n")
+        write_table(path, self.header_lines(extra_header), [self.x, self.y])
+
+
+def write_table(path, header_lines, columns):
+    """Write `# `-prefixed header lines, then the columns side by side, one row per line."""
+    row = " ".join(["%.12e"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        for values in zip(*columns):
+            fh.write(row % values)
 
 
 def read_curve(path):

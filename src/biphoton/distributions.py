@@ -367,8 +367,10 @@ def measured_coincidence_width(curve):
     1/(sqrt(2) w_p); dividing by sqrt(2) converts it to the
     reciprocal-waist convention 1/(2 w_p) used by width_coincidence().
     Curves on the dimensionless axis are converted using the metadata
-    echo of lambda_p.
+    echo of lambda_p; plane positions (cm) would also need the distance z.
     """
+    if curve.xunit == "cm":
+        raise ValueError("a curve in plane positions (cm) needs z for a momentum width")
     sigma = curve.rms_width()
     if curve.xunit == "kappa":
         lam_cm = float(curve.meta["lambda_p_um"]) * 1e-4

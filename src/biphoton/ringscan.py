@@ -18,8 +18,9 @@ density.  Two independent routes to that curve are provided:
   the plane via r = z * lam * k_perp / pi, and bins detections per
   scan line.
 
-Positions are in cm in the detection plane; x = z * kappa links them
-to the dimensionless momentum axis used by the theory curves.
+Positions are in cm in the detection plane, and a scan is a Curve
+tagged xunit "cm"; x = z * kappa links it to the dimensionless momentum
+axis used by the theory curves.
 Sampling is exact (rejection from the squared-sinc law, no table) and
 reproducible: pairs are drawn in blocks of _BLOCK, block i from the
 stream SeedSequence(seed, spawn_key=(i,)), so a scan summed block by
@@ -29,7 +30,7 @@ block depends on (seed, pair count) alone and runs in constant memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,60 +177,44 @@ def sample_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
     return PairBatch(x1=x1, y1=y1, x2=x2, y2=y2, seed=seed)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Counts per vertical scan line.
+@dataclass(frozen=True, kw_only=True)
+class ScanResult(Curve):
+    """Counts per vertical scan line, as a curve over line offsets in cm.
 
-    positions are line offsets in cm (uniform spacing, bin centers in
-    Monte-Carlo mode); counts are expected densities in analytic mode
-    and nonnegative totals in Monte-Carlo mode.
+    x holds the offsets (uniform spacing, bin centers in Monte-Carlo
+    mode); y holds expected densities in analytic mode and nonnegative
+    totals in Monte-Carlo mode.  The scan fields are written after the
+    curve header.
     """
 
-    positions: np.ndarray
-    counts: np.ndarray
+    xunit: str = "cm"
     mode: str
     pairs_sampled: int | None = None
     seed: int | None = None
     d2_position: float | None = None
     slit_width: float | None = None
-    meta: dict = field(default_factory=dict)
+
+    # the scan names of x and y, read-only
+    positions = property(lambda self: self.x)
+    counts = property(lambda self: self.y)
 
     @property
     def is_empty(self):
-        return float(np.sum(self.counts)) == 0.0
+        return float(np.sum(self.y)) == 0.0
 
-    def to_curve(self, z):
-        """Re-express the scan on the dimensionless momentum axis (kappa = x/z)."""
-        return Curve(x=self.positions / z, y=np.asarray(self.counts, dtype=float),
-                     xunit="kappa", normalization="raw", meta=dict(self.meta))
-
-    def header_lines(self):
-        lines = [f"biphoton scan", f"mode: {self.mode}"]
-        if self.seed is not None:
-            lines.append(f"seed: {self.seed}")
-        if self.pairs_sampled is not None:
-            lines.append(f"pairs_sampled: {self.pairs_sampled}")
-        if self.d2_position is not None:
-            lines.append(f"d2_position_cm: {self.d2_position!r}")
-        if self.slit_width is not None:
-            lines.append(f"slit_width_cm: {self.slit_width!r}")
-        for key in sorted(self.meta):
-            lines.append(f"meta: {key}={self.meta[key]}")
-        return lines
+    def header_lines(self, extra=()):
+        scan = {"mode": self.mode, "seed": self.seed,
+                "pairs_sampled": self.pairs_sampled,
+                "d2_position_cm": self.d2_position, "slit_width_cm": self.slit_width}
+        lines = [f"{key}: {value}" for key, value in scan.items() if value is not None]
+        return super().header_lines([*lines, *extra])
 
     def __add__(self, other):
         """One Monte-Carlo scan of two disjoint batches over the same lines."""
-        if not np.array_equal(self.positions, other.positions):
+        if not np.array_equal(self.x, other.x):
             raise ValueError("cannot add scans over different lines")
-        return replace(self, counts=self.counts + other.counts,
+        return replace(self, y=self.y + other.y,
                        pairs_sampled=self.pairs_sampled + other.pairs_sampled)
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.header_lines():
-                fh.write(f"# {line}\n")
-            for xi, ci in zip(self.positions, self.counts):
-                fh.write(f"{xi:.12e} {ci:.12e}\n")
 
 
 def _bin_edges(positions):
@@ -252,16 +237,15 @@ def scan_single(source, positions):
     positions = np.asarray(positions, dtype=float)
     if isinstance(source, RingGeometry):
         counts = chord_length(positions, source) / (2.0 * math.pi * source.r0)
-        return ScanResult(positions=positions, counts=counts, mode="single-analytic",
+        return ScanResult(x=positions, y=counts, mode="single-analytic",
                           meta={"r0_cm": repr(source.r0),
                                 "delta_r_cm": repr(source.delta_r)})
     if isinstance(source, PairBatch):
         edges = _bin_edges(positions)
         xs = np.concatenate([source.x1, source.x2])
         counts, _ = np.histogram(xs, bins=edges)
-        return ScanResult(positions=positions, counts=counts.astype(float),
-                          mode="single-mc", pairs_sampled=len(source),
-                          seed=source.seed)
+        return ScanResult(x=positions, y=counts, mode="single-mc",
+                          pairs_sampled=len(source), seed=source.seed)
     raise TypeError(f"cannot scan a {type(source).__name__}")
 
 
@@ -281,7 +265,7 @@ def scan_coincidence(samples, d2_position, slit_width, positions):
     hit1 = np.abs(samples.x1 - d2_position) <= half
     partner = np.concatenate([samples.x1[hit2], samples.x2[hit1]])
     counts, _ = np.histogram(partner, bins=edges)
-    return ScanResult(positions=positions, counts=counts.astype(float),
-                      mode="coincidence", pairs_sampled=len(samples),
-                      seed=samples.seed, d2_position=float(d2_position),
+    return ScanResult(x=positions, y=counts, mode="coincidence",
+                      pairs_sampled=len(samples), seed=samples.seed,
+                      d2_position=float(d2_position),
                       slit_width=float(slit_width))

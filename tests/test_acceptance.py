@@ -237,27 +237,26 @@ def test_c11_coincidence_scan(params_b, batch_b):
 
         centers = np.linspace(-0.15, 0.15, 201)
         mc = scan_single(batch_b, Z_CM * centers)
-        single_curve = Curve(x=centers, y=mc.counts.astype(float))
-        sigma_s = single_curve.rms_width() * math.pi / params_b.lambda_cm
+        sigma_s = mc.rms_width() / Z_CM * math.pi / params_b.lambda_cm
 
         sigma_x = Z_CM * params_b.lambda_cm / (math.pi * math.sqrt(2.0) * params_b.w_p)
         cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
         co = scan_coincidence(batch_b, ring.r0, 0.5 * ring.delta_r, cpos)
         assert not co.is_empty
-        step = cpos[1] - cpos[0]
-        argmax = co.positions[int(np.argmax(co.counts))]
-        assert abs(argmax + ring.r0) <= step, f"peak at {argmax}, D2 at {ring.r0}"
+        n_c = co.y.sum()
+        centroid, rms = co.mean(), co.rms_width()
+        bound = 4.0 * rms / math.sqrt(n_c)
+        assert abs(centroid + ring.r0) <= bound, (
+            f"centroid at {centroid:.5f} cm, D2 at {ring.r0} cm "
+            f"(bound {bound:.5f} cm)")
 
-        coinc_curve = Curve(x=cpos, y=co.counts.astype(float), xunit="cm^-1")
-        width_c = (coinc_curve.rms_width() / math.sqrt(2.0)
-                   * math.pi / (Z_CM * params_b.lambda_cm))
+        width_c = rms / math.sqrt(2.0) * math.pi / (Z_CM * params_b.lambda_cm)
         r_hat = sigma_s / width_c
 
         # estimator bias of the finite window, taken from the exact curve
         theory = single_particle_curve(centers, params_b)
         sys_bias = abs(theory.rms_width() * math.pi / params_b.lambda_cm
                        / width_single(params_b) - 1.0)
-        n_c = co.counts.sum()
         tol = 3.0 / math.sqrt(2.0 * n_c) + sys_bias
         r = entanglement_ratio(params_b)
         assert abs(r_hat / r - 1.0) <= tol, (

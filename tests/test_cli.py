@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from biphoton import cli, read_curve
+from biphoton import (cli, default_kappa_grid, read_curve, sample_pairs,
+                      scan_single)
 
 
 def run(*argv):
@@ -211,6 +212,61 @@ def test_rejects_bad_input(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("report", "waist"),
+    ("distributions", "k2x"),
+    ("fcurve", "grid"),
+    ("scan", "seed"),
+    ("report", "normalize"),
+])
+def test_rejects_none_for_required_key(tmp_path, capsys, command, key):
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text(f"{key} = none\n")
+    assert run(command, "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(key) in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_none_keeps_its_default_meaning(tmp_path):
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("crystal = none\ntheta0 = none\nslit = none\n")
+    assert run("report", "--config", str(cfg), "--out", str(tmp_path / "r"),
+               "--grid", "101") == 0
+
+
+def test_every_table_has_one_format(tmp_path):
+    out = tmp_path / "all"
+    for command in ("dispersion", "fcurve", "distributions"):
+        assert run(command, "--out", str(out), "--grid", "101") == 0
+    assert run("scan", "--out", str(out), "--grid", "101", "--pairs", "20000") == 0
+    tables = sorted(out.glob("*.dat"))
+    assert len(tables) == 12
+    for path in tables:
+        lines = path.read_text().splitlines()
+        n_header = next(i for i, line in enumerate(lines)
+                        if not line.startswith("#"))
+        assert n_header > 0, path.name
+        widths = {len(line.split()) for line in lines[n_header:]}
+        assert len(widths) == 1 and widths.pop() >= 2, path.name
+
+    single = read_curve(out / "single_particle.dat")
+    assert single.xunit == "kappa" and single.normalization == "unit-area"
+    assert single.area() == pytest.approx(1.0, rel=1e-9)
+
+    # the Monte-Carlo scan reads back as a curve over plane positions in cm
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["scan", "--grid", "101", "--pairs", "20000"]))
+    _, params = cli._load_setup(cfg)
+    positions = 0.5 * default_kappa_grid(params, 101) * cfg.z
+    scan = scan_single(sample_pairs(params, cfg.z, cfg.pairs, cfg.seed),
+                       positions)
+    back = read_curve(out / "scan_single_mc.dat")
+    assert back.xunit == "cm" == scan.xunit
+    np.testing.assert_allclose(back.x, scan.x, rtol=1e-12)
+    np.testing.assert_array_equal(back.y, scan.y)
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):

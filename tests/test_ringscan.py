@@ -5,9 +5,10 @@ import pytest
 from scipy.special import sici
 from scipy.stats import kstest
 
-from biphoton import (Curve, NoRingError, SpdcParams, chord_length, cli,
-                      ring_from_params, sample_pairs, scan_coincidence,
-                      scan_single, single_particle_curve, width_coincidence)
+from biphoton import (NoRingError, SpdcParams, chord_length, cli,
+                      measured_coincidence_width, ring_from_params,
+                      sample_pairs, scan_coincidence, scan_single,
+                      single_particle_curve, width_coincidence)
 from biphoton.ringscan import _BLOCK
 
 from conftest import MC_SEED, Z_CM
@@ -220,12 +221,20 @@ def test_coincidence_scan(params_b, ring_b, batch_b):
     scan = scan_coincidence(batch_b, ring_b.r0, 0.5 * ring_b.delta_r, positions)
     assert not scan.is_empty
     assert scan.d2_position == ring_b.r0
-    step = positions[1] - positions[0]
-    assert abs(scan.positions[np.argmax(scan.counts)] + ring_b.r0) <= step
+    # the centroid sits on -r0 within four standard errors of the histogram
+    assert scan.xunit == "cm"
+    centroid, rms = scan.mean(), scan.rms_width()
+    assert abs(centroid + ring_b.r0) <= 4.0 * rms / math.sqrt(scan.y.sum())
     # measured width in the reciprocal-waist convention, 10% at this pair count
-    curve = Curve(x=positions, y=scan.counts.astype(float), xunit="cm^-1")
-    width_k = curve.rms_width() / math.sqrt(2.0) * math.pi / (Z_CM * params_b.lambda_cm)
+    width_k = rms / math.sqrt(2.0) * math.pi / (Z_CM * params_b.lambda_cm)
     assert abs(width_k / width_coincidence(params_b) - 1.0) < 0.10
+
+
+def test_plane_scan_has_no_momentum_width(params_b, ring_b, batch_b):
+    positions = -ring_b.r0 + np.linspace(-0.05, 0.05, 61)
+    scan = scan_coincidence(batch_b, ring_b.r0, 0.5 * ring_b.delta_r, positions)
+    with pytest.raises(ValueError, match="cm"):
+        measured_coincidence_width(scan)
 
 
 def test_coincidence_empty_is_flagged(params_b, ring_b, batch_b):
@@ -262,6 +271,3 @@ def test_scan_result_io(tmp_path, params_b, ring_b):
     path2 = tmp_path / "scan2.dat"
     scan_single(batch, Z_CM * centers).write(path2)
     assert path.read_bytes() == path2.read_bytes()
-    # kappa-axis view maps positions through the distance
-    curve = scan.to_curve(Z_CM)
-    np.testing.assert_allclose(curve.x, centers, rtol=1e-12)
