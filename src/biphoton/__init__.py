@@ -22,7 +22,6 @@ from .crystal import (
 )
 from .wavefunction import (
     SpdcParams,
-    MomentumPoint4,
     sinc,
     pump_envelope,
     mismatch_arg,
@@ -31,7 +30,6 @@ from .wavefunction import (
 )
 from .curves import Curve, read_curve
 from .distributions import (
-    QuadratureError,
     f_exact,
     f_approx,
     width_minus,

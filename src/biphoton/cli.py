@@ -12,7 +12,8 @@ crystal parameter set: lambda_p 0.4047 um, phi0 0.5275 rad, waist and
 length 0.1 cm, z 100 cm).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-accuracy
-failure.
+failure (a --rel-tol finer than the library's accuracy, refused before
+any output is written).
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ _NORM_MAP = {"raw": "raw", "area": "unit-area", "peak": "unit-peak"}
 
 class ConfigError(ValueError):
     pass
+
+
+class AccuracyError(RuntimeError):
+    """Requested accuracy finer than the library's stated accuracy."""
 
 
 @dataclass
@@ -156,6 +161,9 @@ def resolve_config(args):
     for name in ("lambda_p", "waist", "length", "z", "rel_tol"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
+    if cfg.rel_tol < dist._G_REL_ERR:
+        raise AccuracyError(f"accuracy {cfg.rel_tol:g} is finer than G(u) is "
+                            f"evaluated to ({dist._G_REL_ERR:g})")
     if cfg.slit is not None and cfg.slit <= 0:
         raise ConfigError("slit must be positive")
     # past the vacuum wavenumber pi/lambda_p of a degenerate photon the
@@ -236,7 +244,7 @@ def cmd_fcurve(cfg):
     two_theta = 2.0 * params.theta0
     kap = dist.default_kappa_grid(params, cfg.grid)
     ks = params.k_from_kappa(kap)
-    exact = dist.f_exact(ks, params, cfg.rel_tol)
+    exact = dist.f_exact(ks, params)
     approx = dist.f_approx(ks, params)
     _write_table(out / "difference_distribution.dat", header,
                  [kap, exact, approx], ["kappa_minus", "exact", "cone_interior"])
@@ -244,7 +252,7 @@ def cmd_fcurve(cfg):
     if params.theta0 > 0:
         zm = np.linspace(two_theta - 0.01, two_theta + 0.004, 801)
         kz = params.k_from_kappa(zm)
-        zex = dist.f_exact(kz, params, cfg.rel_tol)
+        zex = dist.f_exact(kz, params)
         zap = dist.f_approx(kz, params)
         zap[~np.isfinite(zap)] = math.nan
         _write_table(out / "difference_distribution_edge.dat", header,
@@ -254,14 +262,13 @@ def cmd_fcurve(cfg):
 
 
 def _report_text(params, single, plane):
-    rep = dist.entanglement_report(params)
     w_single, w_plane = single.half_area_width(), plane.half_area_width()
     extra = [
         f"single half-area width: {w_single:.6g} (kappa axis)",
         f"plane half-area width : {w_plane:.6g} (kappa axis)",
         f"plane/single ratio    : {w_plane / w_single:.6g}",
     ]
-    return rep.render(extra_lines=extra)
+    return dist.entanglement_report(params, extra_lines=extra)
 
 
 def cmd_distributions(cfg):
@@ -272,12 +279,10 @@ def cmd_distributions(cfg):
         f"resolved: theta0={params.theta0!r} n_o={params.n_o!r}"]
 
     grid = dist.default_kappa_grid(params, cfg.grid)
-    single = dist.single_particle_curve(grid, params, rel_tol=cfg.rel_tol,
-                                        normalization=norm)
+    single = dist.single_particle_curve(grid, params, normalization=norm)
     single.write(out / "single_particle.dat", extra_header=header)
 
-    coinc = dist.coincidence_curve(cfg.k2x, params, rel_tol=cfg.rel_tol,
-                                   normalization=norm)
+    coinc = dist.coincidence_curve(cfg.k2x, params, normalization=norm)
     coinc.write(out / "coincidence.dat", extra_header=header)
 
     plane = dist.plane_restricted_curve(grid, params, normalization=norm)
@@ -325,7 +330,7 @@ def cmd_scan(cfg):
         print("warning: coincidence scan captured no pairs", file=sys.stderr)
 
     kappas = positions / cfg.z
-    theory = dist.f_exact(2.0 * params.k_from_kappa(kappas), params, cfg.rel_tol)
+    theory = dist.f_exact(2.0 * params.k_from_kappa(kappas), params)
 
     def ua(v):
         return v / np.trapezoid(v, kappas)
@@ -346,8 +351,7 @@ def cmd_report(cfg):
     _, params = _load_setup(cfg)
     out = _outdir(cfg)
     grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
-    single = dist.single_particle_curve(grid, params, rel_tol=cfg.rel_tol,
-                                        normalization="unit-area")
+    single = dist.single_particle_curve(grid, params, normalization="unit-area")
     plane = dist.plane_restricted_curve(grid, params, normalization="unit-area")
     text = _report_text(params, single, plane)
     (out / "report.txt").write_text(text, encoding="utf-8")
@@ -373,7 +377,8 @@ def _add_common(p):
                    help="curve normalization")
     p.add_argument("--rel-tol", dest="rel_tol", type=float,
                    help="relative accuracy required of f_exact; below the "
-                        "accuracy of its closed-form evaluation it exits 3")
+                        "accuracy of its closed-form evaluation (1e-12) every "
+                        "command exits 3 before writing anything")
 
 
 def build_parser():
@@ -418,7 +423,7 @@ def main(argv=None):
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except dist.QuadratureError as exc:
+    except AccuracyError as exc:
         print(f"numerical accuracy failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

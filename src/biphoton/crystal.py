@@ -98,8 +98,8 @@ class CutConfig:
     def __post_init__(self):
         if not 0.0 <= self.phi0 <= math.pi / 2:
             raise ValueError(f"phi0 = {self.phi0} outside [0, pi/2]")
-        if self.lambda_p <= 0.0:
-            raise ValueError("lambda_p must be positive")
+        if not 0.0 < self.lambda_p < math.inf:
+            raise ValueError("lambda_p must be positive and finite")
 
 
 @dataclass(frozen=True)

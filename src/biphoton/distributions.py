@@ -24,8 +24,9 @@ closed form (exactly pi/sqrt(u) of G for u > 0, pi/(4 |u|^(3/2)) for
 u < 0), and the endpoint s = 1, whose integral along the steepest-descent
 path s^2 = 1 + i t/(2|u|) is smooth and decays like e^{-t}, so a fixed
 Gauss-Laguerre rule takes it.  Negative u is the complex conjugate.
-G is accurate to _G_REL_ERR in relative terms for every real u; a
-requested rel_tol finer than that raises QuadratureError.
+G is accurate to _G_REL_ERR in relative terms for every real u.  That
+accuracy is stated, not requested: no function here takes a tolerance,
+and the command line compares a requested --rel-tol with it once.
 
 Because the gain is large, sinc^2 acts nearly like a delta function of
 its argument, giving the closed-form cone-interior approximation
@@ -47,7 +48,6 @@ closed-form values agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,6 @@ from .curves import Curve
 from .wavefunction import pump_envelope
 
 __all__ = [
-    "QuadratureError",
-    "EntanglementReport",
     "f_exact",
     "f_approx",
     "width_minus",
@@ -97,18 +95,6 @@ _T_NODES, _T_WEIGHTS = np.polynomial.laguerre.laggauss(48)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class QuadratureError(RuntimeError):
-    """Requested accuracy finer than the accuracy G(u) is evaluated to.
-
-    Carries the estimate and its error bound.
-    """
-
-    def __init__(self, message, estimate, bound):
-        super().__init__(message)
-        self.estimate = estimate
-        self.bound = bound
-
-
 def _sinc2(x):
     s = np.sinc(x / np.pi)
     return s * s
@@ -139,23 +125,17 @@ def _g_of_u(u):
     return g.reshape(u.shape)[()]
 
 
-def f_exact(k_minus_x, params, rel_tol=1e-6):
+def f_exact(k_minus_x, params):
     """Reduced difference-momentum distribution G(u)/sqrt(S), elementwise.
 
     k_minus_x in cm^-1, a number or an array; the result is the
     dimensionless q-integral of the squared mismatch sinc, even in its
-    argument.  Raises QuadratureError (with the estimate attached) when
-    rel_tol is finer than _G_REL_ERR, the accuracy G holds everywhere.
+    argument, accurate to _G_REL_ERR (1e-12) in relative terms everywhere.
     """
     kappa = params.kappa(k_minus_x)
     c = 4.0 * params.theta0 ** 2 - kappa * kappa
     scale = params.sinc_scale
-    value = _g_of_u(scale * c) / math.sqrt(scale)
-    if not rel_tol >= _G_REL_ERR:
-        raise QuadratureError(
-            f"accuracy {rel_tol:g} is finer than G(u) is evaluated to "
-            f"({_G_REL_ERR:g})", value, _G_REL_ERR * np.abs(value))
-    return value
+    return _g_of_u(scale * c) / math.sqrt(scale)
 
 
 def f_approx(k_minus_x, params):
@@ -203,58 +183,40 @@ def classify_regime(params):
     return REGIME_INTERMEDIATE
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
-    width_single: float   # cm^-1
-    width_coinc: float    # cm^-1
-    width_minus: float    # cm^-1
-    ratio: float
-    regime: str
-
-    def render(self, extra_lines=()):
-        lines = [
-            f"single-photon width   : {self.width_single:.6g} cm^-1",
-            f"coincidence width     : {self.width_coinc:.6g} cm^-1",
-            f"difference width      : {self.width_minus:.6g} cm^-1",
-            f"width ratio R         : {self.ratio:.6g}",
-            f"broadening regime     : {self.regime}",
-        ]
-        lines.extend(extra_lines)
-        return "\n".join(lines) + "\n"
+def entanglement_report(params, extra_lines=()):
+    """Widths, ratio R and regime as text lines, then extra_lines."""
+    lines = [
+        f"single-photon width   : {width_single(params):.6g} cm^-1",
+        f"coincidence width     : {width_coincidence(params):.6g} cm^-1",
+        f"difference width      : {width_minus(params):.6g} cm^-1",
+        f"width ratio R         : {entanglement_ratio(params):.6g}",
+        f"broadening regime     : {classify_regime(params)}",
+        *extra_lines,
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def entanglement_report(params):
-    return EntanglementReport(
-        width_single=width_single(params),
-        width_coinc=width_coincidence(params),
-        width_minus=width_minus(params),
-        ratio=entanglement_ratio(params),
-        regime=classify_regime(params),
-    )
-
-
-def reduced_bipartite(k1x, k2x, params, rel_tol=1e-6):
+def reduced_bipartite(k1x, k2x, params):
     """y-reduced joint density exp(-w_p^2 (k1x+k2x)^2) * f_exact(k1x-k2x).
 
     Elementwise over arrays of k1x and k2x.
     """
     kp = k1x + k2x
     gauss = np.exp(-(params.w_p * kp) ** 2)
-    return gauss * f_exact(k1x - k2x, params, rel_tol)
+    return gauss * f_exact(k1x - k2x, params)
 
 
-def default_kappa_grid(params, n=2001, span_factor=1.5):
+def default_kappa_grid(params, n=2001):
     """Uniform dimensionless grid covering both the cone and the collinear scale."""
-    span = span_factor * max(2.0 * params.theta0,
-                             math.sqrt(params.lambda_cm / params.L))
+    span = 1.5 * max(2.0 * params.theta0, math.sqrt(params.lambda_cm / params.L))
     return np.linspace(-span, span, n)
 
 
-def coincidence_kappa_grid(k2x_fixed, params, n=501, halfspan_sigmas=6.0):
-    """Grid centered on the conditional peak at -k2x, a few Gaussian widths wide."""
+def coincidence_kappa_grid(k2x_fixed, params, n=501):
+    """Grid centered on the conditional peak at -k2x, six Gaussian widths each way."""
     center = -float(params.kappa(k2x_fixed))
     sigma = params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
-    h = halfspan_sigmas * sigma
+    h = 6.0 * sigma
     return np.linspace(center - h, center + h, n)
 
 
@@ -268,8 +230,7 @@ def _params_meta(params):
     }
 
 
-def single_particle_curve(kappa_grid, params, exact=True, rel_tol=1e-6,
-                          normalization="raw"):
+def single_particle_curve(kappa_grid, params, exact=True, normalization="raw"):
     """Marginal momentum distribution of one photon: F(2 k1x) over the grid.
 
     The exact reduction is the default; exact=False substitutes the
@@ -278,7 +239,7 @@ def single_particle_curve(kappa_grid, params, exact=True, rel_tol=1e-6,
     """
     ks = params.k_from_kappa(kappa_grid)
     if exact:
-        vals = f_exact(2.0 * ks, params, rel_tol)
+        vals = f_exact(2.0 * ks, params)
     else:
         vals = f_approx(2.0 * ks, params)
         finite = np.isfinite(vals)
@@ -291,8 +252,7 @@ def single_particle_curve(kappa_grid, params, exact=True, rel_tol=1e-6,
     return curve.normalized(normalization) if normalization != "raw" else curve
 
 
-def coincidence_curve(k2x_fixed, params, kappa_grid=None, rel_tol=1e-6,
-                      normalization="raw"):
+def coincidence_curve(k2x_fixed, params, kappa_grid=None, normalization="raw"):
     """Conditional distribution of k1x at fixed k2x: Gaussian times F(2 k2x).
 
     Peaks at k1x = -k2x; the overall factor F(2 k2x) only matters for
@@ -301,7 +261,7 @@ def coincidence_curve(k2x_fixed, params, kappa_grid=None, rel_tol=1e-6,
     if kappa_grid is None:
         kappa_grid = coincidence_kappa_grid(k2x_fixed, params)
     k1 = params.k_from_kappa(kappa_grid)
-    scale = f_exact(2.0 * k2x_fixed, params, rel_tol)
+    scale = f_exact(2.0 * k2x_fixed, params)
     vals = pump_envelope(k1 + k2x_fixed, 0.0, params) ** 2 * scale
     meta = _params_meta(params)
     meta["kind"] = "coincidence"
@@ -340,8 +300,8 @@ def plane_restricted_curve(kappa_grid, params, normalization="raw"):
     return curve.normalized(normalization) if normalization != "raw" else curve
 
 
-def f_approx_moment_ratio(params, order=2, n_nodes=400):
-    """Moment <k^order> of the cone-interior form by singularity-free quadrature.
+def f_approx_moment_ratio(params, n_nodes=400):
+    """Second moment <k^2> of the cone-interior form by singularity-free quadrature.
 
     The substitution kappa = 2 theta0 sin(u) cancels the edge
     singularities exactly; Gauss-Legendre in u then converges fast.
@@ -355,7 +315,7 @@ def f_approx_moment_ratio(params, order=2, n_nodes=400):
     k = kmax * np.sin(u)
     jac = kmax * np.cos(u)
     fvals = f_approx(k, params)
-    num = float(np.sum(k ** order * fvals * jac * w))
+    num = float(np.sum(k ** 2 * fvals * jac * w))
     den = float(np.sum(fvals * jac * w))
     return num / den
 

@@ -62,8 +62,8 @@ class RingGeometry:
     delta_r: float
 
     def __post_init__(self):
-        if self.z <= 0 or self.r0 <= 0 or self.delta_r <= 0:
-            raise ValueError("z, r0 and delta_r must be positive")
+        if not all(0.0 < v < math.inf for v in (self.z, self.r0, self.delta_r)):
+            raise ValueError("z, r0 and delta_r must be positive and finite")
         if self.delta_r >= self.r0:
             raise ValueError("ring thickness must be below its radius")
 
@@ -79,10 +79,9 @@ class RingGeometry:
 def ring_from_params(params, z):
     """Ring radius z*theta0 and thickness z*width_coincidence*lam/pi.
 
-    Raises NoRingError for collinear parameters (theta0 = 0).
+    Raises NoRingError for collinear parameters (theta0 = 0), and
+    ValueError (from RingGeometry) unless z is positive and finite.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
     if params.theta0 <= 0.0:
         raise NoRingError("theta0 = 0: no emission ring to scan")
     r0 = z * params.theta0

@@ -12,7 +12,9 @@ only on the squared magnitude of the difference components:
 with kappa = lam * k / pi the dimensionless momentum (lam converted to
 cm once, here).  All constant prefactors are dropped; amplitudes are
 unnormalized and normalization is applied only at the curve level.
-The amplitude is real.
+The amplitude is real.  psi and density4 take the four components as
+separate arguments, numbers or arrays that broadcast together, and
+evaluate elementwise, so a whole grid of momenta is one call.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .crystal import MICRON_TO_CM, index_ordinary, phase_match, CutConfig
 
 __all__ = [
     "SpdcParams",
-    "MomentumPoint4",
     "sinc",
     "pump_envelope",
     "mismatch_arg",
@@ -109,32 +110,6 @@ class SpdcParams:
         return cls(lambda_p=lambda_p, w_p=w_p, L=L, theta0=theta0, n_o=n_o)
 
 
-@dataclass(frozen=True)
-class MomentumPoint4:
-    """One point of the four-dimensional transverse momentum space, cm^-1."""
-
-    k1x: float
-    k2x: float
-    k1y: float
-    k2y: float
-
-    @property
-    def k_plus_x(self):
-        return self.k1x + self.k2x
-
-    @property
-    def k_minus_x(self):
-        return self.k1x - self.k2x
-
-    @property
-    def k_plus_y(self):
-        return self.k1y + self.k2y
-
-    @property
-    def k_minus_y(self):
-        return self.k1y - self.k2y
-
-
 def pump_envelope(k_plus_x, k_plus_y, params):
     """Gaussian pump envelope exp(-w_p^2 (k+x^2 + k+y^2)/2), unnormalized."""
     kx = np.asarray(k_plus_x, dtype=float)
@@ -154,13 +129,13 @@ def mismatch_arg(k_minus_x, k_minus_y, params):
     return params.sinc_scale * (4.0 * params.theta0 ** 2 - kx * kx - ky * ky)
 
 
-def psi(point, params):
-    """Real pair amplitude at one 4-momentum point (unnormalized)."""
-    return (pump_envelope(point.k_plus_x, point.k_plus_y, params)
-            * sinc(mismatch_arg(point.k_minus_x, point.k_minus_y, params)))
+def psi(k1x, k2x, k1y, k2y, params):
+    """Real pair amplitude (unnormalized), elementwise over arrays of the components."""
+    return (pump_envelope(k1x + k2x, k1y + k2y, params)
+            * sinc(mismatch_arg(k1x - k2x, k1y - k2y, params)))
 
 
-def density4(point, params):
-    """Four-dimensional joint probability density |psi|^2 (unnormalized)."""
-    a = psi(point, params)
+def density4(k1x, k2x, k1y, k2y, params):
+    """Four-dimensional joint probability density |psi|^2 (unnormalized), elementwise."""
+    a = psi(k1x, k2x, k1y, k2y, params)
     return a * a

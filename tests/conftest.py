@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biphoton import (MomentumPoint4, SpdcParams, density4, load_crystal,
-                      sample_pairs)
+from biphoton import SpdcParams, density4, load_crystal, sample_pairs
 
 MC_SEED = 20240801
 Z_CM = 100.0
@@ -79,13 +78,41 @@ def brute_reduced(k1x, k2x, params, outer_epsrel=3e-8):
 
     def inner(k1y):
         val, _ = quad(
-            lambda k2y: density4(MomentumPoint4(k1x, k2x, k1y, k2y), params),
+            lambda k2y: density4(k1x, k2x, k1y, k2y, params),
             -k1y - lim_t, -k1y + lim_t, limit=120, epsabs=0.0, epsrel=1e-9)
         return val
 
     val, _ = quad(inner, 0.0, lim_y, limit=800, epsabs=0.0,
                   epsrel=outer_epsrel)
     return 2.0 * val
+
+
+_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_panels(a, b, panels):
+    """Nodes and weights of composite 16-node Gauss-Legendre on [a, b]."""
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = mid[:, None] + half[:, None] * _GL16_NODES
+    return nodes.ravel(), (half[:, None] * _GL16_WEIGHTS).ravel()
+
+
+def raw_frame_reduced(k1x, k2x, params, outer_panels=200, inner_panels=4):
+    """Independent y-reduction by a fixed rule in the raw frame.
+
+    The integral of brute_reduced, with the same limits, as composite
+    16-node Gauss-Legendre panels: outer k1y on [0, 0.4 pi/lam], inner
+    k2y on -k1y +- 7/w_p.  density4 is evaluated on the whole (k1y, k2y)
+    grid at once; callers compare two panel counts to bound the error.
+    """
+    lim_t = 7.0 / params.w_p
+    lim_y = 0.4 * math.pi / params.lambda_cm
+    k1y, w1 = _gauss_panels(0.0, lim_y, outer_panels)
+    t, w2 = _gauss_panels(-lim_t, lim_t, inner_panels)
+    rho = density4(k1x, k2x, k1y[:, None], t[None, :] - k1y[:, None], params)
+    return 2.0 * float(w1 @ rho @ w2)
 
 
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)

@@ -21,7 +21,7 @@ from biphoton import (CutConfig, SpdcParams, chord_length, collinear_cut_angle,
                       width_minus, width_single)
 from biphoton.curves import Curve
 
-from conftest import Z_CM, brute_reduced
+from conftest import Z_CM, brute_reduced, raw_frame_reduced
 
 LAM_P = 0.4047
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -109,7 +109,7 @@ def test_c06_delta_approximation_fidelity(params_a):
 
         def dev(kappa):
             k = params_a.k_from_kappa(kappa)
-            return f_exact(k, params_a, rel_tol) / f_approx(k, params_a) - 1.0
+            return f_exact(k, params_a) / f_approx(k, params_a) - 1.0
 
         inside = np.concatenate([np.linspace(0.0, 0.55, 140),
                                  np.linspace(0.55, boundary, 90)])
@@ -155,13 +155,17 @@ def test_c08_diagonal_identity(bbo):
         kmax = p.theta0 * math.pi / p.lambda_cm
         halves = np.linspace(-0.6, 0.6, 5) * kmax
         offsets = np.linspace(-1.5, 1.5, 5) / p.w_p
-        ratios = []
-        for h in halves:
-            for d in offsets:
-                k1, k2 = h + 0.5 * d, -h + 0.5 * d
-                ratios.append(brute_reduced(k1, k2, p)
-                              / reduced_bipartite(k1, k2, p, rel_tol=1e-9))
-        ratios = np.array(ratios)
+        pts = [(h + 0.5 * d, -h + 0.5 * d) for h in halves for d in offsets]
+        # the fixed-rule oracle at two resolutions must agree before use
+        coarse = np.array([raw_frame_reduced(k1, k2, p) for k1, k2 in pts])
+        fine = np.array([raw_frame_reduced(k1, k2, p, 800, 8) for k1, k2 in pts])
+        gap = np.max(np.abs(fine / coarse - 1.0))
+        assert gap <= 1e-12, f"oracle resolutions differ by {gap:.2e}"
+        # and one point against the adaptive nested quadrature
+        spot = 18
+        check = brute_reduced(*pts[spot], p) / fine[spot] - 1.0
+        assert abs(check) <= 1e-7, f"fixed rule off adaptive one by {check:.2e}"
+        ratios = fine / np.array([reduced_bipartite(k1, k2, p) for k1, k2 in pts])
         spread = ratios.max() / ratios.min() - 1.0
         assert spread <= 1e-4, f"grid spread {spread:.2e}"
         const = 0.5 * math.sqrt(math.pi) / p.w_p * math.pi / p.lambda_cm

@@ -1,0 +1,61 @@
+import inspect
+import os
+import subprocess
+import sys
+
+import biphoton
+
+# what `import biphoton` binds in a fresh interpreter: the five layer
+# modules it imports from, and the names it re-exports
+PUBLIC_NAMES = [
+    "CrystalDispersion", "CrystalFileError", "Curve", "CutConfig",
+    "NoCollinearRootError", "NoRingError", "SpdcParams",
+    "WavelengthRangeError", "chord_length", "classify_regime",
+    "coincidence_curve", "collinear_cut_angle", "crystal", "curves",
+    "default_kappa_grid", "density4", "distributions", "entanglement_ratio",
+    "entanglement_report", "f_approx", "f_approx_moment_ratio", "f_exact",
+    "index_extraordinary", "index_ordinary", "load_crystal",
+    "measured_coincidence_width", "mismatch_arg", "opening_angle_fit",
+    "phase_match", "plane_restricted_curve", "psi", "pump_envelope",
+    "pump_index", "read_curve", "reduced_bipartite", "ring_from_params",
+    "ringscan", "sample_pairs", "scan_coincidence", "scan_single", "sinc",
+    "single_particle_curve", "wavefunction", "width_coincidence",
+    "width_minus", "width_single",
+]
+
+_LIST_NAMES = ("import biphoton; print(' '.join(sorted("
+               "n for n in vars(biphoton) if not n.startswith('_'))))")
+
+
+def test_public_names_are_pinned():
+    # a child process, since importing a submodule (biphoton.cli) elsewhere
+    # in the session binds it on the package too
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LIST_NAMES],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 46
+
+
+def _public_callables():
+    """Public functions, classes other than exceptions, and their methods."""
+    for name in PUBLIC_NAMES:
+        obj = getattr(biphoton, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+            yield name, obj
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if not attr.startswith("_") and callable(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_public_callable_takes_rel_tol():
+    # the requested accuracy is checked once, by the command-line front end
+    checked = 0
+    for name, obj in _public_callables():
+        assert "rel_tol" not in inspect.signature(obj).parameters, name
+        checked += 1
+    assert checked > 40

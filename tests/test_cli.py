@@ -269,9 +269,13 @@ def test_every_table_has_one_format(tmp_path):
     np.testing.assert_array_equal(back.y, scan.y)
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys):
-    # no evaluation of G(u) is accurate to 1e-18
+@pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions",
+                                     "scan", "report"])
+def test_numeric_failure_exit_code(tmp_path, capsys, command):
+    # no evaluation of G(u) is accurate to 1e-18: refused before any output
     out = tmp_path / "n"
-    assert run("fcurve", "--out", str(out), "--rel-tol", "1e-18",
+    assert run(command, "--out", str(out), "--rel-tol", "1e-18",
                "--grid", "11") == 3
-    assert "numerical accuracy failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical accuracy failure: accuracy 1e-18 ")
+    assert not out.exists()

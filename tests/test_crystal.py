@@ -164,3 +164,8 @@ def test_dispersion_validation():
         CutConfig(-0.1, LAM_P)
     with pytest.raises(ValueError):
         CutConfig(0.5, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CutConfig(0.5, bad)
+        with pytest.raises(ValueError):
+            CutConfig(bad, LAM_P)

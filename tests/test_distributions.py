@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biphoton import (Curve, QuadratureError, SpdcParams, classify_regime,
+from biphoton import (Curve, SpdcParams, classify_regime,
                       coincidence_curve, default_kappa_grid, entanglement_ratio,
                       entanglement_report, f_approx, f_approx_moment_ratio,
                       f_exact, measured_coincidence_width,
@@ -23,7 +23,7 @@ def test_f_exact_is_even(params_a):
 def test_f_exact_against_simpson_oracle(params_b):
     for kappa in (0.0, 0.12, 0.199, 0.26):
         k = params_b.k_from_kappa(kappa)
-        fast = f_exact(k, params_b, rel_tol=1e-9)
+        fast = f_exact(k, params_b)
         slow, bound = f_exact_simpson(k, params_b)
         assert abs(fast - slow) <= 5e-5 * slow + bound
 
@@ -68,15 +68,6 @@ def test_f_exact_far_tail_decay(params_b):
     assert abs(far - slow) <= 1e-4 * slow + bound
 
 
-def test_quadrature_budget_error(params_b):
-    # a tolerance finer than G(u)'s accuracy constant cannot be met
-    with pytest.raises(QuadratureError) as err:
-        f_exact(0.0, params_b, rel_tol=1e-18)
-    assert err.value.estimate is not None
-    assert err.value.estimate == pytest.approx(f_exact(0.0, params_b), rel=1e-6)
-    assert err.value.bound == pytest.approx(dist._G_REL_ERR * err.value.estimate)
-
-
 def test_f_exact_long_crystal_against_panel_oracle(bbo):
     # L = 10 cm, tight waist: u up to 1.8e4, where fixed-order rules break.
     # The oracle's tail closure is off by 1.7e-5 at 1.5 * 2 theta0, so the
@@ -88,7 +79,7 @@ def test_f_exact_long_crystal_against_panel_oracle(bbo):
         np.linspace(two_theta - 0.01, two_theta + 0.004, 25),  # edge zoom
         np.linspace(two_theta + 0.004, 1.2 * two_theta, 25)])  # outside
     ks = p.k_from_kappa(kappas)
-    fast = f_exact(ks, p, rel_tol=1e-9)
+    fast = f_exact(ks, p)
     slow = np.array([f_exact_panels(k, p, rel_tol=1e-10) for k in ks])
     np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0.0)
 
@@ -144,15 +135,16 @@ def test_width_formulas(params_a, params_b):
 
 
 def test_entanglement_report_values(params_a, params_b):
-    rep_a = entanglement_report(params_a)
-    assert 1.50e4 <= rep_a.ratio <= 1.56e4
-    assert rep_a.regime == dist.REGIME_NONCOLLINEAR
-    assert rep_a.width_single == pytest.approx(0.5 * rep_a.width_minus, rel=1e-14)
-    assert rep_a.ratio == pytest.approx(rep_a.width_single / rep_a.width_coinc, rel=1e-14)
+    ratio_a = entanglement_ratio(params_a)
+    assert 1.50e4 <= ratio_a <= 1.56e4
+    assert classify_regime(params_a) == dist.REGIME_NONCOLLINEAR
+    assert width_single(params_a) == pytest.approx(0.5 * width_minus(params_a),
+                                                   rel=1e-14)
+    assert ratio_a == pytest.approx(
+        width_single(params_a) / width_coincidence(params_a), rel=1e-14)
 
-    rep_b = entanglement_report(params_b)
-    assert abs(rep_b.ratio - 1099.0) <= 2.0
-    assert rep_b.regime == dist.REGIME_NONCOLLINEAR
+    assert abs(entanglement_ratio(params_b) - 1099.0) <= 2.0
+    assert classify_regime(params_b) == dist.REGIME_NONCOLLINEAR
 
     mid = SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=0.02, n_o=1.66109)
     assert classify_regime(mid) == dist.REGIME_INTERMEDIATE
@@ -160,11 +152,15 @@ def test_entanglement_report_values(params_a, params_b):
     assert classify_regime(flat) == dist.REGIME_COLLINEAR
 
     # width hierarchy in the cone-broadened regime
-    assert rep_a.width_minus / rep_a.width_coinc > 100.0
-    assert rep_b.width_minus / rep_b.width_coinc > 100.0
+    for p in (params_a, params_b):
+        assert width_minus(p) / width_coincidence(p) > 100.0
 
-    text = rep_b.render()
-    assert "width ratio" in text and "noncollinear" in text
+    # the report prints those values, then the caller's lines
+    text = entanglement_report(params_b, extra_lines=["extra line"])
+    lines = text.splitlines()
+    assert text.endswith("\n") and len(lines) == 6 and lines[-1] == "extra line"
+    assert lines[3] == f"width ratio R         : {entanglement_ratio(params_b):.6g}"
+    assert lines[4] == f"broadening regime     : {dist.REGIME_NONCOLLINEAR}"
 
 
 def test_reduced_bipartite_symmetries(params_b):
@@ -182,7 +178,7 @@ def test_reduced_bipartite_against_raw_frame_quadrature():
     kmax = p.theta0 * math.pi / p.lambda_cm
     pts = [(0.3 * kmax, -0.3 * kmax + 0.5 / p.w_p),
            (-0.55 * kmax, 0.55 * kmax)]
-    ratios = [brute_reduced(k1, k2, p) / reduced_bipartite(k1, k2, p, rel_tol=1e-9)
+    ratios = [brute_reduced(k1, k2, p) / reduced_bipartite(k1, k2, p)
               for k1, k2 in pts]
     const = 0.5 * math.sqrt(math.pi) / p.w_p * math.pi / p.lambda_cm
     for r in ratios:
@@ -258,13 +254,11 @@ def test_plane_restricted_curve(params_b):
 
 def test_reduction_not_equivalent_to_slicing(params_b):
     # reduced density vs in-plane slice on a small momentum grid
-    from biphoton import MomentumPoint4, density4
+    from biphoton import density4
     halves = params_b.k_from_kappa(np.linspace(-0.12, 0.12, 7))
     shift = 0.25 / params_b.w_p
-    reduced = np.array([reduced_bipartite(h + shift, -h + shift, params_b)
-                        for h in halves])
-    sliced = np.array([density4(MomentumPoint4(h + shift, -h + shift, 0.0, 0.0),
-                                params_b) for h in halves])
+    reduced = reduced_bipartite(halves + shift, -halves + shift, params_b)
+    sliced = density4(halves + shift, -halves + shift, 0.0, 0.0, params_b)
     reduced /= reduced.sum()
     sliced /= sliced.sum()
     assert np.max(np.abs(reduced - sliced)) > 0.1

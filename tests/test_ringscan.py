@@ -9,7 +9,7 @@ from biphoton import (NoRingError, SpdcParams, chord_length, cli,
                       measured_coincidence_width, ring_from_params,
                       sample_pairs, scan_coincidence, scan_single,
                       single_particle_curve, width_coincidence)
-from biphoton.ringscan import _BLOCK
+from biphoton.ringscan import _BLOCK, RingGeometry
 
 from conftest import MC_SEED, Z_CM
 
@@ -32,8 +32,14 @@ def test_ring_errors(params_b):
     collinear = SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=0.0, n_o=1.66109)
     with pytest.raises(NoRingError):
         ring_from_params(collinear, Z_CM)
-    with pytest.raises(ValueError):
-        ring_from_params(params_b, -1.0)
+    for bad_z in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ring_from_params(params_b, bad_z)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RingGeometry(z=Z_CM, r0=bad, delta_r=0.1)
+        with pytest.raises(ValueError):
+            RingGeometry(z=bad, r0=10.0, delta_r=0.1)
 
 
 def test_chord_length(ring_b):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biphoton import (MomentumPoint4, SpdcParams, density4, mismatch_arg,
-                      psi, pump_envelope, sinc)
+from biphoton import (SpdcParams, density4, mismatch_arg, psi, pump_envelope,
+                      sinc)
 
 finite_k = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
 
@@ -45,16 +45,16 @@ def test_mismatch_arg_reference_points(params):
 
 def test_psi_peak_on_cone(params):
     k_ring = params.k_from_kappa(2.0 * params.theta0)
-    pt = MomentumPoint4(k1x=0.5 * k_ring, k2x=-0.5 * k_ring, k1y=0.0, k2y=0.0)
-    assert psi(pt, params) == pytest.approx(1.0, abs=1e-12)
-    assert density4(pt, params) == pytest.approx(1.0, abs=1e-12)
+    pt = (0.5 * k_ring, -0.5 * k_ring, 0.0, 0.0)
+    assert psi(*pt, params) == pytest.approx(1.0, abs=1e-12)
+    assert density4(*pt, params) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(k1x=finite_k, k2x=finite_k, k1y=finite_k, k2y=finite_k)
 @settings(max_examples=60, deadline=None)
 def test_exchange_symmetry(params, k1x, k2x, k1y, k2y):
-    a = psi(MomentumPoint4(k1x, k2x, k1y, k2y), params)
-    b = psi(MomentumPoint4(k2x, k1x, k2y, k1y), params)
+    a = psi(k1x, k2x, k1y, k2y, params)
+    b = psi(k2x, k1x, k2y, k1y, params)
     assert a == b
 
 
@@ -64,10 +64,9 @@ def test_exchange_symmetry(params, k1x, k2x, k1y, k2y):
 def test_rotation_invariance_of_difference(params, kp, km, angle):
     # fixed |k-| and fixed k+, any orientation of the difference vector
     kmx, kmy = km * math.cos(angle), km * math.sin(angle)
-    pt = MomentumPoint4(0.5 * (kp + kmx), 0.5 * (kp - kmx),
-                        0.5 * kmy, -0.5 * kmy)
-    ref = MomentumPoint4(0.5 * (kp + km), 0.5 * (kp - km), 0.0, 0.0)
-    assert psi(pt, params) == pytest.approx(psi(ref, params), rel=1e-10, abs=1e-300)
+    a = psi(0.5 * (kp + kmx), 0.5 * (kp - kmx), 0.5 * kmy, -0.5 * kmy, params)
+    ref = psi(0.5 * (kp + km), 0.5 * (kp - km), 0.0, 0.0, params)
+    assert a == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
 def test_amplitude_factorizes_in_sum_and_difference(params):
@@ -76,8 +75,7 @@ def test_amplitude_factorizes_in_sum_and_difference(params):
     kp2, km2 = -1.3, 31000.0
 
     def value(kp, km):
-        return psi(MomentumPoint4(0.5 * (kp + km), 0.5 * (kp - km), 0.0, 0.0),
-                   params)
+        return psi(0.5 * (kp + km), 0.5 * (kp - km), 0.0, 0.0, params)
 
     lhs = value(kp1, km1) * value(kp2, km2)
     rhs = value(kp1, km2) * value(kp2, km1)
@@ -90,8 +88,7 @@ def test_no_factorization_across_x_and_y(params):
     ky1, ky2 = 0.0, params.k_from_kappa(1.4 * params.theta0)
 
     def value(kx, ky):
-        return psi(MomentumPoint4(0.5 * kx, -0.5 * kx, 0.5 * ky, -0.5 * ky),
-                   params)
+        return psi(0.5 * kx, -0.5 * kx, 0.5 * ky, -0.5 * ky, params)
 
     det = value(kx1, ky1) * value(kx2, ky2) - value(kx1, ky2) * value(kx2, ky1)
     assert abs(det) > 1e-6
@@ -100,18 +97,33 @@ def test_no_factorization_across_x_and_y(params):
 def test_density_nonnegative_on_random_points(params):
     rng = np.random.default_rng(3)
     for _ in range(200):
-        pt = MomentumPoint4(*rng.uniform(-4e4, 4e4, size=4))
-        assert density4(pt, params) >= 0.0
+        assert density4(*rng.uniform(-4e4, 4e4, size=4), params) >= 0.0
 
 
 @given(k1x=finite_k, k2x=finite_k, k1y=finite_k, k2y=finite_k)
 @settings(max_examples=60, deadline=None)
-def test_momentum_accessors(k1x, k2x, k1y, k2y):
-    pt = MomentumPoint4(k1x, k2x, k1y, k2y)
-    assert pt.k_plus_x == k1x + k2x
-    assert pt.k_minus_x == k1x - k2x
-    assert pt.k_plus_y == k1y + k2y
-    assert pt.k_minus_y == k1y - k2y
+def test_psi_sum_and_difference_components(params, k1x, k2x, k1y, k2y):
+    # the amplitude written out with math, from k+ = k1 + k2 and k- = k1 - k2
+    lam = params.lambda_p * 1e-4
+    kpx, kpy, kmx, kmy = k1x + k2x, k1y + k2y, k1x - k2x, k1y - k2y
+    arg = (math.pi * params.L / (8.0 * params.n_o * lam)
+           * (4.0 * params.theta0 ** 2 - (lam / math.pi) ** 2 * (kmx ** 2 + kmy ** 2)))
+    expected = (math.exp(-0.5 * params.w_p ** 2 * (kpx ** 2 + kpy ** 2))
+                * (math.sin(arg) / arg if arg != 0.0 else 1.0))
+    assert psi(k1x, k2x, k1y, k2y, params) == pytest.approx(expected, abs=1e-12)
+
+
+def test_psi_and_density_elementwise(params):
+    rng = np.random.default_rng(5)
+    k = rng.uniform(-4e4, 4e4, size=(4, 3, 7))
+    grid = density4(*k, params)
+    assert grid.shape == (3, 7)
+    assert np.array_equal(grid, [[density4(*k[:, i, j], params) for j in range(7)]
+                                 for i in range(3)])
+    # broadcasting: a column of k1y against a row of k2y
+    rows = psi(k[0, 0, 0], k[1, 0, 0], k[2, :, :1], k[3, :1, :], params)
+    assert rows.shape == (3, 7)
+    assert rows[2, 4] == psi(k[0, 0, 0], k[1, 0, 0], k[2, 2, 0], k[3, 0, 4], params)
 
 
 def test_params_validation(bbo):
