@@ -6,14 +6,22 @@ Every output carries a header echoing the fully resolved configuration
 (including the seed), so a rerun with the same arguments is
 byte-identical.
 
+Each config key is declared once, in _KEYS: its type, default, help text
+and the commands that take it as a flag (`--lambda-p` for `lambda_p`).
+The flags, the config-file parsing, the `# config:` echo and the
+resolved configuration (an argparse.Namespace) all come from that table.
+A config file may set any key for any command.
+
 Configuration precedence: command-line flags override config-file
 entries, which override the built-in defaults (the moderate waist-and-
 crystal parameter set: lambda_p 0.4047 um, phi0 0.5275 rad, waist and
 length 0.1 cm, z 100 cm).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-accuracy
-failure (a --rel-tol finer than the library's accuracy, refused before
-any output is written).
+Exit codes: 0 success, 2 configuration error (this includes a pump
+wavelength outside the crystal's range and, for `dispersion`, a crystal
+with no collinear cut), 3 numerical-accuracy failure (a --rel-tol finer
+than the library's accuracy).  Both failures come before any output is
+written.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,25 +43,29 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-DEFAULTS = {
-    "crystal": None,          # bundled BBO
-    "lambda_p": 0.4047,       # um
-    "phi0": 0.5275,           # rad
-    "theta0": None,           # rad, overrides phi0 when set
-    "waist": 0.1,             # cm
-    "length": 0.1,            # cm
-    "z": 100.0,               # cm
-    "grid": 2001,
-    "seed": 12345,
-    "out": "out",
-    "normalize": "area",
-    "pairs": 1_000_000,
-    "k2x": 0.0,               # cm^-1
-    "slit": None,             # cm, default delta_r/2
-    "rel_tol": 1e-6,
+# key: (type, default, help, the commands taking it as a flag or None for all)
+_KEYS = {
+    "crystal": (str, None, "crystal coefficient file (default: bundled BBO)", None),
+    "lambda_p": (float, 0.4047, "pump wavelength, um", None),
+    "phi0": (float, 0.5275, "cut angle, rad", None),
+    "theta0": (float, None, "explicit cone opening angle, rad; replaces the "
+                            "default phi0", None),
+    "waist": (float, 0.1, "pump waist, cm", None),
+    "length": (float, 0.1, "crystal length, cm", None),
+    "z": (float, 100.0, "crystal-detector distance, cm", None),
+    "grid": (int, 2001, "grid resolution", None),
+    "seed": (int, 12345, "64-bit sampling seed", None),
+    "out": (str, "out", "output directory", None),
+    "normalize": (str, "area", "curve normalization: area, peak or raw", None),
+    "pairs": (int, 1_000_000, "Monte-Carlo pair count", {"scan"}),
+    "k2x": (float, 0.0, "fixed partner momentum, cm^-1", {"distributions"}),
+    "slit": (float, None, "D2 slit width, cm (default: delta_r/2)", {"scan"}),
+    "rel_tol": (float, 1e-6, "relative accuracy required of f_exact; below the "
+                             "accuracy of its closed-form evaluation (1e-12) "
+                             "every command exits 3 before writing anything",
+                None),
 }
 
-_CONFIG_KEYS = set(DEFAULTS)
 _NORM_MAP = {"raw": "raw", "area": "unit-area", "peak": "unit-peak"}
 
 
@@ -66,31 +77,8 @@ class AccuracyError(RuntimeError):
     """Requested accuracy finer than the library's stated accuracy."""
 
 
-@dataclass
-class RunConfig:
-    crystal: str | None
-    lambda_p: float
-    phi0: float | None
-    theta0: float | None
-    waist: float
-    length: float
-    z: float
-    grid: int
-    seed: int
-    out: str
-    normalize: str
-    pairs: int
-    k2x: float
-    slit: float | None
-    rel_tol: float
-
-    def echo_lines(self):
-        return ["config: " + " ".join(f"{k}={getattr(self, k)!r}"
-                                      for k in DEFAULTS if k != "out")]
-
-
 def _parse_config_file(path):
-    values = {}
+    values, first_line = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -104,44 +92,38 @@ def _parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = raw
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first on line {first_line[key]})")
+        values[key], first_line[key] = raw, lineno
     return values
 
 
-_FLOAT_KEYS = {"lambda_p", "phi0", "theta0", "waist", "length", "z", "k2x",
-               "slit", "rel_tol"}
-_INT_KEYS = {"grid", "seed", "pairs"}
-# keys whose resolved value may be None; any other key must be given a value
-_NONE_KEYS = {"crystal", "phi0", "theta0", "slit"}
-
-
 def _coerce(key, raw):
-    if raw is None or raw == "" or raw.lower() == "none":
-        if key not in _NONE_KEYS:
+    kind, default = _KEYS[key][:2]
+    if raw == "" or raw.lower() == "none":
+        # none keeps a default of None; phi0 may be left to theta0
+        if default is not None and key != "phi0":
             raise ConfigError(f"config key {key!r} needs a value, got {raw!r}")
         return None
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
-    return raw
 
 
 def resolve_config(args):
-    values = dict(DEFAULTS)
+    """Defaults, overridden by the --config file, overridden by flags, checked."""
+    values = {key: spec[1] for key, spec in _KEYS.items()}
     explicit = set()
     if args.config is not None:
-        file_vals = _parse_config_file(args.config)
-        for k, raw in file_vals.items():
+        for k, raw in _parse_config_file(args.config).items():
             values[k] = _coerce(k, raw)
             if values[k] is not None:
                 explicit.add(k)
-    for k in _CONFIG_KEYS:
+    for k in _KEYS:
         v = getattr(args, k, None)
         if v is not None:
             values[k] = v
@@ -153,10 +135,10 @@ def resolve_config(args):
         values["phi0"] = values["phi0"] if "phi0" in explicit else None
     if values["phi0"] is None and values["theta0"] is None:
         raise ConfigError("one of phi0 / theta0 is required")
-    cfg = RunConfig(**values)
-    for name in sorted(_FLOAT_KEYS):
+    cfg = argparse.Namespace(**values)
+    for name, (kind, *_) in _KEYS.items():
         value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
+        if kind is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
     for name in ("lambda_p", "waist", "length", "z", "rel_tol"):
         if getattr(cfg, name) <= 0:
@@ -189,7 +171,7 @@ def _load_setup(cfg):
         params = SpdcParams.from_crystal(disp, cfg.lambda_p, cfg.waist,
                                          cfg.length, phi0=cfg.phi0,
                                          theta0=cfg.theta0)
-    except (ValueError, cr.WavelengthRangeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return disp, params
 
@@ -200,46 +182,64 @@ def _outdir(cfg):
     return path
 
 
+def _header(title, cfg, params=None, **resolved):
+    """Title, the echo of every key but out, and the values resolved from them."""
+    lines = [title, "config: " + " ".join(f"{k}={getattr(cfg, k)!r}"
+                                          for k in _KEYS if k != "out")]
+    if params is not None:
+        resolved = {"theta0": params.theta0, "n_o": params.n_o, **resolved}
+        lines.append("resolved: " + " ".join(f"{k}={v!r}"
+                                             for k, v in resolved.items()))
+    return lines
+
+
 def _write_table(path, header_lines, columns, names):
     write_table(path, [*header_lines, "columns: " + " ".join(names)], columns)
 
 
-def cmd_dispersion(cfg):
-    disp = cr.load_crystal(cfg.crystal)
-    out = _outdir(cfg)
-    header = [f"biphoton dispersion ({disp.name})"] + cfg.echo_lines()
+def _phase_matches(disp, phis, lambda_p):
+    """Index difference and cone angle (nan where no cone) at each cut angle."""
+    matches = [cr.phase_match(disp, cr.CutConfig(p, lambda_p)) for p in phis]
+    return (np.array([r.delta_n for r in matches]),
+            np.array([math.nan if r.theta0 is None else r.theta0
+                      for r in matches]))
 
+
+def cmd_dispersion(cfg):
+    """Index difference and cone angle tables."""
+    disp = cr.load_crystal(cfg.crystal)
     phis = np.linspace(0.0, 1.2, cfg.grid)
-    matches = [cr.phase_match(disp, cr.CutConfig(p, cfg.lambda_p)) for p in phis]
-    dn = np.array([r.delta_n for r in matches])
-    theta = np.array([r.theta0 if r.theta0 is not None else math.nan
-                      for r in matches])
+    phis_fit = np.linspace(max(cr.FIT_THRESHOLD + 1e-6, 0.51), 1.2, cfg.grid)
+    try:
+        dn, theta = _phase_matches(disp, phis, cfg.lambda_p)
+        exact = _phase_matches(disp, phis_fit, cfg.lambda_p)[1]
+        root = cr.collinear_cut_angle(disp, cfg.lambda_p)
+    except cr.WavelengthRangeError as exc:
+        raise ConfigError(f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
+    except cr.NoCollinearRootError as exc:
+        raise ConfigError(f"crystal {disp.name} has no collinear cut at "
+                          f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
+    fit = np.array([cr.opening_angle_fit(p) for p in phis_fit])
+
+    out = _outdir(cfg)
+    header = _header(f"biphoton dispersion ({disp.name})", cfg)
     _write_table(out / "index_difference.dat", header, [phis, dn],
                  ["phi0_rad", "delta_n"])
     _write_table(out / "cone_angle.dat", header, [phis, theta],
                  ["phi0_rad", "theta0_rad"])
-
-    lo = max(cr.FIT_THRESHOLD + 1e-6, 0.51)
-    phis_fit = np.linspace(lo, 1.2, cfg.grid)
-    exact = np.array([cr.phase_match(disp, cr.CutConfig(p, cfg.lambda_p)).theta0
-                      for p in phis_fit])
-    fit = np.array([cr.opening_angle_fit(p) for p in phis_fit])
-    resid = (fit - exact) / exact
     _write_table(out / "cone_angle_fit.dat", header,
-                 [phis_fit, fit, exact, resid],
+                 [phis_fit, fit, exact, (fit - exact) / exact],
                  ["phi0_rad", "fit_rad", "exact_rad", "rel_residual"])
-
-    root = cr.collinear_cut_angle(disp, cfg.lambda_p)
     print(f"collinear cut angle: {root:.6f} rad")
     print(f"wrote 3 tables to {out}")
     return EXIT_OK
 
 
 def cmd_fcurve(cfg):
+    """Difference-momentum distribution tables."""
     _, params = _load_setup(cfg)
     out = _outdir(cfg)
-    header = ["biphoton difference-momentum distribution"] + cfg.echo_lines() + [
-        f"resolved: theta0={params.theta0!r} n_o={params.n_o!r}"]
+    header = _header("biphoton difference-momentum distribution", cfg, params)
 
     two_theta = 2.0 * params.theta0
     kap = dist.default_kappa_grid(params, cfg.grid)
@@ -272,20 +272,20 @@ def _report_text(params, single, plane):
 
 
 def cmd_distributions(cfg):
+    """Single, coincidence and plane-restricted curves."""
     _, params = _load_setup(cfg)
     out = _outdir(cfg)
     norm = _NORM_MAP[cfg.normalize]
-    header = ["biphoton reduced distributions"] + cfg.echo_lines() + [
-        f"resolved: theta0={params.theta0!r} n_o={params.n_o!r}"]
+    header = _header("biphoton reduced distributions", cfg, params)
 
     grid = dist.default_kappa_grid(params, cfg.grid)
-    single = dist.single_particle_curve(grid, params, normalization=norm)
+    single = dist.single_particle_curve(grid, params).normalized(norm)
     single.write(out / "single_particle.dat", extra_header=header)
 
-    coinc = dist.coincidence_curve(cfg.k2x, params, normalization=norm)
+    coinc = dist.coincidence_curve(cfg.k2x, params).normalized(norm)
     coinc.write(out / "coincidence.dat", extra_header=header)
 
-    plane = dist.plane_restricted_curve(grid, params, normalization=norm)
+    plane = dist.plane_restricted_curve(grid, params).normalized(norm)
     plane.write(out / "plane_restricted.dat", extra_header=header)
 
     text = _report_text(params, single, plane)
@@ -296,16 +296,16 @@ def cmd_distributions(cfg):
 
 
 def cmd_scan(cfg):
+    """Analytic and Monte-Carlo detector scans."""
     _, params = _load_setup(cfg)
-    out = _outdir(cfg)
     try:
         ring = rs.ring_from_params(params, cfg.z)
     except rs.NoRingError as exc:
         raise ConfigError(str(exc)) from None
+    out = _outdir(cfg)
     slit = cfg.slit if cfg.slit is not None else 0.5 * ring.delta_r
-    header = ["biphoton detector scan"] + cfg.echo_lines() + [
-        f"resolved: theta0={params.theta0!r} n_o={params.n_o!r} "
-        f"r0_cm={ring.r0!r} delta_r_cm={ring.delta_r!r} slit_cm={slit!r}"]
+    header = _header("biphoton detector scan", cfg, params, r0_cm=ring.r0,
+                     delta_r_cm=ring.delta_r, slit_cm=slit)
 
     n_bins = min(cfg.grid, 241)
     positions = 0.5 * dist.default_kappa_grid(params, n_bins) * cfg.z
@@ -348,37 +348,21 @@ def cmd_scan(cfg):
 
 
 def cmd_report(cfg):
+    """Widths and entanglement ratio."""
     _, params = _load_setup(cfg)
     out = _outdir(cfg)
     grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
-    single = dist.single_particle_curve(grid, params, normalization="unit-area")
-    plane = dist.plane_restricted_curve(grid, params, normalization="unit-area")
+    single = dist.single_particle_curve(grid, params).normalized("unit-area")
+    plane = dist.plane_restricted_curve(grid, params).normalized("unit-area")
     text = _report_text(params, single, plane)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--crystal", help="crystal coefficient file (default: bundled BBO)")
-    p.add_argument("--lambda-p", dest="lambda_p", type=float,
-                   help="pump wavelength, um")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--phi0", type=float, help="cut angle, rad")
-    g.add_argument("--theta0", type=float, help="explicit cone opening angle, rad")
-    p.add_argument("--waist", type=float, help="pump waist, cm")
-    p.add_argument("--length", type=float, help="crystal length, cm")
-    p.add_argument("--z", type=float, help="crystal-detector distance, cm")
-    p.add_argument("--grid", type=int, help="grid resolution")
-    p.add_argument("--seed", type=int, help="64-bit sampling seed")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--normalize", choices=sorted(_NORM_MAP),
-                   help="curve normalization")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float,
-                   help="relative accuracy required of f_exact; below the "
-                        "accuracy of its closed-form evaluation (1e-12) every "
-                        "command exits 3 before writing anything")
+COMMANDS = {"dispersion": cmd_dispersion, "fcurve": cmd_fcurve,
+            "distributions": cmd_distributions, "scan": cmd_scan,
+            "report": cmd_report}
 
 
 def build_parser():
@@ -386,40 +370,20 @@ def build_parser():
         prog="biphoton",
         description="Momentum distributions of noncollinear degenerate photon pairs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dispersion", help="index difference and cone angle tables")
-    _add_common(p)
-    p.set_defaults(func=cmd_dispersion)
-
-    p = sub.add_parser("fcurve", help="difference-momentum distribution tables")
-    _add_common(p)
-    p.set_defaults(func=cmd_fcurve)
-
-    p = sub.add_parser("distributions",
-                       help="single, coincidence and plane-restricted curves")
-    _add_common(p)
-    p.add_argument("--k2x", type=float, help="fixed partner momentum, cm^-1")
-    p.set_defaults(func=cmd_distributions)
-
-    p = sub.add_parser("scan", help="analytic and Monte-Carlo detector scans")
-    _add_common(p)
-    p.add_argument("--pairs", type=int, help="Monte-Carlo pair count")
-    p.add_argument("--slit", type=float, help="D2 slit width, cm")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("report", help="widths and entanglement ratio")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-
+    for name, func in COMMANDS.items():
+        p = sub.add_parser(name, help=func.__doc__)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key = value config file")
+        for key, (kind, _, text, commands) in _KEYS.items():
+            if commands is None or name in commands:
+                p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return args.func(cfg)
+        return args.func(resolve_config(args))
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .curves import Curve
-from .wavefunction import pump_envelope
+from .wavefunction import pump_envelope, sinc
 
 __all__ = [
     "f_exact",
@@ -65,7 +65,6 @@ __all__ = [
     "entanglement_report",
     "reduced_bipartite",
     "default_kappa_grid",
-    "coincidence_kappa_grid",
     "single_particle_curve",
     "coincidence_curve",
     "plane_restricted_curve",
@@ -93,11 +92,6 @@ _S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _S_NODES, _S_WEIGHTS = 0.5 * (_S_NODES + 1.0), 0.5 * _S_WEIGHTS
 _T_NODES, _T_WEIGHTS = np.polynomial.laguerre.laggauss(48)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _sinc2(x):
-    s = np.sinc(x / np.pi)
-    return s * s
 
 
 def _g_of_u(u):
@@ -212,14 +206,6 @@ def default_kappa_grid(params, n=2001):
     return np.linspace(-span, span, n)
 
 
-def coincidence_kappa_grid(k2x_fixed, params, n=501):
-    """Grid centered on the conditional peak at -k2x, six Gaussian widths each way."""
-    center = -float(params.kappa(k2x_fixed))
-    sigma = params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
-    h = 6.0 * sigma
-    return np.linspace(center - h, center + h, n)
-
-
 def _params_meta(params):
     return {
         "lambda_p_um": repr(params.lambda_p),
@@ -230,7 +216,7 @@ def _params_meta(params):
     }
 
 
-def single_particle_curve(kappa_grid, params, exact=True, normalization="raw"):
+def single_particle_curve(kappa_grid, params, exact=True):
     """Marginal momentum distribution of one photon: F(2 k1x) over the grid.
 
     The exact reduction is the default; exact=False substitutes the
@@ -247,34 +233,34 @@ def single_particle_curve(kappa_grid, params, exact=True, normalization="raw"):
             vals[~finite] = vals[finite].max()
     meta = _params_meta(params)
     meta["kind"] = "single-particle" + ("" if exact else " (cone-interior form)")
-    curve = Curve(x=np.asarray(kappa_grid, dtype=float), y=vals,
-                  xunit="kappa", normalization="raw", meta=meta)
-    return curve.normalized(normalization) if normalization != "raw" else curve
+    return Curve(x=np.asarray(kappa_grid, dtype=float), y=vals,
+                 xunit="kappa", normalization="raw", meta=meta)
 
 
-def coincidence_curve(k2x_fixed, params, kappa_grid=None, normalization="raw"):
+def coincidence_curve(k2x_fixed, params):
     """Conditional distribution of k1x at fixed k2x: Gaussian times F(2 k2x).
 
-    Peaks at k1x = -k2x; the overall factor F(2 k2x) only matters for
-    the raw scale (it vanishes quickly once |2 k2x| leaves the cone).
+    Peaks at k1x = -k2x; the grid holds 501 points six Gaussian widths
+    each way of it.  The overall factor F(2 k2x) only matters for the raw
+    scale (it vanishes quickly once |2 k2x| leaves the cone).
     """
-    if kappa_grid is None:
-        kappa_grid = coincidence_kappa_grid(k2x_fixed, params)
+    center = -float(params.kappa(k2x_fixed))
+    sigma = params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
+    kappa_grid = np.linspace(center - 6.0 * sigma, center + 6.0 * sigma, 501)
     k1 = params.k_from_kappa(kappa_grid)
     scale = f_exact(2.0 * k2x_fixed, params)
     vals = pump_envelope(k1 + k2x_fixed, 0.0, params) ** 2 * scale
     meta = _params_meta(params)
     meta["kind"] = "coincidence"
     meta["k2x_cm^-1"] = repr(float(k2x_fixed))
-    curve = Curve(x=np.asarray(kappa_grid, dtype=float), y=vals,
-                  xunit="kappa", normalization="raw", meta=meta)
-    return curve.normalized(normalization) if normalization != "raw" else curve
+    return Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",
+                 meta=meta)
 
 
 _GH64_NODES, _GH64_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
-def plane_restricted_curve(kappa_grid, params, normalization="raw"):
+def plane_restricted_curve(kappa_grid, params):
     """Distribution obtained when only in-plane photons are counted.
 
     integral dk2x |psi(k1x, k2x, 0, 0)|^2, evaluated with Gauss-Hermite
@@ -292,12 +278,11 @@ def plane_restricted_curve(kappa_grid, params, normalization="raw"):
     kminus = 2.0 * k1[:, None] - t[None, :]
     kap = params.kappa(kminus)
     arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
-    vals = (_sinc2(arg) @ _GH64_WEIGHTS) / params.w_p
+    vals = (sinc(arg) ** 2 @ _GH64_WEIGHTS) / params.w_p
     meta = _params_meta(params)
     meta["kind"] = "plane-restricted"
-    curve = Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",
-                  meta=meta)
-    return curve.normalized(normalization) if normalization != "raw" else curve
+    return Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",
+                 meta=meta)
 
 
 def f_approx_moment_ratio(params, n_nodes=400):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -187,6 +188,25 @@ def test_config_errors(tmp_path, capsys):
     assert run("report", "--phi0", "0.3") == 2
     # scan with no emission ring
     assert run("scan", "--theta0", "0.0", "--out", str(tmp_path / "x")) == 2
+    assert not (tmp_path / "x").exists()
+    # a config key given twice names both lines, before any output
+    cfg3 = tmp_path / "twice.cfg"
+    cfg3.write_text("waist = 0.3\nwaist = 0.2\n")
+    capsys.readouterr()
+    assert run("report", "--config", str(cfg3), "--out", str(tmp_path / "t")) == 2
+    err = capsys.readouterr().err
+    assert ":2: duplicate key 'waist' (first on line 1)" in err
+    assert not (tmp_path / "t").exists()
+    # identical o and e indices: no cone and no collinear cut at any angle
+    flat = tmp_path / "flat.crystal"
+    flat.write_text("name = Flat\nsellmeier_o = 2.7405 0.0184 0.0179 0.0155\n"
+                    "sellmeier_e = 2.7405 0.0184 0.0179 0.0155\n"
+                    "valid_range = 0.22 1.06\n")
+    assert run("dispersion", "--crystal", str(flat), "--grid", "11",
+               "--out", str(tmp_path / "d")) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: crystal Flat" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_theta0_zero_distributions_ok(tmp_path):
@@ -205,6 +225,9 @@ def test_theta0_zero_distributions_ok(tmp_path):
     ("fcurve", "--rel-tol", "nan"),
     ("scan", "--slit", "-1"),
     ("distributions", "--k2x", "1e200"),
+    ("dispersion", "--lambda-p", "0.6"),
+    ("report", "--phi0", "0.7", "--theta0", "0.1"),
+    ("distributions", "--normalize", "bogus"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")
@@ -279,3 +302,28 @@ def test_numeric_failure_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("numerical accuracy failure: accuracy 1e-18 ")
     assert not out.exists()
+
+
+def test_default_config_echo(tmp_path):
+    # perfbench/checks.py parses this line; every key but out, in table order
+    out = tmp_path / "f"
+    assert run("fcurve", "--out", str(out)) == 0
+    lines = (out / "difference_distribution.dat").read_text().splitlines()
+    assert lines[1] == (
+        "# config: crystal=None lambda_p=0.4047 phi0=0.5275 theta0=None "
+        "waist=0.1 length=0.1 z=100.0 grid=2001 seed=12345 normalize='area' "
+        "pairs=1000000 k2x=0.0 slit=None rel_tol=1e-06")
+
+
+def test_subcommand_flags():
+    common = {"--config", "--crystal", "--lambda-p", "--phi0", "--theta0",
+              "--waist", "--length", "--z", "--grid", "--seed", "--out",
+              "--normalize", "--rel-tol"}
+    extra = {"dispersion": set(), "fcurve": set(), "distributions": {"--k2x"},
+             "scan": {"--pairs", "--slit"}, "report": set()}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(extra)
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == common | extra[name], name

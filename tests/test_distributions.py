@@ -12,7 +12,7 @@ from biphoton import (Curve, SpdcParams, classify_regime,
                       width_single)
 from biphoton import distributions as dist
 
-from conftest import brute_reduced, f_exact_panels, f_exact_simpson
+from conftest import f_exact_panels, f_exact_simpson, raw_frame_reduced
 
 
 def test_f_exact_is_even(params_a):
@@ -173,13 +173,15 @@ def test_reduced_bipartite_symmetries(params_b):
 
 
 def test_reduced_bipartite_against_raw_frame_quadrature():
-    # small-gain configuration keeps the nested raw-frame oracle cheap
+    # the fixed raw-frame rule at two resolutions, which must agree
     p = SpdcParams(lambda_p=0.4047, w_p=0.2, L=0.05, theta0=0.05, n_o=1.66109)
     kmax = p.theta0 * math.pi / p.lambda_cm
     pts = [(0.3 * kmax, -0.3 * kmax + 0.5 / p.w_p),
            (-0.55 * kmax, 0.55 * kmax)]
-    ratios = [brute_reduced(k1, k2, p) / reduced_bipartite(k1, k2, p)
-              for k1, k2 in pts]
+    coarse = np.array([raw_frame_reduced(k1, k2, p) for k1, k2 in pts])
+    fine = np.array([raw_frame_reduced(k1, k2, p, 800, 8) for k1, k2 in pts])
+    assert np.max(np.abs(fine / coarse - 1.0)) <= 1e-12
+    ratios = fine / np.array([reduced_bipartite(k1, k2, p) for k1, k2 in pts])
     const = 0.5 * math.sqrt(math.pi) / p.w_p * math.pi / p.lambda_cm
     for r in ratios:
         assert r == pytest.approx(const, rel=1e-3)
@@ -223,7 +225,7 @@ def test_single_particle_approx_path(params_b):
 
 def test_curve_normalization_contract(params_b):
     grid = default_kappa_grid(params_b, 801)
-    c = single_particle_curve(grid, params_b, normalization="unit-area")
+    c = single_particle_curve(grid, params_b).normalized("unit-area")
     assert abs(c.area() - 1.0) < 1e-6
     raw = single_particle_curve(grid, params_b)
     rescaled = Curve(x=raw.x, y=raw.y * 11.7).normalized("unit-area")
