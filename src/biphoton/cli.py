@@ -17,11 +17,11 @@ entries, which override the built-in defaults (the moderate waist-and-
 crystal parameter set: lambda_p 0.4047 um, phi0 0.5275 rad, waist and
 length 0.1 cm, z 100 cm).
 
-Exit codes: 0 success, 2 configuration error (this includes a pump
-wavelength outside the crystal's range and, for `dispersion`, a crystal
-with no collinear cut), 3 numerical-accuracy failure (a --rel-tol finer
-than the library's accuracy).  Both failures come before any output is
-written.
+Exit codes: 0 success, 2 configuration error (this includes a flag
+value argparse cannot parse, a pump wavelength outside the crystal's
+range and, for `dispersion`, a crystal with no collinear cut), 3
+numerical-accuracy failure (a --rel-tol finer than the library's
+accuracy).  Both failures come before any output is written.
 """
 
 from __future__ import annotations
@@ -171,6 +171,8 @@ def _load_setup(cfg):
         params = SpdcParams.from_crystal(disp, cfg.lambda_p, cfg.waist,
                                          cfg.length, phi0=cfg.phi0,
                                          theta0=cfg.theta0)
+    except cr.WavelengthRangeError as exc:
+        raise ConfigError(f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return disp, params
@@ -365,8 +367,15 @@ COMMANDS = {"dispersion": cmd_dispersion, "fcurve": cmd_fcurve,
             "report": cmd_report}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a configuration error, not SystemExit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biphoton",
         description="Momentum distributions of noncollinear degenerate photon pairs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,8 +390,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(resolve_config(args))
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

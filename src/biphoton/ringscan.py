@@ -25,12 +25,14 @@ Sampling is exact (rejection from the squared-sinc law, no table) and
 reproducible: pairs are drawn in blocks of _BLOCK, block i from the
 stream SeedSequence(seed, spawn_key=(i,)), so a scan summed block by
 block depends on (seed, pair count) alone and runs in constant memory.
+A batch's vertical positions, PairBatch.y1 and .y2, are formed on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -103,13 +105,21 @@ def chord_length(x, ring):
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Detection-plane positions of sampled photon pairs (cm)."""
+    """Detection-plane positions of sampled photon pairs (cm).
+
+    y1, y2 = (py +- rho sin phi)/2 are formed on first read; a scan reads x alone.
+    """
 
     x1: np.ndarray
-    y1: np.ndarray
     x2: np.ndarray
-    y2: np.ndarray
     seed: int
+    py: np.ndarray
+    rho: np.ndarray
+    phi: np.ndarray
+
+    _my = cached_property(lambda self: self.rho * np.sin(self.phi))
+    y1 = cached_property(lambda self: 0.5 * (self.py + self._my))
+    y2 = cached_property(lambda self: 0.5 * (self.py - self._my))
 
     def __len__(self):
         return len(self.x1)
@@ -119,25 +129,31 @@ class PairBatch:
 _BLOCK = 2 ** 16
 
 
-def _sinc2_variates(rng, x_max, m):
-    """m exact draws from the density sinc^2(x) restricted to x <= x_max.
+def _sinc2_variates(rng, x_max, out):
+    """Fill out with exact draws from the density sinc^2(x) restricted to x <= x_max.
 
     Rejection from the envelope min(1, 1/x^2)/4 (Devroye 1986, II.3),
     accepted at rate pi/4 before the cut at x_max.  The proposal is
     y ~ U(-2, 2), kept as x = y on |y| <= 1 and mapped to the tails as
     x = sign(y)/(2 - |y|); y = -2 gives x = -inf, whose NaN sine rejects it.
     """
-    need, parts = m, []
+    need = out.size
     while need > 0:
-        k = need * 4 // 3 + 64
-        y = 4.0 * rng.random(k) - 2.0
+        k = need * 4 // 3 + 64  # k fixes the stream of draws
+        x, w, u = np.empty((3, k))
+        np.subtract(np.multiply(rng.random(out=x), 4.0, out=x), 2.0, out=x)
+        # sign(y) min(|y|, 1) / min(2 - |y|, 1) is y inside and exactly
+        # sign(y)/(2 - |y|) in the tails: the tail map with no masked ufunc
+        np.minimum(np.subtract(2.0, np.abs(x, out=w), out=u), 1.0, out=u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.divide(np.sign(y), 2.0 - np.abs(y), out=y, where=np.abs(y) > 1.0)
-            s = np.sin(x)
-        keep = (s * s >= rng.random(k) * np.minimum(1.0, x * x)) & (x <= x_max)
-        parts.append(x[keep][:need])
-        need -= parts[-1].size
-    return np.concatenate(parts)
+            np.copysign(np.divide(np.minimum(w, 1.0, out=w), u, out=w), x, out=x)
+            np.minimum(np.multiply(x, x, out=w), 1.0, out=w)
+            np.multiply(rng.random(out=u), w, out=u)
+            s = np.sin(x, out=w)
+        take = np.compress((s * s >= u) & (x <= x_max), x)[:need]
+        out[out.size - need:][:take.size] = take
+        need -= take.size
+    return out
 
 
 def sample_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
@@ -162,18 +178,22 @@ def sample_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
     # difference momentum z * kappa_minus (clipped at 0 against rounding)
     sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     four_theta_sq = 4.0 * params.theta0 ** 2
-    parts = []
+    # each block writes its slice; x1 holds px until x1 and x2 are halved
+    x1, x2, py, rho, phi = np.empty((5, n))
     for i, start in enumerate(range(0, n, _BLOCK), start=block):
-        m = min(_BLOCK, n - start)
+        sl = slice(start, min(start + _BLOCK, n))
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        px, py = rng.normal(0.0, sigma, m), rng.normal(0.0, sigma, m)
-        x = _sinc2_variates(rng, params.sinc_scale * four_theta_sq, m)
-        rho = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
-        phi = azimuth_origin + 2.0 * math.pi * rng.random(m)
-        mx, my = rho * np.cos(phi), rho * np.sin(phi)
-        parts.append((px + mx, py + my, px - mx, py - my))
-    x1, y1, x2, y2 = (0.5 * np.concatenate(c) for c in zip(*parts))
-    return PairBatch(x1=x1, y1=y1, x2=x2, y2=y2, seed=seed)
+        for v in (x1[sl], py[sl]):
+            np.multiply(rng.standard_normal(out=v), sigma, out=v)
+        x = _sinc2_variates(rng, params.sinc_scale * four_theta_sq, rho[sl])
+        rho[sl] = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
+        phi[sl] = azimuth_origin + 2.0 * math.pi * rng.random(x.size)
+        mx = rho[sl] * np.cos(phi[sl])
+        np.subtract(x1[sl], mx, out=x2[sl])
+        x1[sl] += mx
+    x1 *= 0.5
+    x2 *= 0.5
+    return PairBatch(x1=x1, x2=x2, seed=seed, py=py, rho=rho, phi=phi)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -241,8 +261,8 @@ def scan_single(source, positions):
                                 "delta_r_cm": repr(source.delta_r)})
     if isinstance(source, PairBatch):
         edges = _bin_edges(positions)
-        xs = np.concatenate([source.x1, source.x2])
-        counts, _ = np.histogram(xs, bins=edges)
+        counts = (np.histogram(source.x1, bins=edges)[0]
+                  + np.histogram(source.x2, bins=edges)[0])
         return ScanResult(x=positions, y=counts, mode="single-mc",
                           pairs_sampled=len(source), seed=source.seed)
     raise TypeError(f"cannot scan a {type(source).__name__}")

@@ -44,6 +44,43 @@ def batch_b(params_b):
     return sample_pairs(params_b, Z_CM, 1_000_000, seed=MC_SEED)
 
 
+def _reference_sinc2(rng, x_max, m):
+    """m rejection draws from sinc^2(x) on x <= x_max, as first written."""
+    need, parts = m, []
+    while need > 0:
+        k = need * 4 // 3 + 64
+        y = 4.0 * rng.random(k) - 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.divide(np.sign(y), 2.0 - np.abs(y), out=y, where=np.abs(y) > 1.0)
+            s = np.sin(x)
+        keep = (s * s >= rng.random(k) * np.minimum(1.0, x * x)) & (x <= x_max)
+        parts.append(x[keep][:need])
+        need -= parts[-1].size
+    return np.concatenate(parts)
+
+
+def reference_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
+    """Bit-for-bit oracle of sample_pairs: (x1, y1, x2, y2), plainly written.
+
+    The same draws in the same order as the package's in-place sampler:
+    blocks of 2**16 pairs, block i from SeedSequence(seed, spawn_key=(i,)),
+    then per block two Gaussians, the sinc^2 variates and the azimuths.
+    """
+    sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
+    four_theta_sq = 4.0 * params.theta0 ** 2
+    parts = []
+    for i, start in enumerate(range(0, n, 2 ** 16), start=block):
+        m = min(2 ** 16, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        px, py = rng.normal(0.0, sigma, m), rng.normal(0.0, sigma, m)
+        x = _reference_sinc2(rng, params.sinc_scale * four_theta_sq, m)
+        rho = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
+        phi = azimuth_origin + 2.0 * math.pi * rng.random(m)
+        mx, my = rho * np.cos(phi), rho * np.sin(phi)
+        parts.append((px + mx, py + my, px - mx, py - my))
+    return tuple(0.5 * np.concatenate(c) for c in zip(*parts))
+
+
 def f_exact_simpson(k_minus_x, params, qmax=12.0, n=1_500_001):
     """Slow oracle for the y-reduction: plain Simpson on a fine uniform q grid.
 

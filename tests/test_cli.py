@@ -49,12 +49,6 @@ def test_fcurve_command(tmp_path):
     mid = np.abs(kap) < 0.15
     assert np.max(np.abs(exact[mid] / approx[mid] - 1.0)) < 1e-2
     assert (out / "difference_distribution_edge.dat").exists()
-    # determinism: rerun into a second directory, identical bytes
-    out2 = tmp_path / "f2"
-    assert run("fcurve", "--out", str(out2), "--grid", "301") == 0
-    a = (out / "difference_distribution.dat").read_bytes()
-    b = (out2 / "difference_distribution.dat").read_bytes()
-    assert a == b
 
 
 def test_distributions_command(tmp_path):
@@ -109,12 +103,6 @@ def test_scan_command(tmp_path):
     comparison = load_table(out / "scan_comparison.dat")
     assert comparison.shape[1] == 6
     assert np.all(np.isfinite(comparison))
-    out2 = tmp_path / "s2"
-    assert run("scan", "--out", str(out2), "--pairs", "100000",
-               "--grid", "201") == 0
-    for name in ("scan_single_analytic.dat", "scan_single_mc.dat",
-                 "scan_coincidence.dat", "scan_comparison.dat"):
-        assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
 
 
 _PEAK_RSS = """
@@ -228,6 +216,8 @@ def test_theta0_zero_distributions_ok(tmp_path):
     ("dispersion", "--lambda-p", "0.6"),
     ("report", "--phi0", "0.7", "--theta0", "0.1"),
     ("distributions", "--normalize", "bogus"),
+    ("fcurve", "--grid", "abc"),
+    ("scan", "--seed", "1.5"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")
@@ -235,6 +225,39 @@ def test_rejects_bad_input(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions",
+                                     "scan", "report"])
+def test_wavelength_error_names_lambda_p(tmp_path, capsys, command):
+    # the signal at 2 lambda_p = 1.2 um lies outside BBO's Sellmeier range
+    assert run(command, "--lambda-p", "0.6", "--out", str(tmp_path / "x"),
+               "--grid", "11") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: lambda_p = 0.6: "), err
+    assert not (tmp_path / "x").exists()
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["scan", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: biphoton")
+
+
+@pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions",
+                                     "scan", "report"])
+def test_rerun_is_byte_identical(tmp_path, command):
+    extra = ["--pairs", "100000"] if command == "scan" else []
+    for out in ("a", "b"):
+        assert run(command, "--out", str(tmp_path / out), "--grid", "201",
+                   *extra) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
 
 
 @pytest.mark.parametrize("command, key", [

@@ -9,9 +9,9 @@ from biphoton import (NoRingError, SpdcParams, chord_length, cli,
                       measured_coincidence_width, ring_from_params,
                       sample_pairs, scan_coincidence, scan_single,
                       single_particle_curve, width_coincidence)
-from biphoton.ringscan import _BLOCK, RingGeometry
+from biphoton.ringscan import _BLOCK, RingGeometry, _sinc2_variates
 
-from conftest import MC_SEED, Z_CM
+from conftest import MC_SEED, Z_CM, reference_pairs
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,39 @@ def test_sampling_determinism(params_b):
     s3 = sample_pairs(params_b, Z_CM, 2000, seed=7, block=4)
     assert not np.array_equal(s1.x2, s3.x2)
     assert not np.array_equal(a.x2, s1.x2)
+
+
+@pytest.mark.parametrize("config", ["a", "b"])
+def test_sampler_matches_reference_bit_for_bit(request, config):
+    # the in-place sampler makes the same draws and the same arithmetic as the
+    # plainly written reference; y1 and y2 are formed on first read, in any order
+    params = request.getfixturevalue(f"params_{config}")
+    args = (params, Z_CM, 2 * _BLOCK + 1, MC_SEED)
+    ref = dict(zip(("x1", "y1", "x2", "y2"),
+                   reference_pairs(*args, azimuth_origin=1.234, block=3)))
+    for order in (("y1", "x1", "x2", "y2"), ("x1", "y2", "x2", "y1")):
+        batch = sample_pairs(*args, azimuth_origin=1.234, block=3)
+        for key in order:
+            assert np.array_equal(getattr(batch, key), ref[key]), key
+
+
+class _CyclicUniforms:
+    """Generator stand-in: random(out=) repeats a fixed list of uniforms."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[:] = np.resize(self.values, out.size)
+        return out
+
+
+def test_sinc2_proposal_at_minus_two_is_rejected():
+    # u = 0 proposes y = -2, mapped to x = -inf by a division by zero; its NaN
+    # sine must reject it (u = 0 as acceptance uniform would keep any finite x)
+    # without a floating-point warning.  u = 0.0625 gives x = -4, u = 0.625 x = 0.5
+    out = _sinc2_variates(_CyclicUniforms([0.0, 0.0625, 0.625]), 1.0, np.empty(50))
+    assert set(out.tolist()) == {-4.0, 0.5}
 
 
 def test_sampling_argument_validation(params_b):
