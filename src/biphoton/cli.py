@@ -19,9 +19,10 @@ length 0.1 cm, z 100 cm).
 
 Exit codes: 0 success, 2 configuration error (this includes a flag
 value argparse cannot parse, a pump wavelength outside the crystal's
-range and, for `dispersion`, a crystal with no collinear cut), 3
-numerical-accuracy failure (a --rel-tol finer than the library's
-accuracy).  Both failures come before any output is written.
+range, a --grid numpy cannot allocate and, for `dispersion`, a crystal
+with no collinear cut), 3 numerical-accuracy failure (a --rel-tol finer
+than the library's accuracy).  Both failures come before any output is
+written.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ _KEYS = {
     "waist": (float, 0.1, "pump waist, cm", None),
     "length": (float, 0.1, "crystal length, cm", None),
     "z": (float, 100.0, "crystal-detector distance, cm", None),
-    "grid": (int, 2001, "grid resolution", None),
+    "grid": (int, 2001, "grid resolution; report evaluates at most 1201 "
+                        "points and scan histograms into at most 241 lines",
+             None),
     "seed": (int, 12345, "64-bit sampling seed", None),
     "out": (str, "out", "output directory", None),
     "normalize": (str, "area", "curve normalization: area, peak or raw", None),
@@ -184,6 +187,14 @@ def _outdir(cfg):
     return path
 
 
+def _grid(cfg, make):
+    """make(cfg.grid), the command's grid; a size numpy cannot allocate exits 2."""
+    try:
+        return make(cfg.grid)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"grid = {cfg.grid}: {exc}") from None
+
+
 def _header(title, cfg, params=None, **resolved):
     """Title, the echo of every key but out, and the values resolved from them."""
     lines = [title, "config: " + " ".join(f"{k}={getattr(cfg, k)!r}"
@@ -210,8 +221,9 @@ def _phase_matches(disp, phis, lambda_p):
 def cmd_dispersion(cfg):
     """Index difference and cone angle tables."""
     disp = cr.load_crystal(cfg.crystal)
-    phis = np.linspace(0.0, 1.2, cfg.grid)
-    phis_fit = np.linspace(max(cr.FIT_THRESHOLD + 1e-6, 0.51), 1.2, cfg.grid)
+    fit_start = max(cr.FIT_THRESHOLD + 1e-6, 0.51)
+    phis, phis_fit = _grid(cfg, lambda n: (np.linspace(0.0, 1.2, n),
+                                           np.linspace(fit_start, 1.2, n)))
     try:
         dn, theta = _phase_matches(disp, phis, cfg.lambda_p)
         exact = _phase_matches(disp, phis_fit, cfg.lambda_p)[1]
@@ -240,11 +252,11 @@ def cmd_dispersion(cfg):
 def cmd_fcurve(cfg):
     """Difference-momentum distribution tables."""
     _, params = _load_setup(cfg)
+    kap = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
     out = _outdir(cfg)
     header = _header("biphoton difference-momentum distribution", cfg, params)
 
     two_theta = 2.0 * params.theta0
-    kap = dist.default_kappa_grid(params, cfg.grid)
     ks = params.k_from_kappa(kap)
     exact = dist.f_exact(ks, params)
     approx = dist.f_approx(ks, params)
@@ -276,11 +288,11 @@ def _report_text(params, single, plane):
 def cmd_distributions(cfg):
     """Single, coincidence and plane-restricted curves."""
     _, params = _load_setup(cfg)
+    grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
     out = _outdir(cfg)
     norm = _NORM_MAP[cfg.normalize]
     header = _header("biphoton reduced distributions", cfg, params)
 
-    grid = dist.default_kappa_grid(params, cfg.grid)
     single = dist.single_particle_curve(grid, params).normalized(norm)
     single.write(out / "single_particle.dat", extra_header=header)
 
@@ -326,6 +338,7 @@ def cmd_scan(cfg):
         part = (rs.scan_single(batch, positions),
                 rs.scan_coincidence(batch, ring.r0, slit, cpos))
         mc, coinc = part if mc is None else (mc + part[0], coinc + part[1])
+        del batch, part   # one block alive at a time: free it before the next draw
     mc.write(out / "scan_single_mc.dat")
     coinc.write(out / "scan_coincidence.dat")
     if coinc.is_empty:

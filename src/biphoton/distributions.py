@@ -28,6 +28,13 @@ G is accurate to _G_REL_ERR in relative terms for every real u.  That
 accuracy is stated, not requested: no function here takes a tolerance,
 and the command line compares a requested --rel-tol with it once.
 
+Both quadrature kernels, G(u) and the in-plane Gauss-Hermite rule of
+plane_restricted_curve, fill a preallocated result _ROWS grid points at
+a time.  Their node matrices are then a fixed few hundred kB, whatever
+the grid size, and memory grows only with the output columns.  Every
+point's nodes, arithmetic and reduction order are those of an unchunked
+evaluation, so f_exact is bitwise the same wherever the chunks split.
+
 Because the gain is large, sinc^2 acts nearly like a delta function of
 its argument, giving the closed-form cone-interior approximation
 f_approx = 8 n_o lam / (L sqrt(4 theta0^2 - kappa^2)) with integrable
@@ -93,20 +100,38 @@ _S_NODES, _S_WEIGHTS = 0.5 * (_S_NODES + 1.0), 0.5 * _S_WEIGHTS
 _T_NODES, _T_WEIGHTS = np.polynomial.laguerre.laggauss(48)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 
+# The quadrature kernels work on _ROWS grid points at a time, so their
+# node matrices (_ROWS x 48 complex at most, 200 kB) stay in cache and
+# memory does not grow with the grid.  Each point's arithmetic does not
+# depend on the chunk it falls in.
+_ROWS = 256
+
+
+def _row_slices(n):
+    """Slices of at most _ROWS consecutive points covering range(n)."""
+    return (slice(start, start + _ROWS) for start in range(0, n, _ROWS))
+
 
 def _g_of_u(u):
     """G(u) = 2 integral_0^inf sinc^2(u - p^2) dp, elementwise over an array of u."""
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     g = np.empty(flat.shape)
-    near = np.abs(flat) <= _G_SWITCH
-    s2 = _S_NODES * _S_NODES
-    inner = np.sum(np.exp(2j * flat[near, None] * s2) * ((1.0 - s2) * _S_WEIGHTS),
-                   axis=1)
-    g[near] = 2.0 * _ROOT_2PI * (np.exp(-0.25j * math.pi) * inner).real
+    for rows in _row_slices(flat.size):
+        _g_rows(flat[rows], g[rows])
+    return g.reshape(u.shape)[()]
 
-    v = np.abs(flat[~near])
-    positive = flat[~near] > 0.0
+
+def _g_rows(u, out):
+    """G over a 1-D array u of at most _ROWS points, written into out."""
+    near = np.abs(u) <= _G_SWITCH
+    s2 = _S_NODES * _S_NODES
+    inner = np.sum(np.exp(2j * u[near, None] * s2) * ((1.0 - s2) * _S_WEIGHTS),
+                   axis=1)
+    out[near] = 2.0 * _ROOT_2PI * (np.exp(-0.25j * math.pi) * inner).real
+
+    v = np.abs(u[~near])
+    positive = u[~near] > 0.0
     # endpoint term, v = |u|:
     #   E(v) = e^{2iv}/(8 v^2) int_0^inf t e^{-t} (1 + i t/(2v))^(-1/2) dt;
     # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
@@ -115,8 +140,7 @@ def _g_of_u(u):
     end = np.exp(2j * v) / (8.0 * v * v) * path
     turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
     stationary = np.where(positive, math.pi / np.sqrt(v), 0.25 * math.pi / v ** 1.5)
-    g[~near] = stationary - 2.0 * _ROOT_2PI * (turn * end).real
-    return g.reshape(u.shape)[()]
+    out[~near] = stationary - 2.0 * _ROOT_2PI * (turn * end).real
 
 
 def f_exact(k_minus_x, params):
@@ -275,10 +299,12 @@ def plane_restricted_curve(kappa_grid, params):
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     k1 = params.k_from_kappa(kappa_grid)
     t = _GH64_NODES / params.w_p
-    kminus = 2.0 * k1[:, None] - t[None, :]
-    kap = params.kappa(kminus)
-    arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
-    vals = (sinc(arg) ** 2 @ _GH64_WEIGHTS) / params.w_p
+    vals = np.empty(k1.shape)
+    for rows in _row_slices(k1.size):
+        kminus = 2.0 * k1[rows, None] - t[None, :]
+        kap = params.kappa(kminus)
+        arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
+        vals[rows] = (sinc(arg) ** 2 @ _GH64_WEIGHTS) / params.w_p
     meta = _params_meta(params)
     meta["kind"] = "plane-restricted"
     return Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",

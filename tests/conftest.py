@@ -7,7 +7,9 @@ moderate set (theta0 = 0.1 rad, waist and length 0.1 cm), both at a
 sampling a million pairs is the most expensive fixture.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,12 @@ def params_b(bbo):
 
 
 @pytest.fixture(scope="session")
+def params_long(bbo):
+    # the benchmark's long crystal: L = 10 cm, w_p = 0.05 cm, u up to 1.8e4
+    return SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=0.28)
+
+
+@pytest.fixture(scope="session")
 def batch_a(params_a):
     return sample_pairs(params_a, Z_CM, 1_000_000, seed=MC_SEED)
 
@@ -42,6 +50,17 @@ def batch_a(params_a):
 @pytest.fixture(scope="session")
 def batch_b(params_b):
     return sample_pairs(params_b, Z_CM, 1_000_000, seed=MC_SEED)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn(*args) runs, numpy buffers included."""
+    gc.collect()   # a fixed starting point for the cyclic collector
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _reference_sinc2(rng, x_max, m):

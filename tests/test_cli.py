@@ -9,6 +9,8 @@ import pytest
 from biphoton import (cli, default_kappa_grid, read_curve, sample_pairs,
                       scan_single)
 
+from conftest import traced_peak
+
 
 def run(*argv):
     return cli.main(list(argv))
@@ -132,6 +134,17 @@ def test_scan_memory_does_not_grow_with_pairs(tmp_path):
     assert abs(peaks_mb[1] - peaks_mb[0]) < 20.0, peaks_mb
 
 
+def test_scan_holds_one_block_at_a_time(tmp_path):
+    # three blocks of pairs peak no higher than one, but for the two summed
+    # histograms (about 3 kB); a second live block would add 2.6 MB
+    peaks = []
+    for pairs in ("65536", "196608"):
+        out = tmp_path / pairs
+        peaks.append(traced_peak(run, "scan", "--pairs", pairs, "--out", str(out)))
+        assert (out / "scan_comparison.dat").exists()
+    assert peaks[1] <= peaks[0] + 64e3, peaks
+
+
 def test_report_command_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("waist = 0.3\nseed = 99\n# comment\n")
@@ -235,6 +248,17 @@ def test_wavelength_error_names_lambda_p(tmp_path, capsys, command):
                "--grid", "11") == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: lambda_p = 0.6: "), err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions"])
+@pytest.mark.parametrize("grid", ["100000000000000000", "4611686018427387904"])
+def test_unallocatable_grid_is_a_config_error(tmp_path, capsys, command, grid):
+    # 711 PiB lies past any address space and 2**62 overflows numpy's size
+    # check, so neither allocates; never test with a size that could
+    assert run(command, "--grid", grid, "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: grid = {grid}: "), err
     assert not (tmp_path / "x").exists()
 
 

@@ -12,7 +12,8 @@ from biphoton import (Curve, SpdcParams, classify_regime,
                       width_single)
 from biphoton import distributions as dist
 
-from conftest import f_exact_panels, f_exact_simpson, raw_frame_reduced
+from conftest import (f_exact_panels, f_exact_simpson, raw_frame_reduced,
+                      traced_peak)
 
 
 def test_f_exact_is_even(params_a):
@@ -93,6 +94,44 @@ def test_f_exact_array_equals_scalar_calls(params_a):
     k1, k2 = 0.5 * ks + 0.3 / params_a.w_p, 0.3 / params_a.w_p - 0.5 * ks
     assert np.array_equal(reduced_bipartite(k1, k2, params_a),
                           [reduced_bipartite(a, b, params_a) for a, b in zip(k1, k2)])
+
+
+_CHUNK_EDGES = [dist._ROWS - 1, dist._ROWS, dist._ROWS + 1, 2 * dist._ROWS + 1]
+
+
+@pytest.mark.parametrize("n", _CHUNK_EDGES)
+def test_f_exact_does_not_depend_on_row_chunks(params_long, n):
+    # kappa across the cone edge, u from +30 to -30: every chunk mixes the
+    # Gauss-Legendre and the steepest-descent branches of G
+    p = params_long
+    half = 30.0 / (4.0 * p.sinc_scale * p.theta0)
+    ks = p.k_from_kappa(np.linspace(2.0 * p.theta0 - half, 2.0 * p.theta0 + half, n))
+    assert np.array_equal(f_exact(ks, p), [f_exact(k, p) for k in ks])
+
+
+@pytest.mark.parametrize("n", _CHUNK_EDGES)
+def test_plane_restricted_curve_does_not_depend_on_row_chunks(params_long, n,
+                                                             monkeypatch):
+    grid = default_kappa_grid(params_long, n)
+    chunked = plane_restricted_curve(grid, params_long).y
+    monkeypatch.setattr(dist, "_ROWS", 1)
+    by_row = plane_restricted_curve(grid, params_long).y
+    assert np.max(np.abs(chunked - by_row)) <= 1e-15 * chunked.max()
+
+
+def test_f_exact_shapes_pass_through(params_long):
+    value = f_exact(1.0, params_long)
+    assert np.ndim(value) == 0 and isinstance(value, float)
+    assert f_exact(np.empty((0, 3)), params_long).shape == (0, 3)
+
+
+def test_kernels_work_in_fixed_memory(params_long):
+    # the 100 001-point output is 0.8 MB; node matrices over the whole grid
+    # took 150 MB (f_exact) and 340 MB (plane_restricted_curve)
+    grid = default_kappa_grid(params_long, 100_001)
+    ks = params_long.k_from_kappa(grid)
+    assert traced_peak(f_exact, ks, params_long) < 12e6
+    assert traced_peak(plane_restricted_curve, grid, params_long) < 12e6
 
 
 def test_g_continuous_across_method_switch():
