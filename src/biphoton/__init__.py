@@ -43,7 +43,6 @@ from .distributions import (
     single_particle_curve,
     coincidence_curve,
     plane_restricted_curve,
-    f_approx_moment_ratio,
     measured_coincidence_width,
 )
 from .ringscan import (

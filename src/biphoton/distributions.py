@@ -22,17 +22,23 @@ oscillations a fixed Gauss-Legendre rule on [0, 1] evaluates it.
 Beyond that the s-integral splits into the stationary point s = 0, in
 closed form (exactly pi/sqrt(u) of G for u > 0, pi/(4 |u|^(3/2)) for
 u < 0), and the endpoint s = 1, whose integral along the steepest-descent
-path s^2 = 1 + i t/(2|u|) is smooth and decays like e^{-t}, so a fixed
-Gauss-Laguerre rule takes it.  Negative u is the complex conjugate.
-G is accurate to _G_REL_ERR in relative terms for every real u.  That
-accuracy is stated, not requested: no function here takes a tolerance,
-and the command line compares a requested --rel-tol with it once.
+path s^2 = 1 + i t/(2|u|) is smooth and decays like e^{-t}.  Up to
+|u| = 24 a fixed Gauss-Laguerre rule takes that endpoint integral;
+from there on its asymptotic series in i/(2|u|), 20 terms by Horner's
+rule, whose remainder is rigorously bounded by the first term left out
+(1.7e-18 absolute in G at |u| = 24, less beyond).  Negative u is the
+complex conjugate.  G is accurate to _G_REL_ERR in relative terms for
+every real u.  That accuracy is stated, not requested: no function here
+takes a tolerance, and the command line compares a requested --rel-tol
+with it once.
 
-Both quadrature kernels, G(u) and the in-plane Gauss-Hermite rule of
-plane_restricted_curve, fill a preallocated result _ROWS grid points at
-a time.  Their node matrices are then a fixed few hundred kB, whatever
-the grid size, and memory grows only with the output columns.  Every
-point's nodes, arithmetic and reduction order are those of an unchunked
+The quadrature kernels (the Gauss-Legendre and Gauss-Laguerre bands
+of G(u), and the in-plane Gauss-Hermite rule of plane_restricted_curve)
+fill a preallocated result _ROWS grid points at a time.  Their node
+matrices are then a fixed few hundred kB, whatever the grid size, and
+memory grows only with the output columns.  The series band has no
+node matrix and goes _SERIES_ROWS points at a time.  Every point's
+nodes, arithmetic and reduction order are those of an unchunked
 evaluation, so f_exact is bitwise the same wherever the chunks split.
 
 Because the gain is large, sinc^2 acts nearly like a delta function of
@@ -57,6 +63,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .curves import Curve
 from .wavefunction import pump_envelope, sinc
@@ -75,7 +82,6 @@ __all__ = [
     "single_particle_curve",
     "coincidence_curve",
     "plane_restricted_curve",
-    "f_approx_moment_ratio",
     "measured_coincidence_width",
     "REGIME_NONCOLLINEAR",
     "REGIME_INTERMEDIATE",
@@ -89,27 +95,47 @@ REGIME_COLLINEAR = "collinear"
 # Regime thresholds: theta0 vs sqrt(lam/L) with a symmetric factor 3.
 REGIME_FACTOR = 3.0
 
-# G(u): Gauss-Legendre in s for |u| <= _G_SWITCH, stationary point plus
-# steepest-descent endpoint integral beyond.  Measured against mpmath's
-# Fresnel integrals, the worst relative error is below 1e-13 for every u;
-# _G_REL_ERR keeps a margin above that.
+# G(u) takes one of three branches by |u|:
+#   |u| <= _G_SWITCH: Gauss-Legendre in s;
+#   beyond it, the stationary point in closed form plus the endpoint term
+#   e^{2iv}/(8 v^2) I(v), v = |u|, with
+#       I(v) = int_0^inf t e^{-t} (1 + i t/(2v))^(-1/2) dt
+#   by Gauss-Laguerre below _SERIES_SWITCH, and from _SERIES_SWITCH on by
+#   its asymptotic series sum_{k<K} a_k (i/(2v))^k, a_k = binom(-1/2, k) (k+1)!,
+#   K = _SERIES_TERMS.  As |1 + iy| >= 1 for real y, the Taylor remainder of
+#   (1 + iy)^(-1/2) is at most its next term, so |I - series| <= |a_K|/(2v)^K
+#   and G moves by at most 2 sqrt(2 pi)/(8 v^2) times that: 1.7e-18 at
+#   v = 24, K = 20, which is 2.5e-16 of G(-24), the smallest G there.
+# Against mpmath's Fresnel integrals on 21 points from 0 to +-1e6, the
+# worst relative error is 5.8e-14 (u = -6, Gauss-Legendre), 2.2e-16 in the
+# series band; _G_REL_ERR keeps a margin above that.
 _G_SWITCH = 6.0
+_SERIES_SWITCH = 24.0
+_SERIES_TERMS = 20
 _G_REL_ERR = 1e-12
 _S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _S_NODES, _S_WEIGHTS = 0.5 * (_S_NODES + 1.0), 0.5 * _S_WEIGHTS
 _T_NODES, _T_WEIGHTS = np.polynomial.laguerre.laggauss(48)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
+# the series as I = P(w^2) + i w Q(w^2), w = 1/(2v): a_k i^k for even k
+# and a_k i^(k-1) for odd k, the coefficients of P and Q in rising order
+_SERIES_A = [(-1) ** (k + k // 2) * math.comb(2 * k, k) * math.factorial(k + 1) / 4 ** k
+             for k in range(_SERIES_TERMS)]
+_SERIES_P, _SERIES_Q = _SERIES_A[0::2], _SERIES_A[1::2]
 
 # The quadrature kernels work on _ROWS grid points at a time, so their
 # node matrices (_ROWS x 48 complex at most, 200 kB) stay in cache and
-# memory does not grow with the grid.  Each point's arithmetic does not
+# memory does not grow with the grid.  The series band of G has no node
+# matrix; it takes _SERIES_ROWS points at a time, which spreads numpy's
+# per-call overhead over more points.  Each point's arithmetic does not
 # depend on the chunk it falls in.
 _ROWS = 256
+_SERIES_ROWS = 16 * _ROWS
 
 
-def _row_slices(n):
-    """Slices of at most _ROWS consecutive points covering range(n)."""
-    return (slice(start, start + _ROWS) for start in range(0, n, _ROWS))
+def _row_slices(n, size):
+    """Slices of at most size consecutive points covering range(n)."""
+    return (slice(start, start + size) for start in range(0, n, size))
 
 
 def _g_of_u(u):
@@ -117,30 +143,51 @@ def _g_of_u(u):
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     g = np.empty(flat.shape)
-    for rows in _row_slices(flat.size):
-        _g_rows(flat[rows], g[rows])
+    for block in _row_slices(flat.size, _SERIES_ROWS):
+        u_b, g_b = flat[block], g[block]
+        series = np.abs(u_b) >= _SERIES_SWITCH
+        g_b[series] = _g_far(u_b[series], _series_path)
+        rest = np.flatnonzero(~series)
+        for rows in _row_slices(rest.size, _ROWS):
+            g_b[rest[rows]] = _g_rows(u_b[rest[rows]])
     return g.reshape(u.shape)[()]
 
 
-def _g_rows(u, out):
-    """G over a 1-D array u of at most _ROWS points, written into out."""
+def _g_rows(u):
+    """G over a 1-D array u of at most _ROWS points below _SERIES_SWITCH."""
+    g = np.empty(u.shape)
     near = np.abs(u) <= _G_SWITCH
     s2 = _S_NODES * _S_NODES
     inner = np.sum(np.exp(2j * u[near, None] * s2) * ((1.0 - s2) * _S_WEIGHTS),
                    axis=1)
-    out[near] = 2.0 * _ROOT_2PI * (np.exp(-0.25j * math.pi) * inner).real
+    g[near] = 2.0 * _ROOT_2PI * (np.exp(-0.25j * math.pi) * inner).real
+    g[~near] = _g_far(u[~near], _laguerre_path)
+    return g
 
-    v = np.abs(u[~near])
-    positive = u[~near] > 0.0
-    # endpoint term, v = |u|:
-    #   E(v) = e^{2iv}/(8 v^2) int_0^inf t e^{-t} (1 + i t/(2v))^(-1/2) dt;
-    # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
-    path = np.sum(_T_NODES * _T_WEIGHTS
+
+def _laguerre_path(v):
+    """I(v) by the 48-node Gauss-Laguerre rule."""
+    return np.sum(_T_NODES * _T_WEIGHTS
                   / np.sqrt(1.0 + 0.5j * _T_NODES / v[:, None]), axis=1)
-    end = np.exp(2j * v) / (8.0 * v * v) * path
+
+
+def _series_path(v):
+    """I(v) by its asymptotic series, Horner's rule in w^2 for P and Q."""
+    w = 0.5 / v
+    x = w * w
+    return polyval(x, _SERIES_P) + 1j * (w * polyval(x, _SERIES_Q))
+
+
+def _g_far(u, path):
+    """G for |u| > _G_SWITCH, the endpoint integral I(v) taken from path."""
+    v = np.abs(u)
+    positive = u > 0.0
+    # endpoint term, v = |u|: E(v) = e^{2iv}/(8 v^2) I(v);
+    # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
+    end = np.exp(2j * v) / (8.0 * v * v) * path(v)
     turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
     stationary = np.where(positive, math.pi / np.sqrt(v), 0.25 * math.pi / v ** 1.5)
-    out[~near] = stationary - 2.0 * _ROOT_2PI * (turn * end).real
+    return stationary - 2.0 * _ROOT_2PI * (turn * end).real
 
 
 def f_exact(k_minus_x, params):
@@ -161,7 +208,7 @@ def f_approx(k_minus_x, params):
 
     Returns 0 outside the open support interval and +inf exactly at the
     edges (the singularity is integrable; callers integrating across it
-    must transform it away, as f_approx_moment_ratio does).
+    must transform it away).
     """
     kappa = params.kappa(k_minus_x)
     c = 4.0 * params.theta0 ** 2 - kappa * kappa
@@ -300,7 +347,7 @@ def plane_restricted_curve(kappa_grid, params):
     k1 = params.k_from_kappa(kappa_grid)
     t = _GH64_NODES / params.w_p
     vals = np.empty(k1.shape)
-    for rows in _row_slices(k1.size):
+    for rows in _row_slices(k1.size, _ROWS):
         kminus = 2.0 * k1[rows, None] - t[None, :]
         kap = params.kappa(kminus)
         arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
@@ -309,26 +356,6 @@ def plane_restricted_curve(kappa_grid, params):
     meta["kind"] = "plane-restricted"
     return Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",
                  meta=meta)
-
-
-def f_approx_moment_ratio(params, n_nodes=400):
-    """Second moment <k^2> of the cone-interior form by singularity-free quadrature.
-
-    The substitution kappa = 2 theta0 sin(u) cancels the edge
-    singularities exactly; Gauss-Legendre in u then converges fast.
-    Both moments are evaluated through f_approx itself so the check
-    exercises the public formula, not a rearranged expression.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    u = 0.5 * math.pi * nodes
-    w = 0.5 * math.pi * weights
-    kmax = 2.0 * math.pi * params.theta0 / params.lambda_cm
-    k = kmax * np.sin(u)
-    jac = kmax * np.cos(u)
-    fvals = f_approx(k, params)
-    num = float(np.sum(k ** 2 * fvals * jac * w))
-    den = float(np.sum(fvals * jac * w))
-    return num / den
 
 
 def measured_coincidence_width(curve):

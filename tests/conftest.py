@@ -11,11 +11,12 @@ import gc
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biphoton import SpdcParams, density4, load_crystal, sample_pairs
+from biphoton import SpdcParams, density4, f_approx, load_crystal, sample_pairs
 
 MC_SEED = 20240801
 Z_CM = 100.0
@@ -98,6 +99,50 @@ def reference_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
         mx, my = rho * np.cos(phi), rho * np.sin(phi)
         parts.append((px + mx, py + my, px - mx, py - my))
     return tuple(0.5 * np.concatenate(c) for c in zip(*parts))
+
+
+def g_fresnel(u):
+    """Oracle for G(u) = 2 sqrt(2 pi) Re[e^{-i pi/4} J], J = int_0^1 (1 - s^2) e^{2ius^2} ds.
+
+    J in closed form at 50 digits: with a = 2|u|,
+    F = int_0^1 e^{ias^2} ds = sqrt(pi/(2a)) (C(x) + i S(x)), x = sqrt(2a/pi),
+    in mpmath's Fresnel integrals, and integrating s * s e^{ias^2} by parts,
+    J = F (1 + 1/(2ia)) - e^{ia}/(2ia); u < 0 takes the conjugate.
+    """
+    with mpmath.workdps(50):
+        u = mpmath.mpf(u)
+        if u == 0:
+            inner = mpmath.mpf(2) / 3
+        else:
+            a = 2 * abs(u)
+            x = mpmath.sqrt(2 * a / mpmath.pi)
+            fresnel = (mpmath.sqrt(mpmath.pi / (2 * a))
+                       * (mpmath.fresnelc(x) + 1j * mpmath.fresnels(x)))
+            inner = fresnel * (1 + 1 / (2j * a)) - mpmath.expj(a) / (2j * a)
+            if u < 0:
+                inner = mpmath.conj(inner)
+        return float(2 * mpmath.sqrt(2 * mpmath.pi)
+                     * mpmath.re(mpmath.expj(-mpmath.pi / 4) * inner))
+
+
+def f_approx_moment_ratio(params, n_nodes=400):
+    """Second moment <k^2> of the cone-interior form by singularity-free quadrature.
+
+    The substitution kappa = 2 theta0 sin(u) cancels the edge
+    singularities exactly; Gauss-Legendre in u then converges fast.
+    Both moments are evaluated through f_approx itself so the check
+    exercises the public formula, not a rearranged expression.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    u = 0.5 * math.pi * nodes
+    w = 0.5 * math.pi * weights
+    kmax = 2.0 * math.pi * params.theta0 / params.lambda_cm
+    k = kmax * np.sin(u)
+    jac = kmax * np.cos(u)
+    fvals = f_approx(k, params)
+    num = float(np.sum(k ** 2 * fvals * jac * w))
+    den = float(np.sum(fvals * jac * w))
+    return num / den
 
 
 def f_exact_simpson(k_minus_x, params, qmax=12.0, n=1_500_001):

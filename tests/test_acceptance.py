@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from biphoton import (CutConfig, SpdcParams, chord_length, collinear_cut_angle,
-                      default_kappa_grid, f_approx, f_approx_moment_ratio,
-                      f_exact, entanglement_ratio, opening_angle_fit,
+                      default_kappa_grid, f_approx, f_exact,
+                      entanglement_ratio, opening_angle_fit,
                       phase_match, index_extraordinary, index_ordinary,
                       plane_restricted_curve, reduced_bipartite,
                       ring_from_params, sample_pairs, scan_coincidence,
@@ -21,7 +21,8 @@ from biphoton import (CutConfig, SpdcParams, chord_length, collinear_cut_angle,
                       width_minus, width_single)
 from biphoton.curves import Curve
 
-from conftest import Z_CM, brute_reduced, raw_frame_reduced
+from conftest import (Z_CM, brute_reduced, f_approx_moment_ratio,
+                      raw_frame_reduced)
 
 LAM_P = 0.4047
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "WavelengthRangeError", "chord_length", "classify_regime",
     "coincidence_curve", "collinear_cut_angle", "crystal", "curves",
     "default_kappa_grid", "density4", "distributions", "entanglement_ratio",
-    "entanglement_report", "f_approx", "f_approx_moment_ratio", "f_exact",
+    "entanglement_report", "f_approx", "f_exact",
     "index_extraordinary", "index_ordinary", "load_crystal",
     "measured_coincidence_width", "mismatch_arg", "opening_angle_fit",
     "phase_match", "plane_restricted_curve", "psi", "pump_envelope",
@@ -35,7 +35,7 @@ def test_public_names_are_pinned():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 45
 
 
 def _public_callables():

@@ -5,15 +5,15 @@ import pytest
 
 from biphoton import (Curve, SpdcParams, classify_regime,
                       coincidence_curve, default_kappa_grid, entanglement_ratio,
-                      entanglement_report, f_approx, f_approx_moment_ratio,
-                      f_exact, measured_coincidence_width,
+                      entanglement_report, f_approx, f_exact,
+                      measured_coincidence_width,
                       plane_restricted_curve, reduced_bipartite,
                       single_particle_curve, width_coincidence, width_minus,
                       width_single)
 from biphoton import distributions as dist
 
-from conftest import (f_exact_panels, f_exact_simpson, raw_frame_reduced,
-                      traced_peak)
+from conftest import (f_approx_moment_ratio, f_exact_panels, f_exact_simpson,
+                      g_fresnel, raw_frame_reduced, traced_peak)
 
 
 def test_f_exact_is_even(params_a):
@@ -97,12 +97,14 @@ def test_f_exact_array_equals_scalar_calls(params_a):
 
 
 _CHUNK_EDGES = [dist._ROWS - 1, dist._ROWS, dist._ROWS + 1, 2 * dist._ROWS + 1]
+_SERIES_CHUNK_EDGES = [dist._SERIES_ROWS - 1, dist._SERIES_ROWS, dist._SERIES_ROWS + 1]
 
 
-@pytest.mark.parametrize("n", _CHUNK_EDGES)
+@pytest.mark.parametrize("n", _CHUNK_EDGES + _SERIES_CHUNK_EDGES)
 def test_f_exact_does_not_depend_on_row_chunks(params_long, n):
-    # kappa across the cone edge, u from +30 to -30: every chunk mixes the
-    # Gauss-Legendre and the steepest-descent branches of G
+    # kappa across the cone edge, u from +30 to -30: every _SERIES_ROWS block
+    # mixes the series band |u| >= _SERIES_SWITCH with the Gauss-Legendre
+    # and Gauss-Laguerre bands, which it splits into _ROWS chunks
     p = params_long
     half = 30.0 / (4.0 * p.sinc_scale * p.theta0)
     ks = p.k_from_kappa(np.linspace(2.0 * p.theta0 - half, 2.0 * p.theta0 + half, n))
@@ -135,11 +137,38 @@ def test_kernels_work_in_fixed_memory(params_long):
 
 
 def test_g_continuous_across_method_switch():
-    # Gauss-Legendre in s at |u| <= switch, stationary point plus
-    # steepest-descent endpoint integral beyond it
-    for edge in (dist._G_SWITCH, -dist._G_SWITCH):
-        below, above = dist._g_of_u(edge * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
-        assert abs(above / below - 1.0) <= 2.0 * dist._G_REL_ERR
+    # Gauss-Legendre in s at |u| <= _G_SWITCH, then the stationary point plus
+    # the endpoint integral, by Gauss-Laguerre below _SERIES_SWITCH and by
+    # its asymptotic series from there on.  The floats next to each switch:
+    # G's own slope over u +- 1e-12 |u| is 1.9e-11 of G at u = -24
+    for switch in (dist._G_SWITCH, dist._SERIES_SWITCH):
+        for edge in (switch, -switch):
+            below, above = dist._g_of_u(np.nextafter(edge, [0.0, 2.0 * edge]))
+            assert abs(above / below - 1.0) <= 2.0 * dist._G_REL_ERR, edge
+
+
+def test_g_series_remainder_bound_meets_stated_accuracy():
+    # |I - series| <= |a_K|/(2v)^K with a_K = binom(-1/2, K) (K+1)!, so G
+    # moves by at most 2 sqrt(2 pi)/(8 v^2) times that, largest at the switch
+    k, v = dist._SERIES_TERMS, dist._SERIES_SWITCH
+    a_k = math.comb(2 * k, k) * math.factorial(k + 1) / 4 ** k
+    bound = a_k / (2.0 * v) ** k * 2.0 * math.sqrt(2.0 * math.pi) / (8.0 * v * v)
+    assert bound < dist._G_REL_ERR * dist._g_of_u(-v)
+
+
+_W, _V = dist._G_SWITCH, dist._SERIES_SWITCH
+_G_ORACLE_POINTS = [0.0, 3.0, -3.0,
+                    _W + 1e-6, _W - 1e-6, -_W + 1e-6, -_W - 1e-6,
+                    _V + 1e-3, _V - 1e-3, -_V + 1e-3, -_V - 1e-3,
+                    15.5, -15.5, 1e2, -1e2, 1e3, -1e3, 1.8e4, -2.3e4, 1e6, -1e6]
+
+
+def test_g_against_fresnel_oracle():
+    # every branch and both sides of each switch, out to |u| = 1e6
+    u = np.array(_G_ORACLE_POINTS)
+    exact = np.array([g_fresnel(x) for x in u])
+    err = np.abs(dist._g_of_u(u) / exact - 1.0)
+    assert err.max() <= dist._G_REL_ERR, f"{err.max():.2e} at u = {u[err.argmax()]:g}"
 
 
 def test_f_approx_reference_points(params_a):
