@@ -8,7 +8,6 @@ detection-plane scan simulator) and `cli` (the command-line front end).
 
 from .crystal import (
     CrystalDispersion,
-    CutConfig,
     CrystalFileError,
     WavelengthRangeError,
     NoCollinearRootError,

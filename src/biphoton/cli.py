@@ -12,6 +12,9 @@ The flags, the config-file parsing, the `# config:` echo and the
 resolved configuration (an argparse.Namespace) all come from that table.
 A config file may set any key for any command.
 
+`dispersion` phase-matches and fits each grid of cut angles in one array
+call, so --grid grows its memory only by its float columns.
+
 Configuration precedence: command-line flags override config-file
 entries, which override the built-in defaults (the moderate waist-and-
 crystal parameter set: lambda_p 0.4047 um, phi0 0.5275 rad, waist and
@@ -210,14 +213,6 @@ def _write_table(path, header_lines, columns, names):
     write_table(path, [*header_lines, "columns: " + " ".join(names)], columns)
 
 
-def _phase_matches(disp, phis, lambda_p):
-    """Index difference and cone angle (nan where no cone) at each cut angle."""
-    matches = [cr.phase_match(disp, cr.CutConfig(p, lambda_p)) for p in phis]
-    return (np.array([r.delta_n for r in matches]),
-            np.array([math.nan if r.theta0 is None else r.theta0
-                      for r in matches]))
-
-
 def cmd_dispersion(cfg):
     """Index difference and cone angle tables."""
     disp = cr.load_crystal(cfg.crystal)
@@ -225,21 +220,21 @@ def cmd_dispersion(cfg):
     phis, phis_fit = _grid(cfg, lambda n: (np.linspace(0.0, 1.2, n),
                                            np.linspace(fit_start, 1.2, n)))
     try:
-        dn, theta = _phase_matches(disp, phis, cfg.lambda_p)
-        exact = _phase_matches(disp, phis_fit, cfg.lambda_p)[1]
+        exact = cr.phase_match(disp, phis_fit, cfg.lambda_p).theta0
+        pm = cr.phase_match(disp, phis, cfg.lambda_p)
         root = cr.collinear_cut_angle(disp, cfg.lambda_p)
     except cr.WavelengthRangeError as exc:
         raise ConfigError(f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
     except cr.NoCollinearRootError as exc:
         raise ConfigError(f"crystal {disp.name} has no collinear cut at "
                           f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
-    fit = np.array([cr.opening_angle_fit(p) for p in phis_fit])
+    fit = cr.opening_angle_fit(phis_fit)
 
     out = _outdir(cfg)
     header = _header(f"biphoton dispersion ({disp.name})", cfg)
-    _write_table(out / "index_difference.dat", header, [phis, dn],
+    _write_table(out / "index_difference.dat", header, [phis, pm.delta_n],
                  ["phi0_rad", "delta_n"])
-    _write_table(out / "cone_angle.dat", header, [phis, theta],
+    _write_table(out / "cone_angle.dat", header, [phis, pm.theta0],
                  ["phi0_rad", "theta0_rad"])
     _write_table(out / "cone_angle_fit.dat", header,
                  [phis_fit, fit, exact, (fit - exact) / exact],

@@ -16,6 +16,11 @@ ray.  Coefficient sets are loaded from a small key-value text file; the
 BBO set bundled with the package is the standard handbook one and
 reproduces the usual tabulated indices at 0.4047 um and 0.8094 um to
 five decimal places.
+
+Indices are taken at one wavelength at a time; the cut angle phi0 may
+be a number or an array, so a whole sweep of cuts is one phase_match
+call.  A number in gives Python floats out.  The collinear cut angle,
+where the index difference vanishes, has a closed form.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 __all__ = [
     "CrystalDispersion",
-    "CutConfig",
     "PhaseMatchResult",
     "CrystalFileError",
     "WavelengthRangeError",
@@ -63,7 +69,7 @@ class WavelengthRangeError(ValueError):
 
 
 class NoCollinearRootError(ValueError):
-    """The index difference does not change sign on the search interval."""
+    """No cut angle in [0, pi/2] makes the index difference vanish."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class CrystalDispersion:
 
     sellmeier_o / sellmeier_e are (a, b, c, d) tuples; valid_range is
     the (min, max) wavelength interval in micrometers over which the
-    fits may be evaluated.
+    fits may be evaluated.  Every number must be finite.
     """
 
     name: str
@@ -81,25 +87,16 @@ class CrystalDispersion:
     valid_range: tuple[float, float]
 
     def __post_init__(self):
+        # each message starts with its field, which load_crystal maps to a line
+        for key, size in (("sellmeier_o", 4), ("sellmeier_e", 4),
+                          ("valid_range", 2)):
+            values = getattr(self, key)
+            if len(values) != size or not all(map(math.isfinite, values)):
+                raise ValueError(f"{key} needs {size} finite numbers, got {values}")
         lo, hi = self.valid_range
-        if not (0.0 < lo < hi):
-            raise ValueError(f"invalid wavelength range {self.valid_range}")
-        if len(self.sellmeier_o) != 4 or len(self.sellmeier_e) != 4:
-            raise ValueError("Sellmeier sets must hold exactly 4 coefficients")
-
-
-@dataclass(frozen=True)
-class CutConfig:
-    """Crystal cut: angle between optical axis and pump axis, plus pump wavelength."""
-
-    phi0: float      # rad, in [0, pi/2]
-    lambda_p: float  # um
-
-    def __post_init__(self):
-        if not 0.0 <= self.phi0 <= math.pi / 2:
-            raise ValueError(f"phi0 = {self.phi0} outside [0, pi/2]")
-        if not 0.0 < self.lambda_p < math.inf:
-            raise ValueError("lambda_p must be positive and finite")
+        if not 0.0 < lo < hi:
+            raise ValueError(f"valid_range {self.valid_range} is not an interval "
+                             "0 < min < max")
 
 
 @dataclass(frozen=True)
@@ -108,22 +105,23 @@ class PhaseMatchResult:
 
     delta_n = n_p - n_o(2 lambda_p); delta0 is the corresponding
     zero-order longitudinal mismatch in cm^-1.  theta0 (the cone
-    opening angle, rad) is present exactly when delta_n < 0; on the
-    collinear-impossible side it is None.
+    opening angle, rad) is NaN wherever delta_n >= 0, the
+    collinear-impossible side.  n_p, delta_n, delta0 and theta0 have the
+    shape of the cut angle phi0: floats for a scalar, arrays for an array.
     """
 
-    n_p: float
+    n_p: float | np.ndarray
     n_o_signal: float
-    delta_n: float
-    delta0: float
-    theta0: float | None
+    delta_n: float | np.ndarray
+    delta0: float | np.ndarray
+    theta0: float | np.ndarray
 
 
 def _sellmeier(coeffs, lam):
     a, b, c, d = coeffs
     lam2 = lam * lam
     n2 = a + b / (lam2 - c) - d * lam2
-    if n2 <= 0.0:
+    if not n2 > 0.0:
         raise WavelengthRangeError(f"Sellmeier form non-physical at {lam} um")
     return math.sqrt(n2)
 
@@ -133,6 +131,11 @@ def _check_range(disp, lam):
     if not lo <= lam <= hi:
         raise WavelengthRangeError(
             f"{lam} um outside {disp.name} validity range [{lo}, {hi}] um")
+
+
+def _like(phi, value):
+    """value as a Python float when the cut angle phi is 0-d, else as is."""
+    return float(value) if phi.ndim == 0 else value
 
 
 def index_ordinary(disp, lam):
@@ -147,86 +150,82 @@ def index_extraordinary(disp, lam):
     return _sellmeier(disp.sellmeier_e, lam)
 
 
-def pump_index(disp, cfg):
+def pump_index(disp, phi0, lambda_p):
     """Effective pump index for an extraordinary pump tilted by phi0 from the optical axis.
 
     n_p = n_o n_e / sqrt(n_o^2 sin^2 phi0 + n_e^2 cos^2 phi0), indices
-    evaluated at the pump wavelength.  phi0 = 0 recovers n_o, phi0 =
-    pi/2 recovers n_e.
+    evaluated at the pump wavelength lambda_p (um).  phi0 = 0 recovers
+    n_o, phi0 = pi/2 recovers n_e.  phi0 is a number or an array, and
+    every element must lie in [0, pi/2]; lambda_p must be positive and
+    finite.
     """
-    n_o = index_ordinary(disp, cfg.lambda_p)
-    n_e = index_extraordinary(disp, cfg.lambda_p)
-    s, c = math.sin(cfg.phi0), math.cos(cfg.phi0)
-    return n_o * n_e / math.sqrt(n_o * n_o * s * s + n_e * n_e * c * c)
+    phi = np.asarray(phi0, dtype=float)
+    inside = (phi >= 0.0) & (phi <= math.pi / 2)
+    if not inside.all():
+        raise ValueError(f"phi0 = {phi[~inside].flat[0]} outside [0, pi/2]")
+    if not 0.0 < lambda_p < math.inf:
+        raise ValueError("lambda_p must be positive and finite")
+    n_o = index_ordinary(disp, lambda_p)
+    n_e = index_extraordinary(disp, lambda_p)
+    s, c = np.sin(phi), np.cos(phi)
+    return _like(phi, n_o * n_e / np.sqrt(n_o * n_o * s * s + n_e * n_e * c * c))
 
 
-def phase_match(disp, cfg):
-    """Index difference, zero-order mismatch and cone opening angle for a given cut.
+def phase_match(disp, phi0, lambda_p):
+    """Index difference, zero-order mismatch and cone opening angle at cut angle(s) phi0.
 
     The emitted (ordinary) photons live at twice the pump wavelength,
-    which must also lie inside the dispersion validity range.
+    which must also lie inside the dispersion validity range.  One call
+    takes a whole array of cut angles; as in pump_index, one element
+    outside [0, pi/2] (or NaN) raises ValueError for the whole call.
     """
-    n_p = pump_index(disp, cfg)
-    n_o_s = index_ordinary(disp, 2.0 * cfg.lambda_p)
+    phi = np.asarray(phi0, dtype=float)
+    n_p = pump_index(disp, phi, lambda_p)
+    n_o_s = index_ordinary(disp, 2.0 * lambda_p)
     delta_n = n_p - n_o_s
-    delta0 = 2.0 * math.pi / (cfg.lambda_p * MICRON_TO_CM) * delta_n
-    theta0 = math.sqrt(-2.0 * n_o_s * delta_n) if delta_n < 0.0 else None
-    return PhaseMatchResult(n_p=n_p, n_o_signal=n_o_s, delta_n=delta_n,
-                            delta0=delta0, theta0=theta0)
+    delta0 = 2.0 * math.pi / (lambda_p * MICRON_TO_CM) * delta_n
+    theta0 = np.sqrt(np.where(delta_n < 0.0, -2.0 * n_o_s * delta_n, math.nan))
+    return PhaseMatchResult(n_p=_like(phi, n_p), n_o_signal=n_o_s,
+                            delta_n=_like(phi, delta_n), delta0=_like(phi, delta0),
+                            theta0=_like(phi, theta0))
 
 
-def collinear_cut_angle(disp, lambda_p, bracket=(1e-6, math.pi / 2 - 1e-6)):
+def collinear_cut_angle(disp, lambda_p):
     """Cut angle at which the index difference vanishes (collinear degeneracy).
 
-    Parameters
-    ----------
-    disp : CrystalDispersion
-    lambda_p : float
-        Pump wavelength, um.
-    bracket : (float, float)
-        Search interval in phi0; the index difference must change sign
-        across it, otherwise NoCollinearRootError is raised.
+    n_p(phi_c) = N = n_o(2 lambda_p) solves in closed form:
 
-    Bisection is run to 1e-12 in angle, followed by a single secant
-    polish; the residual index difference at the returned angle is
-    below 1e-10.
+        sin^2 phi_c = (n_o^2 n_e^2 / N^2 - n_e^2) / (n_o^2 - n_e^2),
+
+    with n_o, n_e at the pump wavelength lambda_p (um).  Raises
+    NoCollinearRootError unless 0 <= sin^2 phi_c <= 1, which covers
+    n_o = n_e (no birefringence, no cut).
     """
-    def dn(phi):
-        return phase_match(disp, CutConfig(phi0=phi, lambda_p=lambda_p)).delta_n
-
-    lo, hi = bracket
-    f_lo, f_hi = dn(lo), dn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
+    n_o = index_ordinary(disp, lambda_p)
+    n_e = index_extraordinary(disp, lambda_p)
+    big_n = index_ordinary(disp, 2.0 * lambda_p)
+    span = n_o * n_o - n_e * n_e
+    sin2 = ((n_o * n_o * n_e * n_e / (big_n * big_n) - n_e * n_e) / span
+            if span else math.nan)
+    if not 0.0 <= sin2 <= 1.0:
         raise NoCollinearRootError(
-            f"index difference does not change sign on [{lo}, {hi}]")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        f_mid = dn(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    # one secant step inside the final bracket
-    root = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    return min(max(root, lo), hi)
+            f"sin^2 of the cut angle would be {sin2!r}, outside [0, 1]")
+    return math.asin(math.sqrt(sin2))
 
 
 def opening_angle_fit(phi0):
     """Square-root interpolation of the cone opening angle above the collinear cut.
 
-    Only defined for phi0 >= the fitted threshold angle; below it the
-    emission cone does not exist and a ValueError is raised.
+    phi0 is a number or an array.  Only defined where every element is
+    >= the fitted threshold angle; below it (or at NaN) the emission
+    cone does not exist and a ValueError is raised.
     """
-    if phi0 < FIT_THRESHOLD:
-        raise ValueError(
-            f"phi0 = {phi0} below the collinear threshold {FIT_THRESHOLD}")
-    return FIT_SCALE * math.sqrt(phi0 - FIT_THRESHOLD)
+    phi = np.asarray(phi0, dtype=float)
+    above = phi >= FIT_THRESHOLD
+    if not above.all():
+        raise ValueError(f"phi0 = {phi[~above].flat[0]} below the collinear "
+                         f"threshold {FIT_THRESHOLD}")
+    return _like(phi, FIT_SCALE * np.sqrt(phi - FIT_THRESHOLD))
 
 
 def _parse_floats(raw, n, what, path, lineno):
@@ -298,4 +297,5 @@ def load_crystal(path=None):
         return CrystalDispersion(name=fields["name"], sellmeier_o=so,
                                  sellmeier_e=se, valid_range=vr)
     except ValueError as exc:
-        raise CrystalFileError(str(exc), path, lines_seen["valid_range"]) from None
+        key = str(exc).split(" ", 1)[0]
+        raise CrystalFileError(str(exc), path, lines_seen[key]) from None

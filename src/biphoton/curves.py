@@ -51,9 +51,6 @@ class Curve:
     def peak(self):
         return float(self.y.max())
 
-    def argmax_x(self):
-        return float(self.x[int(np.argmax(self.y))])
-
     def normalized(self, mode="unit-area"):
         """Return a copy rescaled to unit trapezoid area or unit peak."""
         if mode == "raw":
@@ -79,45 +76,6 @@ class Curve:
         w = np.trapezoid(self.y, self.x)
         m2 = np.trapezoid((self.x - center) ** 2 * self.y, self.x) / w
         return float(np.sqrt(m2))
-
-    def excess_kurtosis(self):
-        c = self.mean()
-        w = np.trapezoid(self.y, self.x)
-        m2 = np.trapezoid((self.x - c) ** 2 * self.y, self.x) / w
-        m4 = np.trapezoid((self.x - c) ** 4 * self.y, self.x) / w
-        return float(m4 / (m2 * m2) - 3.0)
-
-    def fwhm(self):
-        """Total width of the region where the curve is at least half its maximum.
-
-        Crossings are located by linear interpolation, and the lengths
-        of all segments above the half-maximum level are summed, so the
-        value stays meaningful for multi-peaked curves.
-        """
-        half = 0.5 * self.peak()
-        above = self.y >= half
-        if not above.any():
-            return 0.0
-        total = 0.0
-        x, y = self.x, self.y
-        n = len(x)
-        i = 0
-        while i < n:
-            if not above[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            left = x[i]
-            if i > 0:
-                left = x[i - 1] + (half - y[i - 1]) * (x[i] - x[i - 1]) / (y[i] - y[i - 1])
-            right = x[j]
-            if j + 1 < n:
-                right = x[j] + (y[j] - half) * (x[j + 1] - x[j]) / (y[j] - y[j + 1])
-            total += right - left
-            i = j + 1
-        return float(total)
 
     def half_area_width(self):
         """Total length of the smallest set that holds half the curve's area.

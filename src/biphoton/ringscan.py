@@ -129,18 +129,19 @@ class PairBatch:
 _BLOCK = 2 ** 16
 
 
-def _sinc2_variates(rng, x_max, out):
+def _sinc2_variates(rng, x_max, out, work):
     """Fill out with exact draws from the density sinc^2(x) restricted to x <= x_max.
 
     Rejection from the envelope min(1, 1/x^2)/4 (Devroye 1986, II.3),
     accepted at rate pi/4 before the cut at x_max.  The proposal is
     y ~ U(-2, 2), kept as x = y on |y| <= 1 and mapped to the tails as
     x = sign(y)/(2 - |y|); y = -2 gives x = -inf, whose NaN sine rejects it.
+    work holds three rows of at least out.size * 4 // 3 + 64 scratch values.
     """
     need = out.size
     while need > 0:
         k = need * 4 // 3 + 64  # k fixes the stream of draws
-        x, w, u = np.empty((3, k))
+        x, w, u = work[:, :k]
         np.subtract(np.multiply(rng.random(out=x), 4.0, out=x), 2.0, out=x)
         # sign(y) min(|y|, 1) / min(2 - |y|, 1) is y inside and exactly
         # sign(y)/(2 - |y|) in the tails: the tail map with no masked ufunc
@@ -178,14 +179,20 @@ def sample_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
     # difference momentum z * kappa_minus (clipped at 0 against rounding)
     sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     four_theta_sq = 4.0 * params.theta0 ** 2
-    # each block writes its slice; x1 holds px until x1 and x2 are halved
-    x1, x2, py, rho, phi = np.empty((5, n))
+    # each block writes its slice; x1 holds px until x1 and x2 are halved.
+    # The rows and the sampler's work rows are one allocation, which a scan's
+    # next block reuses: apart, their sum can pass glibc's trim threshold (twice
+    # the largest block freed), and every block then faults its pages in anew.
+    k = min(n, _BLOCK) * 4 // 3 + 64
+    buf = np.empty(5 * n + 3 * k)
+    x1, x2, py, rho, phi = buf[:5 * n].reshape(5, n)
+    work = buf[5 * n:].reshape(3, k)
     for i, start in enumerate(range(0, n, _BLOCK), start=block):
         sl = slice(start, min(start + _BLOCK, n))
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         for v in (x1[sl], py[sl]):
             np.multiply(rng.standard_normal(out=v), sigma, out=v)
-        x = _sinc2_variates(rng, params.sinc_scale * four_theta_sq, rho[sl])
+        x = _sinc2_variates(rng, params.sinc_scale * four_theta_sq, rho[sl], work)
         rho[sl] = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
         phi[sl] = azimuth_origin + 2.0 * math.pi * rng.random(x.size)
         mx = rho[sl] * np.cos(phi[sl])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import MICRON_TO_CM, index_ordinary, phase_match, CutConfig
+from .crystal import MICRON_TO_CM, index_ordinary, phase_match
 
 __all__ = [
     "SpdcParams",
@@ -99,8 +99,8 @@ class SpdcParams:
         if (phi0 is None) == (theta0 is None):
             raise ValueError("provide exactly one of phi0 / theta0")
         if theta0 is None:
-            pm = phase_match(disp, CutConfig(phi0=phi0, lambda_p=lambda_p))
-            if pm.theta0 is None:
+            pm = phase_match(disp, phi0, lambda_p)
+            if math.isnan(pm.theta0):
                 raise ValueError(
                     f"no emission cone at phi0 = {phi0} (index difference "
                     f"{pm.delta_n:+.3e} >= 0)")

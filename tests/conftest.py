@@ -15,8 +15,10 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from biphoton import SpdcParams, density4, f_approx, load_crystal, sample_pairs
+from biphoton import (SpdcParams, density4, f_approx, index_extraordinary,
+                      index_ordinary, load_crystal, sample_pairs)
 
 MC_SEED = 20240801
 Z_CM = 100.0
@@ -62,6 +64,71 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def collinear_cut_brentq(disp, lambda_p):
+    """Oracle for the collinear cut: brentq on the scalar index difference.
+
+    n_p(phi) - n_o(2 lambda_p), written out from the indices at each
+    trial angle, never through phase_match; the bracket is the whole
+    range [0, pi/2] of cut angles.
+    """
+    n_o = index_ordinary(disp, lambda_p)
+    n_e = index_extraordinary(disp, lambda_p)
+    big_n = index_ordinary(disp, 2.0 * lambda_p)
+
+    def delta_n(phi):
+        return n_o * n_e / math.hypot(n_o * math.sin(phi), n_e * math.cos(phi)) - big_n
+
+    return brentq(delta_n, 0.0, math.pi / 2, xtol=1e-15)
+
+
+def argmax_x(curve):
+    """Abscissa of the curve's largest sample."""
+    return float(curve.x[int(np.argmax(curve.y))])
+
+
+def excess_kurtosis(curve):
+    """Fourth standardized central moment minus 3, trapezoid moments."""
+    x, y = curve.x, curve.y
+    c = curve.mean()
+    w = np.trapezoid(y, x)
+    m2 = np.trapezoid((x - c) ** 2 * y, x) / w
+    m4 = np.trapezoid((x - c) ** 4 * y, x) / w
+    return float(m4 / (m2 * m2) - 3.0)
+
+
+def fwhm(curve):
+    """Total width of the region where the curve is at least half its maximum.
+
+    Crossings are located by linear interpolation, and the lengths of all
+    segments above the half-maximum level are summed, so the value stays
+    meaningful for multi-peaked curves.
+    """
+    half = 0.5 * curve.peak()
+    x, y = curve.x, curve.y
+    above = y >= half
+    if not above.any():
+        return 0.0
+    total = 0.0
+    n = len(x)
+    i = 0
+    while i < n:
+        if not above[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and above[j + 1]:
+            j += 1
+        left = x[i]
+        if i > 0:
+            left = x[i - 1] + (half - y[i - 1]) * (x[i] - x[i - 1]) / (y[i] - y[i - 1])
+        right = x[j]
+        if j + 1 < n:
+            right = x[j] + (y[j] - half) * (x[j + 1] - x[j]) / (y[j] - y[j + 1])
+        total += right - left
+        i = j + 1
+    return float(total)
 
 
 def _reference_sinc2(rng, x_max, m):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from biphoton import (CutConfig, SpdcParams, chord_length, collinear_cut_angle,
+from biphoton import (SpdcParams, chord_length, collinear_cut_angle,
                       default_kappa_grid, f_approx, f_exact,
                       entanglement_ratio, opening_angle_fit,
                       phase_match, index_extraordinary, index_ordinary,
@@ -21,8 +21,8 @@ from biphoton import (CutConfig, SpdcParams, chord_length, collinear_cut_angle,
                       width_minus, width_single)
 from biphoton.curves import Curve
 
-from conftest import (Z_CM, brute_reduced, f_approx_moment_ratio,
-                      raw_frame_reduced)
+from conftest import (Z_CM, argmax_x, brute_reduced, f_approx_moment_ratio,
+                      fwhm, raw_frame_reduced)
 
 LAM_P = 0.4047
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -59,15 +59,15 @@ def test_c02_collinear_root_and_fit(bbo):
         root = collinear_cut_angle(bbo, LAM_P)
         assert abs(root - 0.5008) <= 1e-3, f"root {root}"
         for phi in np.linspace(0.51, 0.9, 79):
-            exact = phase_match(bbo, CutConfig(phi, LAM_P)).theta0
+            exact = phase_match(bbo, phi, LAM_P).theta0
             rel = abs(opening_angle_fit(phi) - exact) / exact
             assert rel < 0.05, f"fit deviation {rel:.4f} at phi0={phi:.3f}"
 
 
 def test_c03_cone_angles(bbo):
     with verdict(3, "cone opening angles"):
-        t07 = phase_match(bbo, CutConfig(0.7, LAM_P)).theta0
-        t0527 = phase_match(bbo, CutConfig(0.5275, LAM_P)).theta0
+        t07 = phase_match(bbo, 0.7, LAM_P).theta0
+        t0527 = phase_match(bbo, 0.5275, LAM_P).theta0
         assert abs(t07 - 0.28) <= 5e-3, f"theta0(0.7) = {t07}"
         assert abs(t0527 - 0.100) <= 5e-3, f"theta0(0.5275) = {t0527}"
 
@@ -194,7 +194,7 @@ def test_c09_shape_regression(bbo):
         c = single_particle_curve(default_kappa_grid(p, 1201), p)
         plateau = c.y[len(c.y) // 2]
         assert c.peak() / plateau < 1.15, f"top ratio {c.peak() / plateau:.3f}"
-        kpk = abs(c.argmax_x())
+        kpk = abs(argmax_x(c))
         inner = c.y[np.abs(c.x) <= kpk + 1e-12]
         assert inner.min() >= 0.95 * plateau
 
@@ -202,7 +202,7 @@ def test_c09_shape_regression(bbo):
         p = SpdcParams.from_crystal(bbo, LAM_P, 0.1, 0.1, theta0=0.0)
         c = single_particle_curve(default_kappa_grid(p, 1201), p)
         step = c.x[1] - c.x[0]
-        assert abs(c.argmax_x()) <= step
+        assert abs(argmax_x(c)) <= step
         side = [i for i in _local_maxima(c.y) if c.y[i] > 0.25 * c.peak()
                 and abs(c.x[i]) > step]
         assert not side, "secondary maxima above a quarter of the peak"
@@ -282,7 +282,7 @@ def test_c12_plane_restriction_contrast(bbo, params_b):
         # each in-plane island must be resolved by the grid
         step = plane.x[1] - plane.x[0]
         right = plane.x > 0.0
-        island = Curve(x=plane.x[right], y=plane.y[right]).fwhm()
+        island = fwhm(Curve(x=plane.x[right], y=plane.y[right]))
         assert island >= 10.0 * step, (
             f"in-plane island half-height width {island:.5f} spans only "
             f"{island / step:.1f} grid steps")

@@ -9,7 +9,7 @@ import pytest
 from biphoton import (cli, default_kappa_grid, read_curve, sample_pairs,
                       scan_single)
 
-from conftest import traced_peak
+from conftest import argmax_x, traced_peak
 
 
 def run(*argv):
@@ -89,11 +89,11 @@ def test_distributions_cone_angle_sweep(tmp_path):
     c = shapes["0.04"]
     center = c.y[len(c.y) // 2]
     assert center < 0.95 * c.peak()          # visible interior dip
-    assert abs(abs(c.argmax_x()) - 0.0348) < 5e-3
+    assert abs(abs(argmax_x(c)) - 0.0348) < 5e-3
     c = shapes["0.02"]
     assert c.y[len(c.y) // 2] > 0.98 * c.peak()   # flat top
     c = shapes["0.0"]
-    assert abs(c.argmax_x()) <= c.x[1] - c.x[0]   # single bell at zero
+    assert abs(argmax_x(c)) <= c.x[1] - c.x[0]   # single bell at zero
 
 
 def test_scan_command(tmp_path):
@@ -134,6 +134,32 @@ def test_scan_memory_does_not_grow_with_pairs(tmp_path):
     assert abs(peaks_mb[1] - peaks_mb[0]) < 20.0, peaks_mb
 
 
+_PAGE_FAULTS = """
+import resource, sys
+from biphoton import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+if cli.main(sys.argv[1:]) != 0:
+    sys.exit("scan failed")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_scan_reuses_block_memory(tmp_path):
+    # each block of pairs reuses the memory the previous one freed; a block
+    # handed back to the system faults its 5.5 MB in again, about 1 400 page
+    # faults, so the 28 extra blocks here would add some 39 000
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    faults = []
+    for pairs in ("200000", "2000000"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PAGE_FAULTS, "scan", "--pairs", pairs,
+             "--out", str(tmp_path / pairs)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300, check=True)
+        faults.append(int(proc.stdout.split()[-1]))
+    assert faults[1] <= faults[0] + 4000, faults
+
+
 def test_scan_holds_one_block_at_a_time(tmp_path):
     # three blocks of pairs peak no higher than one, but for the two summed
     # histograms (about 3 kB); a second live block would add 2.6 MB
@@ -143,6 +169,15 @@ def test_scan_holds_one_block_at_a_time(tmp_path):
         peaks.append(traced_peak(run, "scan", "--pairs", pairs, "--out", str(out)))
         assert (out / "scan_comparison.dat").exists()
     assert peaks[1] <= peaks[0] + 64e3, peaks
+
+
+def test_dispersion_memory_grows_by_columns_only(tmp_path):
+    # phase matching takes whole arrays of cut angles, so 48 000 more angles
+    # may cost at most 12 float64 arrays (the command holds about 9 at once);
+    # one result object per angle cost about 300 bytes (37 arrays' worth)
+    peaks = [traced_peak(run, "dispersion", "--grid", str(n), "--out",
+                         str(tmp_path / str(n))) for n in (2001, 50001)]
+    assert peaks[1] <= peaks[0] + 12 * 8 * (50001 - 2001), peaks
 
 
 def test_report_command_and_precedence(tmp_path, capsys):
@@ -208,6 +243,17 @@ def test_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error: crystal Flat" in err
     assert not (tmp_path / "d").exists()
+    # a number that parses but is not finite is refused on loading, with its line
+    nan_file = tmp_path / "nan.crystal"
+    nan_file.write_text("name = X\nsellmeier_o = nan 0.0184 0.0179 0.0155\n"
+                        "sellmeier_e = 2.3730 0.0128 0.0156 0.0044\n"
+                        "valid_range = 0.22 1.06\n")
+    for command in ("dispersion", "report"):
+        assert run(command, "--crystal", str(nan_file), "--out", str(tmp_path / "n")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {nan_file}:2: sellmeier_o")
+        assert captured.out == ""
+        assert not (tmp_path / "n").exists()
 
 
 def test_theta0_zero_distributions_ok(tmp_path):

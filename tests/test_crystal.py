@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from biphoton import (CrystalDispersion, CrystalFileError, CutConfig,
+from biphoton import (CrystalDispersion, CrystalFileError,
                       NoCollinearRootError, WavelengthRangeError,
                       collinear_cut_angle, index_extraordinary,
                       index_ordinary, load_crystal, opening_angle_fit,
                       phase_match, pump_index)
 from biphoton.crystal import FIT_THRESHOLD
+
+from conftest import collinear_cut_brentq
 
 LAM_P = 0.4047  # um
 
@@ -47,52 +49,105 @@ def test_out_of_range_wavelength(bbo):
 def test_pump_index_limits(bbo):
     n_o = index_ordinary(bbo, LAM_P)
     n_e = index_extraordinary(bbo, LAM_P)
-    assert pump_index(bbo, CutConfig(0.0, LAM_P)) == pytest.approx(n_o, rel=1e-14)
-    assert pump_index(bbo, CutConfig(math.pi / 2, LAM_P)) == pytest.approx(n_e, rel=1e-14)
+    assert pump_index(bbo, 0.0, LAM_P) == pytest.approx(n_o, rel=1e-14)
+    assert pump_index(bbo, math.pi / 2, LAM_P) == pytest.approx(n_e, rel=1e-14)
 
 
 def test_pump_index_monotone_decreasing(bbo):
     phis = np.linspace(0.0, math.pi / 2, 200)
-    vals = [pump_index(bbo, CutConfig(p, LAM_P)) for p in phis]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+    assert np.all(np.diff(pump_index(bbo, phis, LAM_P)) < 0.0)
 
 
 def test_phase_match_identities(bbo):
-    pm = phase_match(bbo, CutConfig(0.7, LAM_P))
+    pm = phase_match(bbo, 0.7, LAM_P)
     assert pm.delta_n == pm.n_p - pm.n_o_signal
     lam_cm = LAM_P * 1e-4
     assert pm.delta0 == pytest.approx(2 * math.pi / lam_cm * pm.delta_n, rel=1e-14)
-    assert pm.theta0 is not None
+    assert not math.isnan(pm.theta0)
     assert pm.theta0 ** 2 == pytest.approx(-2 * pm.n_o_signal * pm.delta_n, rel=1e-12)
 
 
 def test_phase_match_collinear_impossible_side(bbo):
-    pm = phase_match(bbo, CutConfig(0.3, LAM_P))
+    pm = phase_match(bbo, 0.3, LAM_P)
     assert pm.delta_n > 0
-    assert pm.theta0 is None
+    assert math.isnan(pm.theta0)
+    # one convention for arrays: NaN wherever delta_n >= 0
+    pm = phase_match(bbo, np.array([0.3, 0.7]), LAM_P)
+    assert math.isnan(pm.theta0[0]) and pm.theta0[1] > 0.0
+
+
+def test_phase_match_scalar_gives_floats(bbo):
+    # _header echoes repr(theta0): a numpy scalar would change every header
+    pm = phase_match(bbo, 0.5275, LAM_P)
+    for value in (pm.n_p, pm.n_o_signal, pm.delta_n, pm.delta0, pm.theta0):
+        assert type(value) is float
+    assert type(phase_match(bbo, 0.3, LAM_P).theta0) is float
+    assert type(pump_index(bbo, 0.5275, LAM_P)) is float
+    assert type(opening_angle_fit(0.7)) is float
+
+
+def test_phase_match_array_equals_scalar_calls(bbo):
+    phis = np.concatenate([np.linspace(0.0, math.pi / 2, 1001), [0.5008, 0.5275, 0.7]])
+    pm = phase_match(bbo, phis, LAM_P)
+    # the per-angle arithmetic in math, as the loop over cut angles had it
+    n_o, n_e = index_ordinary(bbo, LAM_P), index_extraordinary(bbo, LAM_P)
+    big_n = index_ordinary(bbo, 2 * LAM_P)
+    loop = [n_o * n_e / math.sqrt(n_o * n_o * math.sin(p) * math.sin(p)
+                                  + n_e * n_e * math.cos(p) * math.cos(p)) - big_n
+            for p in phis]
+    assert np.array_equal(pm.delta_n, loop)
+    one = [phase_match(bbo, float(p), LAM_P) for p in phis]
+    for field in ("n_p", "delta_n", "delta0", "theta0"):
+        assert np.array_equal(getattr(pm, field),
+                              [getattr(r, field) for r in one], equal_nan=True), field
+    assert np.array_equal(pump_index(bbo, phis, LAM_P), [r.n_p for r in one])
+    fit_phis = phis[phis >= FIT_THRESHOLD]
+    assert np.array_equal(opening_angle_fit(fit_phis),
+                          [opening_angle_fit(float(p)) for p in fit_phis])
+    # shapes pass through
+    assert phase_match(bbo, phis.reshape(-1, 4), LAM_P).delta_n.shape == (251, 4)
 
 
 def test_cone_angle_reference_points(bbo):
-    assert phase_match(bbo, CutConfig(0.7, LAM_P)).theta0 == pytest.approx(0.28, abs=5e-3)
-    assert phase_match(bbo, CutConfig(0.5275, LAM_P)).theta0 == pytest.approx(0.100, abs=5e-3)
+    assert phase_match(bbo, 0.7, LAM_P).theta0 == pytest.approx(0.28, abs=5e-3)
+    assert phase_match(bbo, 0.5275, LAM_P).theta0 == pytest.approx(0.100, abs=5e-3)
 
 
 def test_collinear_cut_angle(bbo):
     root = collinear_cut_angle(bbo, LAM_P)
     assert abs(root - 0.5008) < 1e-3
-    assert abs(phase_match(bbo, CutConfig(root, LAM_P)).delta_n) < 1e-10
+    assert abs(phase_match(bbo, root, LAM_P).delta_n) < 1e-10
     # independent root finder as cross-check
-    ref = brentq(lambda p: phase_match(bbo, CutConfig(p, LAM_P)).delta_n,
+    ref = brentq(lambda p: phase_match(bbo, p, LAM_P).delta_n,
                  0.3, 0.8, xtol=1e-14)
     assert root == pytest.approx(ref, abs=1e-10)
-    # result independent of the bracket
-    other = collinear_cut_angle(bbo, LAM_P, bracket=(0.45, 0.62))
-    assert root == pytest.approx(other, abs=1e-9)
+
+
+@pytest.mark.parametrize("lambda_p", [round(x, 2) for x in np.linspace(0.30, 0.53, 24)])
+def test_collinear_cut_angle_closed_form(bbo, lambda_p):
+    # the closed form against a root finder on the index difference
+    root = collinear_cut_angle(bbo, lambda_p)
+    assert abs(root - collinear_cut_brentq(bbo, lambda_p)) <= 1e-12
+    assert abs(phase_match(bbo, root, lambda_p).delta_n) <= 1e-15
+
+
+def _toy(sellmeier_o, sellmeier_e):
+    return CrystalDispersion("TOY", sellmeier_o, sellmeier_e, (0.22, 1.06))
 
 
 def test_collinear_cut_angle_no_sign_change(bbo):
+    bbo_o = bbo.sellmeier_o
+    # n_e(lambda_p) above n_o(2 lambda_p): the index difference stays
+    # positive up to phi0 = pi/2 (sin^2 = 1.16)
     with pytest.raises(NoCollinearRootError):
-        collinear_cut_angle(bbo, LAM_P, bracket=(0.1, 0.3))
+        collinear_cut_angle(_toy(bbo_o, (2.65, *bbo_o[1:])), LAM_P)
+    # anomalous ordinary dispersion, n_o(2 lambda_p) > n_o(lambda_p): sin^2 < 0
+    with pytest.raises(NoCollinearRootError):
+        collinear_cut_angle(_toy((2.7405, -0.0184, 0.0179, 0.0), bbo.sellmeier_e),
+                            LAM_P)
+    # no birefringence: n_o = n_e, 0/0 in the closed form
+    with pytest.raises(NoCollinearRootError):
+        collinear_cut_angle(_toy(bbo_o, bbo_o), LAM_P)
 
 
 def test_opening_angle_fit_values():
@@ -100,13 +155,14 @@ def test_opening_angle_fit_values():
     assert opening_angle_fit(0.7) == pytest.approx(0.2812, abs=5e-5)
     assert opening_angle_fit(0.5275) == pytest.approx(0.1029, abs=5e-5)
     assert opening_angle_fit(FIT_THRESHOLD) == 0.0
-    with pytest.raises(ValueError):
-        opening_angle_fit(0.49)
+    for bad in (0.49, math.nan, np.array([0.6, 0.49, 0.7]), np.array([0.6, math.nan])):
+        with pytest.raises(ValueError):
+            opening_angle_fit(bad)
 
 
 def test_fit_tracks_exact_cone_angle(bbo):
     for phi in np.linspace(0.51, 0.9, 79):
-        exact = phase_match(bbo, CutConfig(phi, LAM_P)).theta0
+        exact = phase_match(bbo, phi, LAM_P).theta0
         assert abs(opening_angle_fit(phi) - exact) / exact < 0.05
 
 
@@ -130,12 +186,20 @@ def test_load_custom_crystal_roundtrip(tmp_path):
     assert index_ordinary(disp, 0.5) > 1.0
 
 
+_BBO_LINES = ("name = X\nsellmeier_o = 2.7405 0.0184 0.0179 0.0155\n"
+              "sellmeier_e = 2.3730 0.0128 0.0156 0.0044\nvalid_range = 0.22 1.06\n")
+
+
 @pytest.mark.parametrize("body,bad_line", [
     ("name = X\njunk line\n", 2),
     ("name = X\nsellmeier_o = 2.5 abc 0.01 0.01\n", 2),
     ("name = X\nsellmeier_o = 2.5 0.02 0.01\n", 2),
     ("name = X\nwhatever = 1\n", 2),
     ("name = X\nname = Y\n", 2),
+    # numbers that parse but are not finite
+    (_BBO_LINES.replace("2.7405", "nan"), 2),
+    (_BBO_LINES.replace("0.0128", "inf"), 3),
+    (_BBO_LINES.replace("1.06", "inf"), 4),
 ])
 def test_malformed_crystal_file(tmp_path, body, bad_line):
     path = tmp_path / "bad.crystal"
@@ -155,17 +219,27 @@ def test_missing_keys_and_missing_file(tmp_path):
         load_crystal(tmp_path / "nope.crystal")
 
 
-def test_dispersion_validation():
+def test_dispersion_validation(bbo):
     with pytest.raises(ValueError):
         CrystalDispersion("X", (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0), (1.0, 0.5))
     with pytest.raises(ValueError):
         CrystalDispersion("X", (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (0.3, 1.0))
+    # the cut checks: phi0 in [0, pi/2] for every element, lambda_p finite
     with pytest.raises(ValueError):
-        CutConfig(-0.1, LAM_P)
+        phase_match(bbo, -0.1, LAM_P)
     with pytest.raises(ValueError):
-        CutConfig(0.5, -1.0)
+        phase_match(bbo, 0.5, -1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            CutConfig(0.5, bad)
+            CrystalDispersion("X", (1.0, 2.0, 3.0, bad), (1.0, 2.0, 3.0, 4.0), (0.3, 1.0))
         with pytest.raises(ValueError):
-            CutConfig(bad, LAM_P)
+            CrystalDispersion("X", (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0), (0.3, bad))
+        with pytest.raises(ValueError):
+            phase_match(bbo, 0.5, bad)
+        with pytest.raises(ValueError):
+            phase_match(bbo, bad, LAM_P)
+        # one bad element refuses the whole array
+        with pytest.raises(ValueError, match="outside"):
+            phase_match(bbo, np.array([0.5, bad, 0.7]), LAM_P)
+    with pytest.raises(ValueError, match="outside"):
+        phase_match(bbo, np.array([0.5, 1.6]), LAM_P)

@@ -101,7 +101,8 @@ def test_sinc2_proposal_at_minus_two_is_rejected():
     # u = 0 proposes y = -2, mapped to x = -inf by a division by zero; its NaN
     # sine must reject it (u = 0 as acceptance uniform would keep any finite x)
     # without a floating-point warning.  u = 0.0625 gives x = -4, u = 0.625 x = 0.5
-    out = _sinc2_variates(_CyclicUniforms([0.0, 0.0625, 0.625]), 1.0, np.empty(50))
+    out = _sinc2_variates(_CyclicUniforms([0.0, 0.0625, 0.625]), 1.0, np.empty(50),
+                          np.empty((3, 50 * 4 // 3 + 64)))
     assert set(out.tolist()) == {-4.0, 0.5}
 
 
