@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Subcommands produce plain text tables (`#` header lines, then rows of
+Commands produce plain text tables (`#` header lines, then rows of
 numbers) that any plotting tool can consume; no rendering is built in.
-Every output carries a header echoing the fully resolved configuration
+Every table carries a header echoing the fully resolved configuration
 (including the seed), so a rerun with the same arguments is
 byte-identical.
 
-Each config key is declared once, in _KEYS: its type, default, help text
-and the commands that take it as a flag (`--lambda-p` for `lambda_p`).
-The flags, the config-file parsing, the `# config:` echo and the
-resolved configuration (an argparse.Namespace) all come from that table.
-A config file may set any key for any command.
+Each config key is declared once, in _KEYS: its type, default and help
+text.  The flags (`--lambda-p` for `lambda_p`), the config-file parsing,
+the `# config:` echo and the resolved configuration (an
+argparse.Namespace) all come from that table, so every key is a flag of
+every command and a config-file key of every command.  Config files and
+crystal files are read by one reader, crystal.read_keys.
 
 `dispersion` phase-matches and fits each grid of cut angles in one array
 call, so --grid grows its memory only by its float columns.
@@ -22,10 +23,11 @@ length 0.1 cm, z 100 cm).
 
 Exit codes: 0 success, 2 configuration error (this includes a flag
 value argparse cannot parse, a pump wavelength outside the crystal's
-range, a --grid numpy cannot allocate and, for `dispersion`, a crystal
-with no collinear cut), 3 numerical-accuracy failure (a --rel-tol finer
-than the library's accuracy).  Both failures come before any output is
-written.
+range or at a pole of its Sellmeier form, a theta0 of pi/2 or more, a
+--grid numpy cannot allocate, for `dispersion` a crystal with no
+collinear cut and for `scan` a cone no wider than its ring's
+thickness), 3 numerical-accuracy failure (a --rel-tol finer than the
+library's accuracy).  Both failures come before any output is written.
 """
 
 from __future__ import annotations
@@ -47,29 +49,27 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# key: (type, default, help, the commands taking it as a flag or None for all)
+# key: (type, default, help); the order is the order of the `# config:` echo
 _KEYS = {
-    "crystal": (str, None, "crystal coefficient file (default: bundled BBO)", None),
-    "lambda_p": (float, 0.4047, "pump wavelength, um", None),
-    "phi0": (float, 0.5275, "cut angle, rad", None),
+    "crystal": (str, None, "crystal coefficient file (default: bundled BBO)"),
+    "lambda_p": (float, 0.4047, "pump wavelength, um"),
+    "phi0": (float, 0.5275, "cut angle, rad"),
     "theta0": (float, None, "explicit cone opening angle, rad; replaces the "
-                            "default phi0", None),
-    "waist": (float, 0.1, "pump waist, cm", None),
-    "length": (float, 0.1, "crystal length, cm", None),
-    "z": (float, 100.0, "crystal-detector distance, cm", None),
+                            "default phi0"),
+    "waist": (float, 0.1, "pump waist, cm"),
+    "length": (float, 0.1, "crystal length, cm"),
+    "z": (float, 100.0, "crystal-detector distance, cm"),
     "grid": (int, 2001, "grid resolution; report evaluates at most 1201 "
-                        "points and scan histograms into at most 241 lines",
-             None),
-    "seed": (int, 12345, "64-bit sampling seed", None),
-    "out": (str, "out", "output directory", None),
-    "normalize": (str, "area", "curve normalization: area, peak or raw", None),
-    "pairs": (int, 1_000_000, "Monte-Carlo pair count", {"scan"}),
-    "k2x": (float, 0.0, "fixed partner momentum, cm^-1", {"distributions"}),
-    "slit": (float, None, "D2 slit width, cm (default: delta_r/2)", {"scan"}),
+                        "points and scan histograms into at most 241 lines"),
+    "seed": (int, 12345, "64-bit sampling seed (scan)"),
+    "out": (str, "out", "output directory"),
+    "normalize": (str, "area", "curve normalization: area, peak or raw"),
+    "pairs": (int, 1_000_000, "Monte-Carlo pair count (scan)"),
+    "k2x": (float, 0.0, "fixed partner momentum, cm^-1 (distributions)"),
+    "slit": (float, None, "D2 slit width, cm (scan; default: delta_r/2)"),
     "rel_tol": (float, 1e-6, "relative accuracy required of f_exact; below the "
                              "accuracy of its closed-form evaluation (1e-12) "
-                             "every command exits 3 before writing anything",
-                None),
+                             "every command exits 3 before writing anything"),
 }
 
 _NORM_MAP = {"raw": "raw", "area": "unit-area", "peak": "unit-peak"}
@@ -84,40 +84,29 @@ class AccuracyError(RuntimeError):
 
 
 def _parse_config_file(path):
-    values, first_line = {}, {}
+    """{key: value} of a --config file, each value of its key's type or None."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+
+    def fail(message, line):
+        return ConfigError(f"{path}:{line}: {message}")
+
+    values = {}
+    for key, (raw, line) in cr.read_keys(text, _KEYS, fail).items():
+        kind, default, _ = _KEYS[key]
+        if raw == "" or raw.lower() == "none":
+            # none keeps a default of None; phi0 may be left to theta0
+            if default is not None and key != "phi0":
+                raise fail(f"config key {key!r} needs a value, got {raw!r}", line)
+            values[key] = None
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in first_line:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
-                              f"(first on line {first_line[key]})")
-        values[key], first_line[key] = raw, lineno
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise fail(f"config key {key!r}: cannot parse {raw!r}", line) from None
     return values
-
-
-def _coerce(key, raw):
-    kind, default = _KEYS[key][:2]
-    if raw == "" or raw.lower() == "none":
-        # none keeps a default of None; phi0 may be left to theta0
-        if default is not None and key != "phi0":
-            raise ConfigError(f"config key {key!r} needs a value, got {raw!r}")
-        return None
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
 def resolve_config(args):
@@ -125,12 +114,12 @@ def resolve_config(args):
     values = {key: spec[1] for key, spec in _KEYS.items()}
     explicit = set()
     if args.config is not None:
-        for k, raw in _parse_config_file(args.config).items():
-            values[k] = _coerce(k, raw)
-            if values[k] is not None:
+        for k, v in _parse_config_file(args.config).items():
+            values[k] = v
+            if v is not None:
                 explicit.add(k)
     for k in _KEYS:
-        v = getattr(args, k, None)
+        v = getattr(args, k)
         if v is not None:
             values[k] = v
             explicit.add(k)
@@ -142,7 +131,7 @@ def resolve_config(args):
     if values["phi0"] is None and values["theta0"] is None:
         raise ConfigError("one of phi0 / theta0 is required")
     cfg = argparse.Namespace(**values)
-    for name, (kind, *_) in _KEYS.items():
+    for name, (kind, _, _) in _KEYS.items():
         value = getattr(cfg, name)
         if kind is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -320,7 +309,7 @@ def cmd_scan(cfg):
     positions = 0.5 * dist.default_kappa_grid(params, n_bins) * cfg.z
 
     analytic = rs.scan_single(ring, positions)
-    analytic.write(out / "scan_single_analytic.dat")
+    analytic.write(out / "scan_single_analytic.dat", extra_header=header)
 
     sigma_x = cfg.z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
@@ -334,8 +323,8 @@ def cmd_scan(cfg):
                 rs.scan_coincidence(batch, ring.r0, slit, cpos))
         mc, coinc = part if mc is None else (mc + part[0], coinc + part[1])
         del batch, part   # one block alive at a time: free it before the next draw
-    mc.write(out / "scan_single_mc.dat")
-    coinc.write(out / "scan_coincidence.dat")
+    mc.write(out / "scan_single_mc.dat", extra_header=header)
+    coinc.write(out / "scan_coincidence.dat", extra_header=header)
     if coinc.is_empty:
         print("warning: coincidence scan captured no pairs", file=sys.stderr)
 
@@ -386,21 +375,18 @@ def build_parser():
     parser = _Parser(
         prog="biphoton",
         description="Momentum distributions of noncollinear degenerate photon pairs")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__)
-        p.set_defaults(func=func)
-        p.add_argument("--config", help="key = value config file")
-        for key, (kind, _, text, commands) in _KEYS.items():
-            if commands is None or name in commands:
-                p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+    parser.add_argument("command", choices=COMMANDS, help=" ".join(
+        f"{name}: {func.__doc__}" for name, func in COMMANDS.items()))
+    parser.add_argument("--config", help="key = value config file")
+    for key, (kind, _, text) in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(resolve_config(args))
+        return COMMANDS[args.command](resolve_config(args))
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

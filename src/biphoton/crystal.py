@@ -54,6 +54,9 @@ FIT_THRESHOLD = 0.5008
 
 MICRON_TO_CM = 1e-4
 
+# the keys of a crystal file: name, then the number fields of CrystalDispersion
+_CRYSTAL_KEYS = ("name", "sellmeier_o", "sellmeier_e", "valid_range")
+
 
 class CrystalFileError(ValueError):
     """Malformed crystal coefficient file; carries a line number."""
@@ -120,8 +123,9 @@ class PhaseMatchResult:
 def _sellmeier(coeffs, lam):
     a, b, c, d = coeffs
     lam2 = lam * lam
-    n2 = a + b / (lam2 - c) - d * lam2
-    if not n2 > 0.0:
+    # a pole of the form at lam (lam^2 == c) is as non-physical as n^2 <= 0
+    n2 = a + b / (lam2 - c) - d * lam2 if lam2 != c else math.nan
+    if not 0.0 < n2 < math.inf:
         raise WavelengthRangeError(f"Sellmeier form non-physical at {lam} um")
     return math.sqrt(n2)
 
@@ -228,24 +232,36 @@ def opening_angle_fit(phi0):
     return _like(phi, FIT_SCALE * np.sqrt(phi - FIT_THRESHOLD))
 
 
-def _parse_floats(raw, n, what, path, lineno):
-    parts = raw.split()
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        raise CrystalFileError(f"non-numeric value in {what}: {raw!r}",
-                               path, lineno) from None
-    if len(vals) != n:
-        raise CrystalFileError(
-            f"{what} needs {n} numbers, got {len(vals)}", path, lineno)
-    return vals
+def read_keys(text, known, fail):
+    """The `key = value` lines of text, as {key: (raw value, line number)}.
+
+    `#` starts a comment; blank lines are skipped.  A line without `=`,
+    a key not in known, or a key given twice raises fail(message, line).
+    """
+    fields = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        key, eq, raw = stripped.partition("=")
+        key = key.strip()
+        if not eq:
+            raise fail(f"expected 'key = value', got {stripped!r}", lineno)
+        if key not in known:
+            raise fail(f"unknown key {key!r}", lineno)
+        if key in fields:
+            raise fail(f"duplicate key {key!r} (first on line {fields[key][1]})",
+                       lineno)
+        fields[key] = (raw.strip(), lineno)
+    return fields
 
 
 def load_crystal(path=None):
     """Parse a crystal coefficient file; with no path, load the bundled BBO set.
 
-    The format is line-oriented `key = value` text with `#` comments.
-    Required keys: name, sellmeier_o (4 floats), sellmeier_e (4 floats),
+    The format is line-oriented `key = value` text with `#` comments,
+    read by read_keys as the CLI reads its config files.  Keys, all
+    required: name, sellmeier_o (4 floats), sellmeier_e (4 floats),
     valid_range (2 floats, um).  Any malformed line raises
     CrystalFileError carrying the offending line number.
     """
@@ -257,45 +273,26 @@ def load_crystal(path=None):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CrystalFileError(f"cannot read file: {exc}", path, 0) from None
 
-    fields = {}
-    lines_seen = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise CrystalFileError(f"expected 'key = value', got {stripped!r}",
-                                   path, lineno)
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key in fields:
-            raise CrystalFileError(f"duplicate key {key!r} (first on line "
-                                   f"{lines_seen[key]})", path, lineno)
-        fields[key] = raw
-        lines_seen[key] = lineno
-
-    for required in ("name", "sellmeier_o", "sellmeier_e", "valid_range"):
+    fields = read_keys(text, _CRYSTAL_KEYS,
+                       lambda message, line: CrystalFileError(message, path, line))
+    for required in _CRYSTAL_KEYS:
         if required not in fields:
             raise CrystalFileError(f"missing required key {required!r}",
                                    path, len(text.splitlines()))
-
-    unknown = set(fields) - {"name", "sellmeier_o", "sellmeier_e", "valid_range"}
-    if unknown:
-        key = sorted(unknown)[0]
-        raise CrystalFileError(f"unknown key {key!r}", path, lines_seen[key])
-
-    so = _parse_floats(fields["sellmeier_o"], 4, "sellmeier_o", path,
-                       lines_seen["sellmeier_o"])
-    se = _parse_floats(fields["sellmeier_e"], 4, "sellmeier_e", path,
-                       lines_seen["sellmeier_e"])
-    vr = _parse_floats(fields["valid_range"], 2, "valid_range", path,
-                       lines_seen["valid_range"])
+    numbers = {}
+    for key in _CRYSTAL_KEYS[1:]:
+        raw, line = fields[key]
+        try:
+            numbers[key] = tuple(float(p) for p in raw.split())
+        except ValueError:
+            raise CrystalFileError(f"non-numeric value in {key}: {raw!r}",
+                                   path, line) from None
     try:
-        return CrystalDispersion(name=fields["name"], sellmeier_o=so,
-                                 sellmeier_e=se, valid_range=vr)
+        return CrystalDispersion(name=fields["name"][0], **numbers)
     except ValueError as exc:
+        # each message starts with the field at fault
         key = str(exc).split(" ", 1)[0]
-        raise CrystalFileError(str(exc), path, lines_seen[key]) from None
+        raise CrystalFileError(str(exc), path, fields[key][1]) from None

@@ -69,12 +69,10 @@ class Curve:
         w = np.trapezoid(self.y, self.x)
         return float(np.trapezoid(self.x * self.y, self.x) / w)
 
-    def rms_width(self, center=None):
+    def rms_width(self):
         """Square root of the second central moment, curve taken as a density."""
-        if center is None:
-            center = self.mean()
         w = np.trapezoid(self.y, self.x)
-        m2 = np.trapezoid((self.x - center) ** 2 * self.y, self.x) / w
+        m2 = np.trapezoid((self.x - self.mean()) ** 2 * self.y, self.x) / w
         return float(np.sqrt(m2))
 
     def half_area_width(self):

@@ -52,7 +52,7 @@ __all__ = [
 
 
 class NoRingError(ValueError):
-    """Collinear configuration: the detection-plane annulus degenerates."""
+    """No annulus in the detection plane: theta0 not above the ring's thickness."""
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,15 @@ class RingGeometry:
 def ring_from_params(params, z):
     """Ring radius z*theta0 and thickness z*width_coincidence*lam/pi.
 
-    Raises NoRingError for collinear parameters (theta0 = 0), and
+    Raises NoRingError unless theta0 exceeds the ring's angular thickness
+    lam/(2 pi w_p), which covers collinear parameters (theta0 = 0), and
     ValueError (from RingGeometry) unless z is positive and finite.
     """
-    if params.theta0 <= 0.0:
-        raise NoRingError("theta0 = 0: no emission ring to scan")
+    thickness = width_coincidence(params) * params.lambda_cm / math.pi
+    if not params.theta0 > thickness:
+        raise NoRingError(f"theta0 = {params.theta0!r} rad is not above the "
+                          f"ring's angular thickness {thickness!r} rad: no "
+                          "emission ring to scan")
     r0 = z * params.theta0
     delta_r = z * width_coincidence(params) * params.lambda_cm / math.pi
     return RingGeometry(z=z, r0=r0, delta_r=delta_r)

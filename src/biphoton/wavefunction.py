@@ -48,7 +48,7 @@ class SpdcParams:
     lambda_p : pump wavelength, um
     w_p      : pump waist, cm
     L        : crystal length, cm
-    theta0   : cone opening angle, rad (0 in the collinear regime)
+    theta0   : cone opening angle, rad, in [0, pi/2) (0 in the collinear regime)
     n_o      : ordinary index of the emitted photons, i.e. at 2*lambda_p
     """
 
@@ -64,8 +64,9 @@ class SpdcParams:
             raise ValueError("lambda_p, w_p, L, theta0 and n_o must all be finite")
         if self.lambda_p <= 0 or self.w_p <= 0 or self.L <= 0:
             raise ValueError("lambda_p, w_p and L must all be positive")
-        if self.theta0 < 0:
-            raise ValueError("theta0 must be >= 0")
+        if not 0.0 <= self.theta0 < math.pi / 2:
+            # a cone opens by less than a right angle
+            raise ValueError(f"theta0 must lie in [0, pi/2), got {self.theta0!r}")
         if self.n_o <= 1.0:
             raise ValueError("n_o must exceed 1")
 

@@ -1,4 +1,3 @@
-import argparse
 import os
 import subprocess
 import sys
@@ -6,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from biphoton import (cli, default_kappa_grid, read_curve, sample_pairs,
-                      scan_single)
+from biphoton import (CrystalFileError, cli, default_kappa_grid, load_crystal,
+                      read_curve, sample_pairs, scan_single)
 
 from conftest import argmax_x, traced_peak
 
@@ -243,6 +242,25 @@ def test_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error: crystal Flat" in err
     assert not (tmp_path / "d").exists()
+    # a Sellmeier pole at the pump wavelength (0.4**2 == 0.16000000000000003)
+    pole = tmp_path / "pole.crystal"
+    pole.write_text("name = Pole\nsellmeier_o = 2.7405 0.0184 0.16000000000000003 "
+                    "0.0155\nsellmeier_e = 2.3730 0.0128 0.0156 0.0044\n"
+                    "valid_range = 0.22 1.06\n")
+    for command in ("dispersion", "report"):
+        assert run(command, "--crystal", str(pole), "--lambda-p", "0.4",
+                   "--out", str(tmp_path / "p")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: lambda_p = 0.4: ")
+        assert captured.out == ""
+        assert not (tmp_path / "p").exists()
+    # a file that is not UTF-8 text, as a crystal file and as a config file
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"name = \xff\n")
+    for flag in ("--crystal", "--config"):
+        assert run("report", flag, str(binary), "--out", str(tmp_path / "b")) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
     # a number that parses but is not finite is refused on loading, with its line
     nan_file = tmp_path / "nan.crystal"
     nan_file.write_text("name = X\nsellmeier_o = nan 0.0184 0.0179 0.0155\n"
@@ -277,6 +295,12 @@ def test_theta0_zero_distributions_ok(tmp_path):
     ("distributions", "--normalize", "bogus"),
     ("fcurve", "--grid", "abc"),
     ("scan", "--seed", "1.5"),
+    # a cone opens by less than a right angle
+    ("report", "--theta0", "1e200"),
+    ("fcurve", "--theta0", "1e200"),
+    ("scan", "--theta0", "1.5707963267948966"),
+    # a cone no wider than its ring's thickness lambda/(2 pi w_p) = 6.4e-5 rad
+    ("scan", "--theta0", "1e-6"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")
@@ -408,15 +432,66 @@ def test_default_config_echo(tmp_path):
         "pairs=1000000 k2x=0.0 slit=None rel_tol=1e-06")
 
 
-def test_subcommand_flags():
-    common = {"--config", "--crystal", "--lambda-p", "--phi0", "--theta0",
-              "--waist", "--length", "--z", "--grid", "--seed", "--out",
-              "--normalize", "--rel-tol"}
-    extra = {"dispersion": set(), "fcurve": set(), "distributions": {"--k2x"},
-             "scan": {"--pairs", "--slit"}, "report": set()}
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(extra)
-    for name, parser in sub.choices.items():
-        flags = {s for a in parser._actions for s in a.option_strings}
-        assert flags - {"-h", "--help"} == common | extra[name], name
+def test_every_command_takes_every_key_as_a_flag(tmp_path):
+    # a sample value of each key's type; parsing alone, nothing is run
+    flags = [arg for key, (kind, default, _) in cli._KEYS.items()
+             for arg in ("--" + key.replace("_", "-"),
+                         str(default if default is not None else kind(1)))]
+    for command in cli.COMMANDS:
+        args = cli.build_parser().parse_args([command, *flags])
+        assert args.command == command
+        assert all(getattr(args, key) is not None for key in cli._KEYS), command
+
+    # a flag and the same key in a config file write the same bytes
+    cfg = tmp_path / "pairs.cfg"
+    cfg.write_text("pairs = 5\n")
+    for name, argv in (("flag", ["--pairs", "5"]), ("file", ["--config", str(cfg)])):
+        assert run("fcurve", "--grid", "101", "--out", str(tmp_path / name), *argv) == 0
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+    for name in names:
+        assert ((tmp_path / "flag" / name).read_bytes()
+                == (tmp_path / "file" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("\n# a comment\n{key} 1\n", 3, "expected 'key = value', got '{key} 1'"),
+    ("# a comment\n\nbogus = 1  # trailing comment\n", 3, "unknown key 'bogus'"),
+    ("{key} = 1\n\n# a comment\n{key} = 2\n", 4,
+     "duplicate key '{key}' (first on line 1)"),
+], ids=["no-equals", "unknown-key", "repeated-key"])
+def test_config_and_crystal_files_share_one_reader(tmp_path, capsys, body, line,
+                                                   message):
+    # the same malformed body, with a key each file knows, fails both readers
+    # on the same line with the same message
+    for key, flag in (("name", "--crystal"), ("waist", "--config")):
+        path = tmp_path / f"bad-{key}.txt"
+        path.write_text(body.format(key=key))
+        expected = f"{path}:{line}: {message.format(key=key)}"
+        if flag == "--crystal":
+            with pytest.raises(CrystalFileError) as err:
+                load_crystal(path)
+            assert err.value.line == line and str(err.value) == expected
+        assert run("report", flag, str(path), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
+        assert not (tmp_path / "x").exists()
+
+
+def test_every_table_echoes_its_config(tmp_path):
+    # one `# config:` line in every table, the same across a command's tables
+    # (report writes report.txt alone)
+    tables = {"dispersion": 3, "fcurve": 2, "distributions": 3, "scan": 4}
+    for command, count in tables.items():
+        out = tmp_path / command
+        assert run(command, "--out", str(out), "--grid", "101",
+                   "--pairs", "20000") == 0
+        echoes = set()
+        paths = list(out.glob("*.dat"))
+        assert len(paths) == count, command
+        for path in paths:
+            lines = [line for line in path.read_text().splitlines()
+                     if line.startswith("# config: ")]
+            assert len(lines) == 1, path
+            echoes.update(lines)
+        assert len(echoes) == 1, (command, echoes)
+        assert "pairs=20000" in echoes.pop()
