@@ -21,13 +21,14 @@ entries, which override the built-in defaults (the moderate waist-and-
 crystal parameter set: lambda_p 0.4047 um, phi0 0.5275 rad, waist and
 length 0.1 cm, z 100 cm).
 
-Exit codes: 0 success, 2 configuration error (this includes a flag
-value argparse cannot parse, a pump wavelength outside the crystal's
-range or at a pole of its Sellmeier form, a theta0 of pi/2 or more, a
---grid numpy cannot allocate, for `dispersion` a crystal with no
-collinear cut and for `scan` a cone no wider than its ring's
-thickness), 3 numerical-accuracy failure (a --rel-tol finer than the
-library's accuracy).  Both failures come before any output is written.
+Exit codes: 0 success, 2 configuration error: a flag value argparse
+cannot parse, a pump wavelength outside the crystal's range or at a
+pole of its Sellmeier form, a theta0 of pi/2 or more, a --rel-tol finer
+than G(u) is evaluated to, a --grid numpy cannot allocate, a curve that
+underflows to all zeros, for `dispersion` a crystal with no collinear
+cut and for `scan` a cone no wider than its ring's thickness or a ring
+too large for floats.  Each command computes all it writes before it
+makes the output directory, so every refusal comes before any output.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 
 # key: (type, default, help); the order is the order of the `# config:` echo
 _KEYS = {
@@ -69,7 +69,7 @@ _KEYS = {
     "slit": (float, None, "D2 slit width, cm (scan; default: delta_r/2)"),
     "rel_tol": (float, 1e-6, "relative accuracy required of f_exact; below the "
                              "accuracy of its closed-form evaluation (1e-12) "
-                             "every command exits 3 before writing anything"),
+                             "every command exits 2 before writing anything"),
 }
 
 _NORM_MAP = {"raw": "raw", "area": "unit-area", "peak": "unit-peak"}
@@ -77,10 +77,6 @@ _NORM_MAP = {"raw": "raw", "area": "unit-area", "peak": "unit-peak"}
 
 class ConfigError(ValueError):
     pass
-
-
-class AccuracyError(RuntimeError):
-    """Requested accuracy finer than the library's stated accuracy."""
 
 
 def _parse_config_file(path):
@@ -97,8 +93,8 @@ def _parse_config_file(path):
     for key, (raw, line) in cr.read_keys(text, _KEYS, fail).items():
         kind, default, _ = _KEYS[key]
         if raw == "" or raw.lower() == "none":
-            # none keeps a default of None; phi0 may be left to theta0
-            if default is not None and key != "phi0":
+            # none keeps a default of None
+            if default is not None:
                 raise fail(f"config key {key!r} needs a value, got {raw!r}", line)
             values[key] = None
             continue
@@ -127,9 +123,7 @@ def resolve_config(args):
         raise ConfigError("give only one of phi0 / theta0")
     if values["theta0"] is not None:
         # an explicit cone angle overrides the built-in default cut angle
-        values["phi0"] = values["phi0"] if "phi0" in explicit else None
-    if values["phi0"] is None and values["theta0"] is None:
-        raise ConfigError("one of phi0 / theta0 is required")
+        values["phi0"] = None
     cfg = argparse.Namespace(**values)
     for name, (kind, _, _) in _KEYS.items():
         value = getattr(cfg, name)
@@ -139,8 +133,8 @@ def resolve_config(args):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     if cfg.rel_tol < dist._G_REL_ERR:
-        raise AccuracyError(f"accuracy {cfg.rel_tol:g} is finer than G(u) is "
-                            f"evaluated to ({dist._G_REL_ERR:g})")
+        raise ConfigError(f"rel_tol = {cfg.rel_tol!r} is finer than G(u) is "
+                          f"evaluated to ({dist._G_REL_ERR:g})")
     if cfg.slit is not None and cfg.slit <= 0:
         raise ConfigError("slit must be positive")
     # past the vacuum wavenumber pi/lambda_p of a degenerate photon the
@@ -171,6 +165,15 @@ def _load_setup(cfg):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return disp, params
+
+
+def _normalized(cfg, norm, *curves):
+    """Each curve normalized to norm; one that underflows to all zeros exits 2."""
+    for curve in curves:
+        if not curve.y.any():
+            raise ConfigError(f"length = {cfg.length!r}: the {curve.meta['kind']} "
+                              "curve underflows to all zeros")
+    return [curve.normalized(norm) for curve in curves]
 
 
 def _outdir(cfg):
@@ -237,24 +240,23 @@ def cmd_fcurve(cfg):
     """Difference-momentum distribution tables."""
     _, params = _load_setup(cfg)
     kap = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
-    out = _outdir(cfg)
-    header = _header("biphoton difference-momentum distribution", cfg, params)
-
-    two_theta = 2.0 * params.theta0
     ks = params.k_from_kappa(kap)
-    exact = dist.f_exact(ks, params)
-    approx = dist.f_approx(ks, params)
-    _write_table(out / "difference_distribution.dat", header,
-                 [kap, exact, approx], ["kappa_minus", "exact", "cone_interior"])
-
+    tables = {"difference_distribution.dat":
+              [kap, dist.f_exact(ks, params), dist.f_approx(ks, params)]}
     if params.theta0 > 0:
+        two_theta = 2.0 * params.theta0
         zm = np.linspace(two_theta - 0.01, two_theta + 0.004, 801)
         kz = params.k_from_kappa(zm)
-        zex = dist.f_exact(kz, params)
         zap = dist.f_approx(kz, params)
         zap[~np.isfinite(zap)] = math.nan
-        _write_table(out / "difference_distribution_edge.dat", header,
-                     [zm, zex, zap], ["kappa_minus", "exact", "cone_interior"])
+        tables["difference_distribution_edge.dat"] = [
+            zm, dist.f_exact(kz, params), zap]
+
+    out = _outdir(cfg)
+    header = _header("biphoton difference-momentum distribution", cfg, params)
+    for name, columns in tables.items():
+        _write_table(out / name, header, columns,
+                     ["kappa_minus", "exact", "cone_interior"])
     print(f"wrote difference-momentum tables to {out}")
     return EXIT_OK
 
@@ -273,20 +275,17 @@ def cmd_distributions(cfg):
     """Single, coincidence and plane-restricted curves."""
     _, params = _load_setup(cfg)
     grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
-    out = _outdir(cfg)
-    norm = _NORM_MAP[cfg.normalize]
-    header = _header("biphoton reduced distributions", cfg, params)
-
-    single = dist.single_particle_curve(grid, params).normalized(norm)
-    single.write(out / "single_particle.dat", extra_header=header)
-
-    coinc = dist.coincidence_curve(cfg.k2x, params).normalized(norm)
-    coinc.write(out / "coincidence.dat", extra_header=header)
-
-    plane = dist.plane_restricted_curve(grid, params).normalized(norm)
-    plane.write(out / "plane_restricted.dat", extra_header=header)
-
+    single, coinc, plane = _normalized(
+        cfg, _NORM_MAP[cfg.normalize], dist.single_particle_curve(grid, params),
+        dist.coincidence_curve(cfg.k2x, params),
+        dist.plane_restricted_curve(grid, params))
     text = _report_text(params, single, plane)
+
+    out = _outdir(cfg)
+    header = _header("biphoton reduced distributions", cfg, params)
+    single.write(out / "single_particle.dat", extra_header=header)
+    coinc.write(out / "coincidence.dat", extra_header=header)
+    plane.write(out / "plane_restricted.dat", extra_header=header)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     print(f"wrote distribution curves to {out}")
@@ -298,18 +297,12 @@ def cmd_scan(cfg):
     _, params = _load_setup(cfg)
     try:
         ring = rs.ring_from_params(params, cfg.z)
-    except rs.NoRingError as exc:
+    except ValueError as exc:  # NoRingError, or a ring too large for floats
         raise ConfigError(str(exc)) from None
-    out = _outdir(cfg)
     slit = cfg.slit if cfg.slit is not None else 0.5 * ring.delta_r
-    header = _header("biphoton detector scan", cfg, params, r0_cm=ring.r0,
-                     delta_r_cm=ring.delta_r, slit_cm=slit)
-
     n_bins = min(cfg.grid, 241)
     positions = 0.5 * dist.default_kappa_grid(params, n_bins) * cfg.z
-
     analytic = rs.scan_single(ring, positions)
-    analytic.write(out / "scan_single_analytic.dat", extra_header=header)
 
     sigma_x = cfg.z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
@@ -323,10 +316,6 @@ def cmd_scan(cfg):
                 rs.scan_coincidence(batch, ring.r0, slit, cpos))
         mc, coinc = part if mc is None else (mc + part[0], coinc + part[1])
         del batch, part   # one block alive at a time: free it before the next draw
-    mc.write(out / "scan_single_mc.dat", extra_header=header)
-    coinc.write(out / "scan_coincidence.dat", extra_header=header)
-    if coinc.is_empty:
-        print("warning: coincidence scan captured no pairs", file=sys.stderr)
 
     kappas = positions / cfg.z
     theory = dist.f_exact(2.0 * params.k_from_kappa(kappas), params)
@@ -337,6 +326,15 @@ def cmd_scan(cfg):
     cols = [kappas, ua(analytic.y), ua(mc.y), ua(theory)]
     diff_am = np.abs(cols[1] - cols[3])
     diff_mm = np.abs(cols[2] - cols[3])
+
+    out = _outdir(cfg)
+    header = _header("biphoton detector scan", cfg, params, r0_cm=ring.r0,
+                     delta_r_cm=ring.delta_r, slit_cm=slit)
+    analytic.write(out / "scan_single_analytic.dat", extra_header=header)
+    mc.write(out / "scan_single_mc.dat", extra_header=header)
+    coinc.write(out / "scan_coincidence.dat", extra_header=header)
+    if coinc.is_empty:
+        print("warning: coincidence scan captured no pairs", file=sys.stderr)
     _write_table(out / "scan_comparison.dat", header,
                  cols + [diff_am, diff_mm],
                  ["kappa", "analytic_ua", "mc_ua", "theory_ua",
@@ -349,11 +347,11 @@ def cmd_scan(cfg):
 def cmd_report(cfg):
     """Widths and entanglement ratio."""
     _, params = _load_setup(cfg)
-    out = _outdir(cfg)
     grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
-    single = dist.single_particle_curve(grid, params).normalized("unit-area")
-    plane = dist.plane_restricted_curve(grid, params).normalized("unit-area")
-    text = _report_text(params, single, plane)
+    text = _report_text(params, *_normalized(
+        cfg, "unit-area", dist.single_particle_curve(grid, params),
+        dist.plane_restricted_curve(grid, params)))
+    out = _outdir(cfg)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
@@ -390,9 +388,6 @@ def main(argv=None):
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AccuracyError as exc:
-        print(f"numerical accuracy failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -184,9 +184,13 @@ def _g_far(u, path):
     positive = u > 0.0
     # endpoint term, v = |u|: E(v) = e^{2iv}/(8 v^2) I(v);
     # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
-    end = np.exp(2j * v) / (8.0 * v * v) * path(v)
+    # 8 v^2 overflows past v ~ 4.7e153 and v^1.5 past ~3e205; the terms
+    # they divide then go to 0, their limits
+    with np.errstate(over="ignore"):
+        end = np.exp(2j * v) / (8.0 * v * v) * path(v)
+        stationary = np.where(positive, math.pi / np.sqrt(v),
+                              0.25 * math.pi / v ** 1.5)
     turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
-    stationary = np.where(positive, math.pi / np.sqrt(v), 0.25 * math.pi / v ** 1.5)
     return stationary - 2.0 * _ROOT_2PI * (turn * end).real
 
 
@@ -287,23 +291,15 @@ def _params_meta(params):
     }
 
 
-def single_particle_curve(kappa_grid, params, exact=True):
+def single_particle_curve(kappa_grid, params):
     """Marginal momentum distribution of one photon: F(2 k1x) over the grid.
 
-    The exact reduction is the default; exact=False substitutes the
-    cone-interior closed form (whose singular edge points, if hit by
-    the grid, are clipped to the largest finite neighbour).
+    F is the exact reduction f_exact; its cone-interior closed form is
+    f_approx(2 k1x).
     """
-    ks = params.k_from_kappa(kappa_grid)
-    if exact:
-        vals = f_exact(2.0 * ks, params)
-    else:
-        vals = f_approx(2.0 * ks, params)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            vals[~finite] = vals[finite].max()
+    vals = f_exact(2.0 * params.k_from_kappa(kappa_grid), params)
     meta = _params_meta(params)
-    meta["kind"] = "single-particle" + ("" if exact else " (cone-interior form)")
+    meta["kind"] = "single-particle"
     return Curve(x=np.asarray(kappa_grid, dtype=float), y=vals,
                  xunit="kappa", normalization="raw", meta=meta)
 

@@ -20,7 +20,8 @@ density.  Two independent routes to that curve are provided:
 
 Positions are in cm in the detection plane, and a scan is a Curve
 tagged xunit "cm"; x = z * kappa links it to the dimensionless momentum
-axis used by the theory curves.
+axis used by the theory curves.  A ring whose outer radius squared
+overflows is refused; a scan line whose offset squared does misses it.
 Sampling is exact (rejection from the squared-sinc law, no table) and
 reproducible: pairs are drawn in blocks of _BLOCK, block i from the
 stream SeedSequence(seed, spawn_key=(i,)), so a scan summed block by
@@ -68,6 +69,9 @@ class RingGeometry:
             raise ValueError("z, r0 and delta_r must be positive and finite")
         if self.delta_r >= self.r0:
             raise ValueError("ring thickness must be below its radius")
+        if self.r_outer * self.r_outer == math.inf:  # chord_length squares it
+            raise ValueError(f"z = {self.z!r} cm puts the ring's outer radius "
+                             f"{self.r_outer!r} cm past the range of its square")
 
     @property
     def r_outer(self):
@@ -83,7 +87,8 @@ def ring_from_params(params, z):
 
     Raises NoRingError unless theta0 exceeds the ring's angular thickness
     lam/(2 pi w_p), which covers collinear parameters (theta0 = 0), and
-    ValueError (from RingGeometry) unless z is positive and finite.
+    ValueError (from RingGeometry) unless z is positive and finite and
+    the square of the ring's outer radius is finite.
     """
     thickness = width_coincidence(params) * params.lambda_cm / math.pi
     if not params.theta0 > thickness:
@@ -102,8 +107,10 @@ def chord_length(x, ring):
     the annulus entirely for |x| > r_outer.
     """
     x = np.asarray(x, dtype=float)
-    outer = np.sqrt(np.maximum(ring.r_outer ** 2 - x * x, 0.0))
-    inner = np.sqrt(np.maximum(ring.r_inner ** 2 - x * x, 0.0))
+    with np.errstate(over="ignore"):  # a line whose x^2 overflows misses the ring
+        x2 = x * x
+    outer = np.sqrt(np.maximum(ring.r_outer ** 2 - x2, 0.0))
+    inner = np.sqrt(np.maximum(ring.r_inner ** 2 - x2, 0.0))
     return 2.0 * (outer - inner)
 
 
@@ -161,15 +168,14 @@ def _sinc2_variates(rng, x_max, out, work):
     return out
 
 
-def sample_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
+def sample_pairs(params, z, n, seed, block=0):
     """Draw n photon pairs and map them to the detection plane at distance z.
 
     Summed momenta are Gaussian with the pump-envelope variance; the
     difference-momentum magnitude kappa follows the squared-sinc radial
     law exactly: x = S(4 theta0^2 - kappa^2) has density sinc^2(x) on
     x <= 4 S theta0^2, so x is drawn by rejection and mapped back.  The
-    azimuth is uniform (measured from azimuth_origin, whose value must
-    not affect any binned statistic).  Pairs come in blocks of _BLOCK,
+    azimuth is uniform on [0, 2 pi).  Pairs come in blocks of _BLOCK,
     the j-th from the stream SeedSequence(seed, spawn_key=(block + j,)),
     so (seed, block, n) fixes the batch bit for bit, and n pairs from
     block 0 are the single blocks 0, 1, 2, ... laid end to end: a scan
@@ -198,7 +204,7 @@ def sample_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
             np.multiply(rng.standard_normal(out=v), sigma, out=v)
         x = _sinc2_variates(rng, params.sinc_scale * four_theta_sq, rho[sl], work)
         rho[sl] = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
-        phi[sl] = azimuth_origin + 2.0 * math.pi * rng.random(x.size)
+        phi[sl] = 2.0 * math.pi * rng.random(x.size)
         mx = rho[sl] * np.cos(phi[sl])
         np.subtract(x1[sl], mx, out=x2[sl])
         x1[sl] += mx
@@ -224,8 +230,7 @@ class ScanResult(Curve):
     d2_position: float | None = None
     slit_width: float | None = None
 
-    # the scan names of x and y, read-only
-    positions = property(lambda self: self.x)
+    # the scan name of y, read-only
     counts = property(lambda self: self.y)
 
     @property

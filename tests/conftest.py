@@ -146,7 +146,7 @@ def _reference_sinc2(rng, x_max, m):
     return np.concatenate(parts)
 
 
-def reference_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
+def reference_pairs(params, z, n, seed, block=0):
     """Bit-for-bit oracle of sample_pairs: (x1, y1, x2, y2), plainly written.
 
     The same draws in the same order as the package's in-place sampler:
@@ -162,7 +162,7 @@ def reference_pairs(params, z, n, seed, azimuth_origin=0.0, block=0):
         px, py = rng.normal(0.0, sigma, m), rng.normal(0.0, sigma, m)
         x = _reference_sinc2(rng, params.sinc_scale * four_theta_sq, m)
         rho = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
-        phi = azimuth_origin + 2.0 * math.pi * rng.random(m)
+        phi = 2.0 * math.pi * rng.random(m)
         mx, my = rho * np.cos(phi), rho * np.sin(phi)
         parts.append((px + mx, py + my, px - mx, py - my))
     return tuple(0.5 * np.concatenate(c) for c in zip(*parts))

@@ -54,10 +54,13 @@ def _public_callables():
 
 
 def test_no_public_callable_takes_rel_tol():
-    # the requested accuracy is checked once, by the command-line front end
+    # the requested accuracy is checked once, by the command-line front end;
+    # exact= and azimuth_origin= are retired knobs that only tests set
     checked = 0
     for name, obj in _public_callables():
-        assert "rel_tol" not in inspect.signature(obj).parameters, name
+        params = inspect.signature(obj).parameters
+        for retired in ("rel_tol", "exact", "azimuth_origin"):
+            assert retired not in params, (name, retired)
         checked += 1
     assert checked > 40
 

@@ -172,6 +172,17 @@ def test_g_against_fresnel_oracle():
     assert err.max() <= dist._G_REL_ERR, f"{err.max():.2e} at u = {u[err.argmax()]:g}"
 
 
+def test_g_far_from_the_edge_is_quiet():
+    # 8 u^2 overflows past |u| ~ 4.7e153 and |u|^1.5 past ~3e205; the terms
+    # they divide go to 0 without a warning (the suite makes warnings errors).
+    # The closed forms stand in for the oracle, whose 50 digits cannot resolve
+    # G(-1e200) 200 digits below its terms; G(-1e300) underflows to 0
+    u = np.array([1e200, 1e300, -1e200, -1e300])
+    expected = [math.pi / 1e100, math.pi / 1e150, math.pi / (4.0 * 1e300), 0.0]
+    np.testing.assert_allclose(dist._g_of_u(u), expected, rtol=dist._G_REL_ERR,
+                               atol=0.0)
+
+
 def test_f_approx_reference_points(params_a):
     center = f_approx(0.0, params_a)
     expected = (4.0 * params_a.n_o * params_a.lambda_cm
@@ -282,14 +293,6 @@ def test_single_particle_collinear_bell():
     assert abs(argmax_x(c)) < 2.0 * (c.x[1] - c.x[0])
     scale = math.sqrt(p0.lambda_cm / p0.L)
     assert 0.2 * scale < c.rms_width() < 1.5 * scale
-
-
-def test_single_particle_approx_path(params_b):
-    grid = default_kappa_grid(params_b, 801)
-    ca = single_particle_curve(grid, params_b, exact=False)
-    assert np.all(np.isfinite(ca.y))
-    ce = single_particle_curve(grid, params_b)
-    assert ca.area() == pytest.approx(ce.area(), rel=5e-2)
 
 
 def test_curve_normalization_contract(params_b):
