@@ -26,9 +26,11 @@ cannot parse, a pump wavelength outside the crystal's range or at a
 pole of its Sellmeier form, a theta0 of pi/2 or more, a --rel-tol finer
 than G(u) is evaluated to, a --grid numpy cannot allocate, a curve that
 underflows to all zeros, for `dispersion` a crystal with no collinear
-cut and for `scan` a cone no wider than its ring's thickness or a ring
-too large for floats.  Each command computes all it writes before it
-makes the output directory, so every refusal comes before any output.
+cut, for the other commands a crystal length whose gain overflows or a
+waist not above lambda_p/(2 pi), and for `scan` a cone no wider than its
+ring's thickness or a ring too large or too small for floats.  Each
+command computes all it writes before it makes the output directory, so
+every refusal comes before any output.
 """
 
 from __future__ import annotations

@@ -4,12 +4,17 @@ A Curve is a strictly increasing abscissa grid plus nonnegative values.
 Abscissae are dimensionless momenta (lam*k/pi, xunit "kappa"), wave
 numbers (xunit "cm^-1") or detection-plane positions (xunit "cm"); the
 unit tag travels with the data.  write_table writes every table of the
-package: `#` header lines, then space-separated rows.  A curve's header
-carries its unit tag, its normalization tag and a metadata echo.
+package: `#` header lines, then space-separated rows of `%.12e` numbers.
+It formats fixed blocks of rows in numpy, byte-identical to Python's
+`"%.12e" % x`, and hands the few values it cannot place exactly (NaN,
+inf, three-digit exponents, near-ties) to Python's formatting.  A
+curve's header carries its unit tag, its normalization tag and a
+metadata echo.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,13 +113,93 @@ class Curve:
 
 
 def write_table(path, header_lines, columns):
-    """Write `# `-prefixed header lines, then the columns side by side, one row per line."""
-    row = " ".join(["%.12e"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for values in zip(*columns):
-            fh.write(row % values)
+    """Write `# `-prefixed header lines, then the columns side by side, one row per line.
+
+    Every value is written as `"%.12e" % value` would write it, values
+    separated by one space.  Rows are formatted _BLOCK_ROWS at a time, so
+    the memory taken grows with the number of columns, not of rows.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    rows = len(columns[0])
+    if any(len(column) != rows for column in columns):
+        raise ValueError("columns must be of equal length")
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
+        for start in range(0, rows, _BLOCK_ROWS):
+            fh.write(_format_block(np.stack(
+                [column[start:start + _BLOCK_ROWS] for column in columns], axis=1)))
+
+
+# Block formatting.  A finite x with 1e-99 <= |x| < 1e99 and decimal
+# exponent e = floor(log10|x|) has the 13-digit mantissa s = |x| * 10**(12 - e),
+# taken with a correctly rounded power of ten: two roundings, so s is within
+# 2**-52 * 1e13 < 2.3e-3 of the exact product.  Where 1e12 + 1 <= s < 1e13 - 1
+# and s is more than 0.005 from a half-integer, rint(s) is therefore the
+# mantissa "%.12e" prints, and e its two-digit exponent.  Zeros are written
+# directly; every other value (NaN, inf, three-digit exponents, near-ties and
+# misses of log10 by one, about 1 in 100) is formatted by Python.  The
+# package's tables lie within 1e-10 <= |x| < 1e5; a wider range would cost
+# parsing more literals, 0.5 ms for |e| <= 280.  Each value fills a 21-byte
+# slot: up to 20 characters, zero-padded, then a space or newline; dropping
+# the zero bytes leaves the rows.
+_BLOCK_ROWS = 2048
+_E_MAX = 100      # |floor(log10|x|)| for 1e-99 <= |x| < 1e99, with log10's error
+_SLOT = 21
+
+
+@functools.cache
+def _tables():
+    """10**(12 - e) parsed from literals, and the ASCII words "0000" to "9999"
+    and "e+00" to "e-99" as uint32, each indexed by its value, e offset by
+    _E_MAX."""
+    pow10 = np.array([float(f"1e{12 - e}") for e in range(-_E_MAX, _E_MAX + 1)])
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack([np.repeat(d, 1000), np.tile(np.repeat(d, 100), 10),
+                      np.tile(np.repeat(d, 10), 100), np.tile(d, 1000)], axis=1)
+    e = np.arange(-_E_MAX, _E_MAX + 1)
+    ae = np.abs(e)
+    exps = np.stack([np.full(e.shape, ord("e")),
+                     np.where(e < 0, ord("-"), ord("+")),
+                     ae // 10 % 10 + ord("0"), ae % 10 + ord("0")], axis=1)
+    return (pow10, quads.view(np.uint32).ravel(),
+            exps.astype(np.uint8).view(np.uint32).ravel())
+
+
+def _format_block(block):
+    """The bytes of block's rows, each value as "%.12e" formats it."""
+    pow10, quads, exps = _tables()
+    rows, cols = block.shape
+    a = np.abs(block)
+    inside = (a >= 1e-99) & (a < 1e99)
+    a = np.where(inside, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp) + _E_MAX
+    s = a * pow10[e]
+    fast = (inside & (s >= 1e12 + 1) & (s < 1e13 - 1)
+            & (np.abs(s - np.floor(s) - 0.5) > 0.005))
+    zero = block == 0
+    q = np.where(fast, np.rint(s), 0.0)
+    lead = np.floor(q / 1e12)
+    q -= lead * 1e12
+    hi = np.floor(q / 1e8)
+    q -= hi * 1e8
+    mid = np.floor(q / 1e4)
+    digits = np.stack([hi, mid, q - mid * 1e4], axis=-1).astype(np.intp)
+
+    buf = np.empty((rows, cols, _SLOT), np.uint8)
+    buf[..., 0] = np.where(np.signbit(block), ord("-"), 0)
+    buf[..., 1] = lead + ord("0")
+    buf[..., 2] = ord(".")
+    buf[..., 3:15] = quads[digits].view(np.uint8).reshape(rows, cols, 12)
+    buf[..., 15:19] = exps[e].view(np.uint8).reshape(rows, cols, 4)
+    buf[..., 19] = 0
+    buf[..., 20] = ord(" ")
+    buf[:, -1, 20] = ord("\n")
+    slow = ~(fast | zero)
+    if slow.any():
+        text = b"".join(("%.12e" % x).encode().ljust(_SLOT - 1, b"\0")
+                        for x in block[slow].tolist())
+        buf[slow, :-1] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
+    return buf.tobytes().replace(b"\0", b"")
 
 
 def read_curve(path):

@@ -185,9 +185,10 @@ def _g_far(u, path):
     # endpoint term, v = |u|: E(v) = e^{2iv}/(8 v^2) I(v);
     # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
     # 8 v^2 overflows past v ~ 4.7e153 and v^1.5 past ~3e205; the terms
-    # they divide then go to 0, their limits
+    # they divide then go to 0, their limits.  The phase 2v of e^{2iv} would
+    # overflow past v ~ 9e307, so it is held at 2e300, where the term is 0
     with np.errstate(over="ignore"):
-        end = np.exp(2j * v) / (8.0 * v * v) * path(v)
+        end = np.exp(2j * np.minimum(v, 1e300)) / (8.0 * v * v) * path(v)
         stationary = np.where(positive, math.pi / np.sqrt(v),
                               0.25 * math.pi / v ** 1.5)
     turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
@@ -346,7 +347,8 @@ def plane_restricted_curve(kappa_grid, params):
     for rows in _row_slices(k1.size, _ROWS):
         kminus = 2.0 * k1[rows, None] - t[None, :]
         kap = params.kappa(kminus)
-        arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
+        with np.errstate(over="ignore"):  # sinc is 0 at an infinite argument
+            arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
         vals[rows] = (sinc(arg) ** 2 @ _GH64_WEIGHTS) / params.w_p
     meta = _params_meta(params)
     meta["kind"] = "plane-restricted"

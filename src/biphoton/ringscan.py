@@ -32,6 +32,7 @@ A batch's vertical positions, PairBatch.y1 and .y2, are formed on first read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -69,9 +70,13 @@ class RingGeometry:
             raise ValueError("z, r0 and delta_r must be positive and finite")
         if self.delta_r >= self.r0:
             raise ValueError("ring thickness must be below its radius")
-        if self.r_outer * self.r_outer == math.inf:  # chord_length squares it
+        # chord_length squares the radii: both squares must be normal floats
+        if self.r_outer * self.r_outer == math.inf:
             raise ValueError(f"z = {self.z!r} cm puts the ring's outer radius "
                              f"{self.r_outer!r} cm past the range of its square")
+        if self.r_inner * self.r_inner < sys.float_info.min:
+            raise ValueError(f"z = {self.z!r} cm puts the ring's inner radius "
+                             f"{self.r_inner!r} cm below the range of its square")
 
     @property
     def r_outer(self):
@@ -88,7 +93,7 @@ def ring_from_params(params, z):
     Raises NoRingError unless theta0 exceeds the ring's angular thickness
     lam/(2 pi w_p), which covers collinear parameters (theta0 = 0), and
     ValueError (from RingGeometry) unless z is positive and finite and
-    the square of the ring's outer radius is finite.
+    the squares of the ring's radii are normal floats.
     """
     thickness = width_coincidence(params) * params.lambda_cm / math.pi
     if not params.theta0 > thickness:

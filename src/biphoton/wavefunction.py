@@ -37,8 +37,9 @@ __all__ = [
 
 
 def sinc(x):
-    """sin(x)/x with sinc(0) = 1 exactly; safe for |x| up to ~1e8."""
-    return np.sinc(np.asarray(x) / np.pi)
+    """sin(x)/x with sinc(0) = 1 exactly and sinc(+-inf) = 0, its limit;
+    accurate for |x| up to ~1e8."""
+    return np.sinc(np.clip(x, -1e300, 1e300) / np.pi)
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,13 @@ class SpdcParams:
             raise ValueError(f"theta0 must lie in [0, pi/2), got {self.theta0!r}")
         if self.n_o <= 1.0:
             raise ValueError("n_o must exceed 1")
+        if not math.isfinite(self.sinc_scale):
+            raise ValueError(f"crystal length L = {self.L!r} cm overflows the "
+                             "gain pi L/(8 n_o lambda_p)")
+        if 0.5 / self.w_p >= math.pi / self.lambda_cm:
+            # the pump's momentum spread would pass the photon wavenumber
+            raise ValueError(f"pump waist w_p = {self.w_p!r} cm is not above "
+                             "lambda_p/(2 pi)")
 
     @property
     def lambda_cm(self):

@@ -66,6 +66,16 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def write_table_rows(path, header_lines, columns):
+    """Oracle for curves.write_table: the plain writer, one "%.12e" row at a time."""
+    row = " ".join(["%.12e"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        for values in zip(*columns):
+            fh.write(row % values)
+
+
 def collinear_cut_brentq(disp, lambda_p):
     """Oracle for the collinear cut: brentq on the scalar index difference.
 

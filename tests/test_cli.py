@@ -179,6 +179,17 @@ def test_dispersion_memory_grows_by_columns_only(tmp_path):
     assert peaks[1] <= peaks[0] + 12 * 8 * (50001 - 2001), peaks
 
 
+@pytest.mark.parametrize("command", ["fcurve", "distributions"])
+def test_curve_memory_grows_by_columns_only(tmp_path, command):
+    # 48 000 more grid points cost each command about 6 float64 arrays (its
+    # grid, momenta, curves and their work arrays); the table writer
+    # formats fixed row blocks, where a whole-table text buffer (21 bytes a
+    # value) would add 2.6 arrays' worth per column on top
+    peaks = [traced_peak(run, command, "--grid", str(n), "--out",
+                         str(tmp_path / str(n))) for n in (2001, 50001)]
+    assert peaks[1] <= peaks[0] + 8 * 8 * (50001 - 2001), peaks
+
+
 def test_report_command_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("waist = 0.3\nseed = 99\n# comment\n")
@@ -309,6 +320,18 @@ def test_theta0_zero_distributions_ok(tmp_path):
     # an in-plane curve that underflows to all zeros
     ("report", "--length", "1e300"),
     ("distributions", "--length", "1e300"),
+    # a ring whose inner radius squares below the normal floats
+    ("scan", "--z", "1e-300"),
+    ("scan", "--z", "1e-310"),
+    # a gain pi L/(8 n_o lambda_p) past the float range
+    *[(command, "--length", "1e305") for command in
+      ("fcurve", "distributions", "report", "scan")],
+    # a pump whose momentum spread 1/(2 w_p) passes the photon wavenumber
+    *[(command, "--waist", "1e-200") for command in
+      ("fcurve", "distributions", "report", "scan")],
+    # an in-plane curve whose sinc arguments overflow: sinc's limit 0 everywhere
+    ("distributions", "--length", "1e303", "--waist", "1e-5"),
+    ("report", "--length", "1e303", "--waist", "1e-5"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")
@@ -423,6 +446,24 @@ def test_extreme_length_fcurve_is_quiet(tmp_path, capsys):
     assert run("fcurve", "--length", "1e300", "--grid", "11",
                "--out", str(tmp_path / "f")) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    # |u| up to 1e308, where the phase 2|u| of G's endpoint term overflows
+    ("fcurve", "--length", "2e303", "--theta0", "1.5"),
+    ("fcurve", "--length", "1e303"),
+    ("fcurve", "--length", "1e303", "--theta0", "0"),
+    ("scan", "--length", "1e303", "--pairs", "1000"),
+    # the smallest ring whose radii square to normal floats
+    ("scan", "--z", "1.6e-153", "--pairs", "1000"),
+])
+def test_extreme_config_writes_no_nan(tmp_path, argv):
+    out = tmp_path / "x"
+    assert run(*argv, "--out", str(out), "--grid", "11") == 0
+    paths = list(out.glob("*.dat"))
+    assert paths
+    for path in paths:
+        assert not np.any(np.isnan(load_table(path))), path.name
 
 
 def test_default_config_echo(tmp_path):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from biphoton import Curve, read_curve
+from biphoton import Curve, curves, read_curve
 
-from conftest import argmax_x, excess_kurtosis, fwhm
+from conftest import argmax_x, excess_kurtosis, fwhm, write_table_rows
 
 
 def gaussian_curve(sigma=2.0, n=4001, span=10.0):
@@ -106,3 +107,60 @@ def test_write_read_roundtrip(tmp_path):
     # header lines all start with '#'
     text = path.read_text().splitlines()
     assert all(line.startswith("#") for line in text[:6])
+
+
+def assert_writes_as_rows(tmp_path, columns):
+    header = ["table", "columns: " + " ".join(f"c{i}" for i in range(len(columns)))]
+    curves.write_table(tmp_path / "blocks.dat", header, columns)
+    write_table_rows(tmp_path / "rows.dat", header, columns)
+    assert ((tmp_path / "blocks.dat").read_bytes()
+            == (tmp_path / "rows.dat").read_bytes())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_write_table_matches_row_writer(tmp_path, data):
+    # any float at all: NaN, +-inf, +-0 and subnormals included
+    n_cols = data.draw(st.integers(1, 4))
+    n_rows = data.draw(st.integers(1, 40))
+    values = data.draw(st.lists(st.floats(), min_size=n_cols * n_rows,
+                                max_size=n_cols * n_rows))
+    assert_writes_as_rows(tmp_path, [values[i::n_cols] for i in range(n_cols)])
+
+
+def _adversarial_values():
+    rng = np.random.default_rng(20261018)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # 14-digit integers ending in 5 lie exactly halfway between two
+    # 13-digit mantissas; their power-of-two multiples put ties and
+    # near-ties at other exponents
+    ties = (10 * rng.integers(10**12, 10**13, 2000) + 5).astype(float)
+    scaled = np.concatenate([ties * 2.0 ** k for k in range(-200, 201, 20)])
+    # the doubles nearest 14-digit decimals ending in 5: within an ulp of a tie
+    near = np.array([float(f"{m}5e{k}") for m, k in zip(
+        rng.integers(10**12, 10**13, 4000), rng.integers(-130, 110, 4000))])
+    nines = 9.9999999999995 * powers[(powers > 1e-300) & (powers < 1e300)]
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, np.finfo(float).tiny,
+         np.nan, np.inf, -np.inf],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        ties, scaled, near, nines, np.nextafter(nines, 0.0),
+        np.nextafter(nines, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_write_table_matches_row_writer_on_edge_values(tmp_path):
+    values = _adversarial_values()
+    assert_writes_as_rows(tmp_path, [values])
+    assert_writes_as_rows(tmp_path, [values, values[::-1], np.roll(values, 7)])
+
+
+@pytest.mark.parametrize("rows", [1, curves._BLOCK_ROWS - 1, curves._BLOCK_ROWS,
+                                  curves._BLOCK_ROWS + 1, 3 * curves._BLOCK_ROWS + 5])
+def test_write_table_block_seams(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    values = _adversarial_values()
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+               rng.choice(values, rows), np.arange(rows, dtype=float)]
+    assert_writes_as_rows(tmp_path, columns)
