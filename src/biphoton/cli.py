@@ -27,8 +27,11 @@ pole of its Sellmeier form, a theta0 of pi/2 or more, a --rel-tol finer
 than G(u) is evaluated to, a --grid numpy cannot allocate, a curve that
 underflows to all zeros, for `dispersion` a crystal with no collinear
 cut, for the other commands a crystal length whose gain overflows or a
-waist not above lambda_p/(2 pi), and for `scan` a cone no wider than its
-ring's thickness or a ring too large or too small for floats.  Each
+waist not above lambda_p/(2 pi), for `distributions` and `report` a
+length and waist whose cone edge needs more in-plane nodes than one chunk
+holds, and for `scan` a cone no wider than its ring's thickness, a ring
+too large or too small for floats, or a waist so wide that the
+coincidence scan lines round to an uneven grid at the ring.  Each
 command computes all it writes before it makes the output directory, so
 every refusal comes before any output.
 """
@@ -178,6 +181,15 @@ def _normalized(cfg, norm, *curves):
     return [curve.normalized(norm) for curve in curves]
 
 
+def _plane_curve(cfg, grid, params):
+    """The in-plane curve; a cone edge finer than its rule can resolve exits 2."""
+    try:
+        return dist.plane_restricted_curve(grid, params)
+    except ValueError as exc:
+        raise ConfigError(f"length = {cfg.length!r}, waist = {cfg.waist!r}: "
+                          f"{exc}") from None
+
+
 def _outdir(cfg):
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -241,18 +253,19 @@ def cmd_dispersion(cfg):
 def cmd_fcurve(cfg):
     """Difference-momentum distribution tables."""
     _, params = _load_setup(cfg)
-    kap = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
-    ks = params.k_from_kappa(kap)
-    tables = {"difference_distribution.dat":
-              [kap, dist.f_exact(ks, params), dist.f_approx(ks, params)]}
+
+    def columns(kap):
+        # cone_interior is f_approx as it is, in every table: +inf exactly at
+        # the cone edge (at kappa = 0 when theta0 = 0), never NaN
+        ks = params.k_from_kappa(kap)
+        return [kap, dist.f_exact(ks, params), dist.f_approx(ks, params)]
+
+    tables = {"difference_distribution.dat": columns(
+        _grid(cfg, lambda n: dist.default_kappa_grid(params, n)))}
     if params.theta0 > 0:
         two_theta = 2.0 * params.theta0
-        zm = np.linspace(two_theta - 0.01, two_theta + 0.004, 801)
-        kz = params.k_from_kappa(zm)
-        zap = dist.f_approx(kz, params)
-        zap[~np.isfinite(zap)] = math.nan
-        tables["difference_distribution_edge.dat"] = [
-            zm, dist.f_exact(kz, params), zap]
+        tables["difference_distribution_edge.dat"] = columns(
+            np.linspace(two_theta - 0.01, two_theta + 0.004, 801))
 
     out = _outdir(cfg)
     header = _header("biphoton difference-momentum distribution", cfg, params)
@@ -279,8 +292,7 @@ def cmd_distributions(cfg):
     grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
     single, coinc, plane = _normalized(
         cfg, _NORM_MAP[cfg.normalize], dist.single_particle_curve(grid, params),
-        dist.coincidence_curve(cfg.k2x, params),
-        dist.plane_restricted_curve(grid, params))
+        dist.coincidence_curve(cfg.k2x, params), _plane_curve(cfg, grid, params))
     text = _report_text(params, single, plane)
 
     out = _outdir(cfg)
@@ -308,6 +320,12 @@ def cmd_scan(cfg):
 
     sigma_x = cfg.z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
+    try:
+        rs._bin_edges(cpos)
+    except ValueError:
+        raise ConfigError(f"waist = {cfg.waist!r}: the coincidence scan lines, "
+                          f"{0.2 * sigma_x:.3g} cm apart, round to an uneven grid "
+                          f"at the ring radius {ring.r0:.6g} cm") from None
 
     mc = coinc = None
     for block, start in enumerate(range(0, cfg.pairs, rs._BLOCK)):
@@ -352,7 +370,7 @@ def cmd_report(cfg):
     grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
     text = _report_text(params, *_normalized(
         cfg, "unit-area", dist.single_particle_curve(grid, params),
-        dist.plane_restricted_curve(grid, params)))
+        _plane_curve(cfg, grid, params)))
     out = _outdir(cfg)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")

@@ -260,8 +260,9 @@ class ScanResult(Curve):
 def _bin_edges(positions):
     positions = np.asarray(positions, dtype=float)
     steps = np.diff(positions)
-    if positions.size < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("scan positions must be a uniform grid")
+    if (positions.size < 2 or not steps[0] > 0.0
+            or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("scan positions must be a uniform increasing grid")
     h = steps[0]
     return np.concatenate([positions - 0.5 * h, [positions[-1] + 0.5 * h]])
 

@@ -38,8 +38,20 @@ __all__ = [
 
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 exactly and sinc(+-inf) = 0, its limit;
-    accurate for |x| up to ~1e8."""
-    return np.sinc(np.clip(x, -1e300, 1e300) / np.pi)
+    accurate for |x| up to ~1e8.
+
+    Bit for bit np.sinc(np.clip(x, -1e300, 1e300) / np.pi), with np.sinc's
+    steps (times pi, eps for 0, sin over its argument) done in place on one
+    copy of x.
+    """
+    y = np.array(x, dtype=float)
+    np.clip(y, -1e300, 1e300, out=y)
+    y /= np.pi
+    y *= np.pi
+    y[y == 0.0] = np.finfo(float).eps
+    s = np.sin(y)
+    s /= y
+    return s[()]
 
 
 @dataclass(frozen=True)

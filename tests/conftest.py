@@ -376,3 +376,65 @@ def f_exact_panels(k_minus_x, params, rel_tol=1e-10):
             return total
         n_outer *= 2
     raise RuntimeError(f"panel oracle missed {rel_tol:g} at kappa = {kappa}")
+
+
+def sinc_np(x):
+    """Oracle for wavefunction.sinc: numpy's sinc of the clipped argument."""
+    return np.sinc(np.clip(x, -1e300, 1e300) / np.pi)
+
+
+_GH64_NODES, _GH64_WEIGHTS = np.polynomial.hermite.hermgauss(64)
+
+
+def plane_gh64(kappa_grid, params, rows):
+    """The in-plane curve by the plain 64-node Gauss-Hermite rule, rows points at a time.
+
+    integral dt e^{-t^2} sinc^2(S (4 theta0^2 - kappa_-^2)) / w_p with
+    k2x = -k1x + t/w_p: exact while the sinc argument turns slowly across
+    the pump Gaussian, as on the README configurations.  The points go
+    in chunks of rows, since the last bits of a matrix-vector product can
+    depend on where a row falls in the matrix.
+    """
+    k1 = params.k_from_kappa(np.asarray(kappa_grid, dtype=float))
+    out = np.empty(k1.shape)
+    for start in range(0, k1.size, rows):
+        part = slice(start, start + rows)
+        kap = params.kappa(2.0 * k1[part, None] - (_GH64_NODES / params.w_p)[None, :])
+        arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
+        out[part] = (sinc_np(arg) ** 2 @ _GH64_WEIGHTS) / params.w_p
+    return out
+
+
+_GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def plane_sigma(kappa1, params, resolution=1):
+    """Oracle for the in-plane curve at each kappa1, from a closed form in t.
+
+    Along k2x = -k1x + t/w_p the sinc argument is u0 + a t - b t^2, with
+    u0 = S (4 theta0^2 - 4 kappa1^2), a = 4 S beta kappa1, b = S beta^2
+    and beta = lam/(pi w_p).  Writing sinc^2(x) = 2 Re int_0^1 (1 - s)
+    e^{2ixs} ds and doing the Gaussian integral over t first,
+
+        w_p plane = 2 sqrt(pi) Re int_0^1 (1 - s) A^{-1/2} e^{2iu0 s - a^2 s^2/A} ds,
+
+    A = 1 + 2ibs: one smooth integral over [0, 1], with no sinc^2 arches in
+    t.  Composite 20-node Gauss-Legendre, with resolution x (64 + |u0|)
+    panels so that each holds at most a third of a turn of e^{2iu0 s};
+    callers compare two resolutions to bound the error.
+    """
+    beta = params.lambda_cm / (math.pi * params.w_p)
+    scale = params.sinc_scale
+    b = scale * beta * beta
+    out = []
+    for k in np.atleast_1d(np.asarray(kappa1, dtype=float)):
+        u0 = scale * (4.0 * params.theta0 ** 2 - 4.0 * k * k)
+        a = 4.0 * scale * beta * k
+        edges = np.linspace(0.0, 1.0, resolution * (64 + math.ceil(abs(u0))) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL20_NODES).ravel()
+        w = (half * _GL20_WEIGHTS).ravel()
+        big_a = 1.0 + 2j * b * s
+        f = (1.0 - s) / np.sqrt(big_a) * np.exp(2j * u0 * s - a * a * s * s / big_a)
+        out.append(2.0 * math.sqrt(math.pi) * float((f @ w).real) / params.w_p)
+    return np.array(out)

@@ -317,7 +317,7 @@ def test_theta0_zero_distributions_ok(tmp_path):
       ("dispersion", "fcurve", "distributions", "scan", "report")],
     # a ring whose outer radius squares past the float range
     ("scan", "--z", "1e300"),
-    # an in-plane curve that underflows to all zeros
+    # an in-plane cone edge with ~1e298 sinc^2 arches across the pump
     ("report", "--length", "1e300"),
     ("distributions", "--length", "1e300"),
     # a ring whose inner radius squares below the normal floats
@@ -329,9 +329,17 @@ def test_theta0_zero_distributions_ok(tmp_path):
     # a pump whose momentum spread 1/(2 w_p) passes the photon wavenumber
     *[(command, "--waist", "1e-200") for command in
       ("fcurve", "distributions", "report", "scan")],
-    # an in-plane curve whose sinc arguments overflow: sinc's limit 0 everywhere
+    # an in-plane cone edge whose arch count overflows
     ("distributions", "--length", "1e303", "--waist", "1e-5"),
     ("report", "--length", "1e303", "--waist", "1e-5"),
+    # a cone edge with ~4e4 sinc^2 arches across the pump: more in-plane
+    # nodes than one chunk holds
+    ("distributions", "--length", "100", "--waist", "0.001"),
+    ("report", "--length", "100", "--waist", "0.001"),
+    # coincidence scan lines a few ulps of the ring radius apart, which
+    # round to an uneven grid (1e10) or to one point (1e200)
+    ("scan", "--waist", "1e10", "--pairs", "1000"),
+    ("scan", "--waist", "1e200", "--pairs", "1000"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")
@@ -439,6 +447,21 @@ def test_every_table_has_one_format(tmp_path):
     assert back.xunit == "cm" == scan.xunit
     np.testing.assert_allclose(back.x, scan.x, rtol=1e-12)
     np.testing.assert_array_equal(back.y, scan.y)
+
+
+def test_cone_interior_column_has_one_policy(tmp_path):
+    # f_approx as it is in both tables: +inf exactly at the cone edge, which
+    # theta0 = 0 puts at kappa = 0 of the main grid, and never NaN
+    for theta0 in ("0", "0.1"):
+        out = tmp_path / theta0
+        assert run("fcurve", "--theta0", theta0, "--grid", "11",
+                   "--out", str(out)) == 0
+        tables = sorted(out.glob("*.dat"))
+        assert len(tables) == (1 if theta0 == "0" else 2)
+        for path in tables:
+            assert "nan" not in path.read_text(), path.name
+    rows = load_table(tmp_path / "0" / "difference_distribution.dat")
+    assert np.isinf(rows[:, 2]).tolist() == [False] * 5 + [True] + [False] * 5
 
 
 def test_extreme_length_fcurve_is_quiet(tmp_path, capsys):

@@ -14,7 +14,7 @@ from biphoton import distributions as dist
 
 from conftest import (argmax_x, excess_kurtosis, f_approx_moment_ratio,
                       f_exact_panels, f_exact_simpson, fwhm, g_fresnel,
-                      raw_frame_reduced, traced_peak)
+                      plane_gh64, plane_sigma, raw_frame_reduced, traced_peak)
 
 
 def test_f_exact_is_even(params_a):
@@ -324,6 +324,101 @@ def test_plane_restricted_curve(params_b):
     # in-plane restriction is not the y-reduction: unit-area shapes differ a lot
     sup = np.max(np.abs(plane.normalized().y - single.normalized().y))
     assert sup > 0.1
+
+
+@pytest.mark.parametrize("cut", [{"theta0": 0.28, "w_p": 0.5, "L": 0.5},
+                                 {"theta0": 0.1, "w_p": 0.1, "L": 0.1},
+                                 {"phi0": 0.5275, "w_p": 0.1, "L": 0.1},
+                                 {"theta0": 0.0, "w_p": 0.1, "L": 0.1}])
+def test_plane_restricted_curve_is_gauss_hermite_on_reference_configs(bbo, cut):
+    # configs A, B, the CLI default and a collinear one: the sinc argument
+    # turns slowly across the pump Gaussian at every point, so every value
+    # is the plain 64-node Gauss-Hermite rule's, bit for bit
+    cut = dict(cut)
+    p = SpdcParams.from_crystal(bbo, 0.4047, cut.pop("w_p"), cut.pop("L"), **cut)
+    for n in (1201, 2001):
+        grid = default_kappa_grid(p, n)
+        assert np.array_equal(plane_restricted_curve(grid, p).y,
+                              plane_gh64(grid, p, dist._ROWS))
+
+
+def _plane_coefficients(p):
+    """beta, a/kappa1 = 4 S beta and the bend 2 b T of the in-plane parabola."""
+    beta = p.lambda_cm / (math.pi * p.w_p)
+    return (beta, 4.0 * p.sinc_scale * beta,
+            2.0 * p.sinc_scale * beta * beta * dist._PLANE_T)
+
+
+def _check_plane_against_sigma_oracle(p, kappas, local_tol=None):
+    """The library against the sigma oracle, which two resolutions must agree on.
+
+    Within _PLANE_PEAK_ERR of the peak; with local_tol, also within
+    local_tol of each value, which the oracle must meet to a tenth.
+    """
+    coarse, fine = plane_sigma(kappas, p), plane_sigma(kappas, p, resolution=2)
+    peak = plane_sigma(p.theta0, p)[0]   # the island's height, at its middle
+    assert np.max(np.abs(coarse - fine)) <= 1e-13 * peak
+    err = np.abs(plane_restricted_curve(kappas, p).y - fine)
+    assert err.max() <= dist._PLANE_PEAK_ERR * peak, (
+        f"{err.max() / peak:.2e} of the peak at kappa = {kappas[err.argmax()]!r}")
+    if local_tol is not None:
+        assert np.max(np.abs(coarse - fine) / fine) <= 0.1 * local_tol
+        local = err / fine
+        assert local.max() <= local_tol, (
+            f"{local.max():.2e} of the value at kappa = {kappas[local.argmax()]!r}")
+
+
+@pytest.mark.parametrize("w_p", [0.05, 0.01])
+def test_plane_restricted_curve_long_crystal_against_sigma_oracle(bbo, w_p):
+    # L = 10 cm: the sinc^2 arches are far finer than the pump Gaussian at
+    # the cone edge, where a fixed 64-node rule was off by 0.68 (w_p = 0.05)
+    # and 5.6 (w_p = 0.01) of the peak.  The island at kappa = theta0 on
+    # 201 points, a pump drift and a few arches each side, and the curve
+    # from 0 to 1.5 theta0 on 13 more
+    p = SpdcParams.from_crystal(bbo, 0.4047, w_p, 10.0, theta0=0.28)
+    beta, _, _ = _plane_coefficients(p)
+    half = 2.0 * beta + 2.0 * math.pi / (4.0 * p.sinc_scale * p.theta0)
+    kappas = np.union1d(np.linspace(p.theta0 - half, p.theta0 + half, 201),
+                        np.linspace(0.0, 1.5 * p.theta0, 13))
+    _check_plane_against_sigma_oracle(p, kappas)
+
+
+def test_plane_restricted_curve_across_band_switches(bbo):
+    # L = 10 cm, w_p = 0.05 cm.  With theta0 = 0.28 the slope switches
+    # |a| -+ 2bT = _PLANE_SLOW lie far from both zeros of the sinc argument,
+    # and the zero switch min|t+-| = _PLANE_FAR lies where |a| ~ 17
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=0.28)
+    beta, per_kappa, bend = _plane_coefficients(p)
+    slope_switches = [(dist._PLANE_SLOW - bend) / per_kappa,
+                      (dist._PLANE_SLOW + bend) / per_kappa]
+    zero_switches = [p.theta0 + side * 0.5 * dist._PLANE_FAR * beta
+                     for side in (-1.0, 1.0)]
+    sides = np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    _check_plane_against_sigma_oracle(
+        p, np.sort(np.outer(slope_switches + zero_switches, sides).ravel()))
+
+
+@pytest.mark.parametrize("slope", [4.0, "below", "above"])
+def test_plane_restricted_curve_island_across_band_switches(bbo, slope):
+    # the island at kappa1 = theta0 where |a| is 4 or on either slope switch,
+    # out to 8 pump drifts each side, past both zero switches: every value
+    # there is at least 3e-5 of the peak, and the oracle holds 1e-11 of it.
+    # Taking sinc^2's mean from |a| = 3 on costs 7e-7 of the value here
+    beta, per_kappa, bend = _plane_coefficients(
+        SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=0.28))
+    a = {"below": dist._PLANE_SLOW - bend, "above": dist._PLANE_SLOW + bend}
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0,
+                                theta0=a.get(slope, slope) / per_kappa)
+    kappas = p.theta0 + np.linspace(-16.0, 16.0, 129) * beta
+    _check_plane_against_sigma_oracle(p, kappas, local_tol=1e-9)
+
+
+def test_plane_restricted_curve_refuses_an_unresolvable_edge(bbo):
+    # L = 1 m, w_p = 10 um: about 4e4 sinc^2 arches across the pump at the
+    # cone edge, past what one chunk of trapezoid nodes holds
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.001, 100.0, theta0=0.28)
+    with pytest.raises(ValueError, match="too long or the pump waist too narrow"):
+        plane_restricted_curve(np.array([p.theta0]), p)
 
 
 def test_reduction_not_equivalent_to_slicing(params_b):
