@@ -29,9 +29,10 @@ underflows to all zeros, for `dispersion` a crystal with no collinear
 cut, for the other commands a crystal length whose gain overflows or a
 waist not above lambda_p/(2 pi), for `distributions` and `report` a
 length and waist whose cone edge needs more in-plane nodes than one chunk
-holds, and for `scan` a cone no wider than its ring's thickness, a ring
-too large or too small for floats, or a waist so wide that the
-coincidence scan lines round to an uneven grid at the ring.  Each
+holds, for `distributions` a waist and k2x whose coincidence grid rounds
+to repeated abscissae, and for `scan` a cone no wider than its ring's
+thickness, a ring too large or too small for floats, or a waist so wide
+that the coincidence scan lines round to an uneven grid at the ring.  Each
 command computes all it writes before it makes the output directory, so
 every refusal comes before any output.
 """
@@ -190,6 +191,14 @@ def _plane_curve(cfg, grid, params):
                           f"{exc}") from None
 
 
+def _coincidence_curve(cfg, params):
+    """The coincidence curve; a grid that rounds to repeated abscissae exits 2."""
+    try:
+        return dist.coincidence_curve(cfg.k2x, params)
+    except ValueError as exc:
+        raise ConfigError(f"waist = {cfg.waist!r}, k2x = {cfg.k2x!r}: {exc}") from None
+
+
 def _outdir(cfg):
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -292,7 +301,7 @@ def cmd_distributions(cfg):
     grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
     single, coinc, plane = _normalized(
         cfg, _NORM_MAP[cfg.normalize], dist.single_particle_curve(grid, params),
-        dist.coincidence_curve(cfg.k2x, params), _plane_curve(cfg, grid, params))
+        _coincidence_curve(cfg, params), _plane_curve(cfg, grid, params))
     text = _report_text(params, single, plane)
 
     out = _outdir(cfg)

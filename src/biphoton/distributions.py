@@ -311,11 +311,17 @@ def coincidence_curve(k2x_fixed, params):
 
     Peaks at k1x = -k2x; the grid holds 501 points six Gaussian widths
     each way of it.  The overall factor F(2 k2x) only matters for the raw
-    scale (it vanishes quickly once |2 k2x| leaves the cone).
+    scale (it vanishes quickly once |2 k2x| leaves the cone).  Raises
+    ValueError when that grid rounds to repeated abscissae: a waist so wide
+    that the width is a few ulps of the peak's kappa.
     """
     center = -float(params.kappa(k2x_fixed))
     sigma = params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     kappa_grid = np.linspace(center - 6.0 * sigma, center + 6.0 * sigma, 501)
+    if not np.all(np.diff(kappa_grid) > 0.0):
+        raise ValueError(f"the coincidence grid, {0.024 * sigma:.3g} apart in "
+                         f"kappa, rounds to repeated abscissae at kappa = "
+                         f"{center:.6g}")
     k1 = params.k_from_kappa(kappa_grid)
     scale = f_exact(2.0 * k2x_fixed, params)
     vals = pump_envelope(k1 + k2x_fixed, 0.0, params) ** 2 * scale

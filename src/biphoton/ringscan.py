@@ -23,9 +23,12 @@ tagged xunit "cm"; x = z * kappa links it to the dimensionless momentum
 axis used by the theory curves.  A ring whose outer radius squared
 overflows is refused; a scan line whose offset squared does misses it.
 Sampling is exact (rejection from the squared-sinc law, no table) and
-reproducible: pairs are drawn in blocks of _BLOCK, block i from the
-stream SeedSequence(seed, spawn_key=(i,)), so a scan summed block by
-block depends on (seed, pair count) alone and runs in constant memory.
+reproducible.  A float32 sine decides most of the rejection tests, but only
+where a proven bound on its error leaves no doubt; the float64 sine decides
+the rest, so every decision is the float64 test's.  Pairs are drawn in
+blocks of _BLOCK, block i from the stream SeedSequence(seed,
+spawn_key=(i,)), so a scan summed block by block depends on (seed, pair
+count) alone and runs in constant memory.
 A batch's vertical positions, PairBatch.y1 and .y2, are formed on first read.
 """
 
@@ -144,6 +147,23 @@ class PairBatch:
 # pairs per block: block i of a run is drawn from SeedSequence(seed, spawn_key=(i,))
 _BLOCK = 2 ** 16
 
+# The squeeze (Marsaglia 1977; Devroye 1986, II.3).  The exact test keeps a
+# proposal x when s*s >= U w, with s = sin(x) in float64 (libm, about 24 ns
+# a value) and w = min(x^2, 1).  With a = |fl32(x)|, the float32 statistic
+# r = (sin32(a) / min(a, 1))^2 stands in for s*s/w.  For 0 < a <= _SQUEEZE_X,
+#     |r - s*s/w| <= 2^-23 (|x| + 2c + 3),
+# where c (at most 2) is numpy's float32 sine error in ulps: fl32(x) lies
+# within 2^-24 |x| of x, which moves sin by as much and sin^2 by twice that;
+# the sine adds c ulps of at most 2^-24, and the quotient, the square and the
+# float64 products a few 2^-24 more.  For |x| < 1 the same terms are relative
+# to sinc^2, whose logarithmic slope stays below 1 there.  d = r - fl32(U)
+# adds 2^-25 and rounds monotonically, so |d| > _SQUEEZE_TOL = 2^-11 decides
+# as the exact test does, with a margin above 15 at a = 256.  The exact test
+# decides the rest: |d| <= _SQUEEZE_TOL, a > _SQUEEZE_X, and the NaN of
+# x = 0 (0/0) and of x = -inf (a NaN sine).
+_SQUEEZE_TOL = 2.0 ** -11
+_SQUEEZE_X = 256.0
+
 
 def _sinc2_variates(rng, x_max, out, work):
     """Fill out with exact draws from the density sinc^2(x) restricted to x <= x_max.
@@ -151,24 +171,47 @@ def _sinc2_variates(rng, x_max, out, work):
     Rejection from the envelope min(1, 1/x^2)/4 (Devroye 1986, II.3),
     accepted at rate pi/4 before the cut at x_max.  The proposal is
     y ~ U(-2, 2), kept as x = y on |y| <= 1 and mapped to the tails as
-    x = sign(y)/(2 - |y|); y = -2 gives x = -inf, whose NaN sine rejects it.
+    x = sign(y)/(2 - |y|); y = -2 gives x = -inf, which is rejected.
+    Each proposal is accepted when sin(x)^2 >= U min(x^2, 1) for a second
+    uniform U.  A float32 sine decides that test wherever its error bound
+    (the comment above _SQUEEZE_TOL) leaves no doubt, about 99.8% of
+    proposals; the float64 sine decides the rest, so every decision, and
+    every bit of out, is the plain float64 test's.
     work holds three rows of at least out.size * 4 // 3 + 64 scratch values.
     """
     need = out.size
     while need > 0:
         k = need * 4 // 3 + 64  # k fixes the stream of draws
         x, w, u = work[:, :k]
+        # f, then d, in u's first half and three masks in its second; g in w
+        # until w takes the acceptance uniforms
+        f, g = u.view(np.float32)[:k], w.view(np.float32)[:k]
+        keep, acc, exact = u.view(np.bool_)[4 * k:7 * k].reshape(3, k)
         np.subtract(np.multiply(rng.random(out=x), 4.0, out=x), 2.0, out=x)
-        # sign(y) min(|y|, 1) / min(2 - |y|, 1) is y inside and exactly
-        # sign(y)/(2 - |y|) in the tails: the tail map with no masked ufunc
-        np.minimum(np.subtract(2.0, np.abs(x, out=w), out=u), 1.0, out=u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.copysign(np.divide(np.minimum(w, 1.0, out=w), u, out=w), x, out=x)
-            np.minimum(np.multiply(x, x, out=w), 1.0, out=w)
-            np.multiply(rng.random(out=u), w, out=u)
-            s = np.sin(x, out=w)
-        take = np.compress((s * s >= u) & (x <= x_max), x)[:need]
-        out[out.size - need:][:take.size] = take
+            # sign(y) min(|y|, 1) / min(2 - |y|, 1) is y inside and exactly
+            # sign(y)/(2 - |y|) in the tails: the tail map with no masked ufunc
+            np.minimum(np.subtract(2.0, np.abs(x, out=w), out=u), 1.0, out=u)
+            np.divide(np.clip(x, -1.0, 1.0, out=w), u, out=x)
+            np.abs(x, out=f, casting="same_kind")
+            f[f > _SQUEEZE_X] = np.inf
+            np.minimum(f, 1.0, out=g)
+            np.divide(np.sin(f, out=f), g, out=f)
+            np.multiply(f, f, out=f)
+            np.subtract(f, rng.random(out=w), out=f, dtype=np.float32,
+                        casting="same_kind")
+            np.less_equal(x, x_max, out=keep)
+            np.greater(f, _SQUEEZE_TOL, out=acc)
+            np.logical_or(acc, np.less(f, -_SQUEEZE_TOL, out=exact), out=exact)
+            np.logical_and(acc, keep, out=acc)
+            np.greater(keep, exact, out=exact)  # kept, and not decided
+            # the plain test on the rest; w holds the uniforms U
+            idx = np.flatnonzero(exact)
+            xi = x[idx]
+            s = np.sin(xi)
+            acc[idx] = s * s >= w[idx] * np.minimum(xi * xi, 1.0)
+        take = np.flatnonzero(acc)[:need]
+        np.take(x, take, out=out[out.size - need:][:take.size], mode="clip")
         need -= take.size
     return out
 
@@ -207,10 +250,15 @@ def sample_pairs(params, z, n, seed, block=0):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         for v in (x1[sl], py[sl]):
             np.multiply(rng.standard_normal(out=v), sigma, out=v)
-        x = _sinc2_variates(rng, params.sinc_scale * four_theta_sq, rho[sl], work)
-        rho[sl] = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
-        phi[sl] = 2.0 * math.pi * rng.random(x.size)
-        mx = rho[sl] * np.cos(phi[sl])
+        r, p = rho[sl], phi[sl]
+        _sinc2_variates(rng, params.sinc_scale * four_theta_sq, r, work)
+        # rho = z sqrt(max(4 theta0^2 - x/S, 0)), phi = 2 pi U and
+        # mx = rho cos(phi) in place, mx in a work row the sampler is done with
+        mx = work[0, :r.size]
+        np.subtract(four_theta_sq, np.divide(r, params.sinc_scale, out=r), out=r)
+        np.multiply(z, np.sqrt(np.maximum(r, 0.0, out=r), out=r), out=r)
+        np.multiply(2.0 * math.pi, rng.random(out=p), out=p)
+        np.multiply(r, np.cos(p, out=mx), out=mx)
         np.subtract(x1[sl], mx, out=x2[sl])
         x1[sl] += mx
     x1 *= 0.5

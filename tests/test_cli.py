@@ -340,6 +340,9 @@ def test_theta0_zero_distributions_ok(tmp_path):
     # round to an uneven grid (1e10) or to one point (1e200)
     ("scan", "--waist", "1e10", "--pairs", "1000"),
     ("scan", "--waist", "1e200", "--pairs", "1000"),
+    # a coincidence curve whose 501 points, 12 pump widths wide, round to
+    # repeated abscissae at kappa(k2x)
+    ("distributions", "--waist", "1e10", "--k2x", "1e4"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")

@@ -9,9 +9,10 @@ from biphoton import (NoRingError, SpdcParams, chord_length, cli, f_approx,
                       measured_coincidence_width, ring_from_params,
                       sample_pairs, scan_coincidence, scan_single,
                       width_coincidence)
-from biphoton.ringscan import _BLOCK, RingGeometry, _sinc2_variates
+from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, RingGeometry,
+                                _sinc2_variates)
 
-from conftest import MC_SEED, Z_CM, reference_pairs
+from conftest import MC_SEED, Z_CM, _reference_sinc2, reference_pairs
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +83,15 @@ def test_sampling_determinism(params_b):
     assert not np.array_equal(a.x2, s1.x2)
 
 
-@pytest.mark.parametrize("config", ["a", "b"])
-def test_sampler_matches_reference_bit_for_bit(request, config):
+@pytest.mark.parametrize("config", ["a", "b", "long", "collinear"])
+def test_sampler_matches_reference_bit_for_bit(request, bbo, config):
     # the in-place sampler makes the same draws and the same arithmetic as the
-    # plainly written reference; y1 and y2 are formed on first read, in any order
-    params = request.getfixturevalue(f"params_{config}")
+    # plainly written reference; y1 and y2 are formed on first read, in any order.
+    # long's x_max ~ 1.8e4 lets proposals past _SQUEEZE_X through to the exact
+    # test, and the collinear x_max = 0 takes several rejection rounds
+    params = (SpdcParams.from_crystal(bbo, 0.4047, 0.1, 0.1, theta0=0.0)
+              if config == "collinear"
+              else request.getfixturevalue(f"params_{config}"))
     args = (params, Z_CM, 2 * _BLOCK + 1, MC_SEED)
     ref = dict(zip(("x1", "y1", "x2", "y2"),
                    reference_pairs(*args, block=3)))
@@ -97,13 +102,17 @@ def test_sampler_matches_reference_bit_for_bit(request, config):
 
 
 class _CyclicUniforms:
-    """Generator stand-in: random(out=) repeats a fixed list of uniforms."""
+    """Generator stand-in: the j-th random() call repeats lists[j % len(lists)]."""
 
-    def __init__(self, values):
-        self.values = values
+    def __init__(self, *lists):
+        self.lists, self.calls = lists, 0
 
-    def random(self, out):
-        out[:] = np.resize(self.values, out.size)
+    def random(self, size=None, out=None):
+        values = self.lists[self.calls % len(self.lists)]
+        self.calls += 1
+        if out is None:
+            out = np.empty(size)
+        out[:] = np.resize(values, out.size)
         return out
 
 
@@ -114,6 +123,68 @@ def test_sinc2_proposal_at_minus_two_is_rejected():
     out = _sinc2_variates(_CyclicUniforms([0.0, 0.0625, 0.625]), 1.0, np.empty(50),
                           np.empty((3, 50 * 4 // 3 + 64)))
     assert set(out.tolist()) == {-4.0, 0.5}
+
+
+def test_sinc2_decisions_on_the_boundary_match_the_plain_test():
+    # acceptance uniforms U on the plain test's boundary U min(x^2, 1) =
+    # fl(sin x)^2 and its nextafter neighbours, where a float32 sine alone
+    # would guess: every decision must be the float64 test's.  x covers the
+    # centre, the seam at +-1, the tails, both sides of _SQUEEZE_X = 256, the
+    # far tails x = 2.1e5 and -1.6e5, where fl32(x) is off by ~1e-3, x = 0 and
+    # x = -inf (the first uniform 0)
+    near_end = [2.0 ** -10 * f for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3,
+                                         1.0 - 1e-9, 1.0 + 1e-9)]
+    firsts = [0.5, 0.5 + 2.0 ** -40, 0.6, 0.3, 0.75, 0.25, 0.74, 0.76, 0.9,
+              0.1, 0.99, 0.01, 0.999, *(1.0 - e for e in near_end), *near_end,
+              1.0 - 2.0 ** -20 * 1.2345, 2.0 ** -20 * 1.6789, 0.0]
+    with np.errstate(divide="ignore"):
+        xs = [y if abs(y) <= 1.0 else np.sign(y) / (2.0 - abs(y))
+              for y in (4.0 * v - 2.0 for v in firsts)]
+    assert xs[4:6] == [1.0, -1.0] and xs[13] == 256.0 and xs[-1] == -math.inf
+    ys, us = [], []
+    for v, x in zip(firsts, xs):
+        w = min(x * x, 1.0)
+        s = math.sin(x) if math.isfinite(x) else 0.5
+        u = s * s / w if w > 0.0 else 0.5
+        cands = {u}
+        for direction in (0.0, 1.0):
+            c = u
+            for _ in range(4):
+                c = float(np.nextafter(c, direction))
+                cands.add(c)
+        cands = {c for c in cands if c < 1.0}
+        assert w < 1.0 or u in cands  # U w = fl(sin x)^2 exactly in the tails
+        # both decisions occur, except at x = 0, -inf, and x = 3.6e-12, where
+        # sin x = x accepts every U below 1
+        decided = {s * s >= c * w for c in cands}
+        assert decided == {True, False} or not 1e-6 < abs(x) < math.inf
+        ys += [v] * len(cands)
+        us += sorted(cands)
+    n = 3 * len(ys)
+    got = _sinc2_variates(_CyclicUniforms(ys, us), 1e9, np.empty(n),
+                          np.empty((3, n * 4 // 3 + 64)))
+    assert np.array_equal(got, _reference_sinc2(_CyclicUniforms(ys, us), 1e9, n))
+
+
+def test_float32_sine_meets_the_squeeze_premise():
+    # the squeeze's bound (see _SQUEEZE_TOL) rests on numpy's float32 sine
+    # erring by at most 2 ulps on |x| <= _SQUEEZE_X.  Swept densely, and near
+    # multiples of pi, the float32 sin^2 stays within _SQUEEZE_TOL / 8 of the
+    # float64 one, relative to w = min(x^2, 1)
+    rng = np.random.default_rng(5)
+    near_pi = np.multiply.outer(np.arange(-82, 83) * math.pi,
+                                1.0 + np.linspace(-1e-6, 1e-6, 201)).ravel()
+    x = np.concatenate([np.linspace(-_SQUEEZE_X, _SQUEEZE_X, 2_000_001),
+                        rng.uniform(-2.0, 2.0, 200_000),
+                        np.geomspace(1e-12, 1.0, 10_001), near_pi])
+    x = x[(np.abs(x) <= _SQUEEZE_X) & (x != 0.0)]
+    x32 = x.astype(np.float32)
+    s32 = np.sin(x32)
+    sine = np.sin(x32.astype(float))
+    ulp = np.spacing(np.abs(sine).astype(np.float32)).astype(float)
+    assert np.max(np.abs(s32 - sine) / ulp) <= 2.0
+    err = np.abs(s32.astype(float) ** 2 - np.sin(x) ** 2) / np.minimum(x * x, 1.0)
+    assert err.max() < _SQUEEZE_TOL / 8
 
 
 def test_sampling_argument_validation(params_b):
