@@ -1,9 +1,10 @@
 """Momentum-space structure of noncollinear degenerate photon pairs.
 
 Subpackages map onto the pipeline: `crystal` (dispersion and phase
-matching), `wavefunction` (the 4-D pair amplitude), `distributions`
-(y-reduced curves, widths, entanglement ratio), `ringscan` (the
-detection-plane scan simulator) and `cli` (the command-line front end).
+matching), `wavefunction` (pair parameters and the amplitude's factors),
+`distributions` (y-reduced curves, widths, entanglement ratio),
+`ringscan` (the detection-plane scan simulator) and `cli` (the
+command-line front end).
 """
 
 from .crystal import (
@@ -13,7 +14,6 @@ from .crystal import (
     NoCollinearRootError,
     load_crystal,
     index_ordinary,
-    index_extraordinary,
     pump_index,
     phase_match,
     collinear_cut_angle,
@@ -23,9 +23,6 @@ from .wavefunction import (
     SpdcParams,
     sinc,
     pump_envelope,
-    mismatch_arg,
-    psi,
-    density4,
 )
 from .curves import Curve, read_curve
 from .distributions import (
@@ -42,12 +39,10 @@ from .distributions import (
     single_particle_curve,
     coincidence_curve,
     plane_restricted_curve,
-    measured_coincidence_width,
 )
 from .ringscan import (
     NoRingError,
     ring_from_params,
-    chord_length,
     sample_pairs,
     scan_single,
     scan_coincidence,

@@ -398,6 +398,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _signed_values(argv):
+    """argv with `--key VALUE` as `--key=VALUE` wherever VALUE is a signed number.
+
+    argparse reads -10000 and -0.5 after a flag as its value but takes
+    -1e4, -inf and -nan for options; every token float() accepts after a
+    _KEYS flag is that flag's value.
+    """
+    flags = {"--" + key.replace("_", "-") for key in _KEYS}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def build_parser():
     parser = _Parser(
         prog="biphoton",
@@ -412,7 +434,8 @@ def build_parser():
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _signed_values(sys.argv[1:] if argv is None else argv))
         return COMMANDS[args.command](resolve_config(args))
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

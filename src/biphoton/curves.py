@@ -1,4 +1,4 @@
-"""Sampled 1-D distribution curves: normalization, moments, widths, file I/O.
+"""Sampled 1-D distribution curves: normalization, widths, file I/O.
 
 A Curve is a strictly increasing abscissa grid plus nonnegative values.
 Abscissae are dimensionless momenta (lam*k/pi, xunit "kappa"), wave
@@ -69,16 +69,6 @@ class Curve:
         if scale <= 0:
             raise ValueError("cannot normalize an all-zero curve")
         return replace(self, y=self.y / scale, normalization=mode)
-
-    def mean(self):
-        w = np.trapezoid(self.y, self.x)
-        return float(np.trapezoid(self.x * self.y, self.x) / w)
-
-    def rms_width(self):
-        """Square root of the second central moment, curve taken as a density."""
-        w = np.trapezoid(self.y, self.x)
-        m2 = np.trapezoid((self.x - self.mean()) ** 2 * self.y, self.x) / w
-        return float(np.sqrt(m2))
 
     def half_area_width(self):
         """Total length of the smallest set that holds half the curve's area.

@@ -51,12 +51,9 @@ Widths follow the conventions used for the closed-form results: the
 difference-momentum width is sqrt(2) pi theta0 / lam, the single-photon
 width is half of it, and the conditional (coincidence) width is
 1/(2 w_p); their ratio R = sqrt(2) pi theta0 w_p / lam quantifies the
-entanglement.  Note that for the Gaussian conditional curve the plain
-standard deviation is 1/(sqrt(2) w_p); the quoted 1/(2 w_p) is the
-reciprocal-waist convention, a factor sqrt(2) below the standard
-deviation.  measured_coincidence_width() applies that conversion when
-estimating the width from a sampled curve so that measured and
-closed-form values agree.
+entanglement.  The Gaussian conditional curve's plain standard deviation
+is 1/(sqrt(2) w_p): the quoted 1/(2 w_p), the reciprocal-waist
+convention, is a factor sqrt(2) below it.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ __all__ = [
     "single_particle_curve",
     "coincidence_curve",
     "plane_restricted_curve",
-    "measured_coincidence_width",
     "REGIME_NONCOLLINEAR",
     "REGIME_INTERMEDIATE",
     "REGIME_COLLINEAR",
@@ -324,7 +320,7 @@ def coincidence_curve(k2x_fixed, params):
                          f"{center:.6g}")
     k1 = params.k_from_kappa(kappa_grid)
     scale = f_exact(2.0 * k2x_fixed, params)
-    vals = pump_envelope(k1 + k2x_fixed, 0.0, params) ** 2 * scale
+    vals = pump_envelope(k1 + k2x_fixed, params) ** 2 * scale
     meta = _params_meta(params)
     meta["kind"] = "coincidence"
     meta["k2x_cm^-1"] = repr(float(k2x_fixed))
@@ -438,20 +434,3 @@ def plane_restricted_curve(kappa_grid, params):
     return Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",
                  meta=meta)
 
-
-def measured_coincidence_width(curve):
-    """Coincidence width from a sampled conditional curve, cm^-1.
-
-    The plain rms width of the Gaussian conditional curve is
-    1/(sqrt(2) w_p); dividing by sqrt(2) converts it to the
-    reciprocal-waist convention 1/(2 w_p) used by width_coincidence().
-    Curves on the dimensionless axis are converted using the metadata
-    echo of lambda_p; plane positions (cm) would also need the distance z.
-    """
-    if curve.xunit == "cm":
-        raise ValueError("a curve in plane positions (cm) needs z for a momentum width")
-    sigma = curve.rms_width()
-    if curve.xunit == "kappa":
-        lam_cm = float(curve.meta["lambda_p_um"]) * 1e-4
-        sigma = sigma * math.pi / lam_cm
-    return sigma / math.sqrt(2.0)

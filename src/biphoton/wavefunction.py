@@ -1,20 +1,21 @@
-"""Transverse-momentum pair amplitude for degenerate type-I emission.
+"""Pair parameters and the factors of the transverse-momentum pair amplitude.
 
-The two emitted photons are described by the four Cartesian transverse
-wave-vector components (k1x, k2x, k1y, k2y), all in cm^-1.  The
-amplitude factorizes into a Gaussian pump envelope in the summed
-components and a sinc of the longitudinal phase mismatch, which depends
-only on the squared magnitude of the difference components:
+The model is degenerate type-I emission.  The two photons are described
+by the four Cartesian transverse wave-vector components (k1x, k2x, k1y,
+k2y), all in cm^-1, and the real, unnormalized amplitude factorizes into
+a Gaussian pump envelope in the summed components and a sinc of the
+longitudinal phase mismatch, which depends only on the squared
+magnitude of the difference components:
 
     psi = exp(-w_p^2 (k+x^2 + k+y^2) / 2)
           * sinc( (pi L / 8 n_o lam) * (4 theta0^2 - kappa-x^2 - kappa-y^2) )
 
 with kappa = lam * k / pi the dimensionless momentum (lam converted to
-cm once, here).  All constant prefactors are dropped; amplitudes are
-unnormalized and normalization is applied only at the curve level.
-The amplitude is real.  psi and density4 take the four components as
-separate arguments, numbers or arrays that broadcast together, and
-evaluate elementwise, so a whole grid of momenta is one call.
+cm once, here).  Constant prefactors are dropped; normalization is
+applied only at the curve level.  The package never evaluates psi
+itself: distributions reduces it (with the two factors here) and
+ringscan samples it exactly.  The tests evaluate the 4-D amplitude as an
+independent oracle of those reductions.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ __all__ = [
     "SpdcParams",
     "sinc",
     "pump_envelope",
-    "mismatch_arg",
-    "psi",
-    "density4",
 ]
 
 
@@ -131,32 +129,8 @@ class SpdcParams:
         return cls(lambda_p=lambda_p, w_p=w_p, L=L, theta0=theta0, n_o=n_o)
 
 
-def pump_envelope(k_plus_x, k_plus_y, params):
-    """Gaussian pump envelope exp(-w_p^2 (k+x^2 + k+y^2)/2), unnormalized."""
+def pump_envelope(k_plus_x, params):
+    """Gaussian pump envelope exp(-w_p^2 k+x^2/2) in the plane k+y = 0, unnormalized."""
     kx = np.asarray(k_plus_x, dtype=float)
-    ky = np.asarray(k_plus_y, dtype=float)
     w2 = params.w_p * params.w_p
-    return np.exp(-0.5 * w2 * (kx * kx + ky * ky))
-
-
-def mismatch_arg(k_minus_x, k_minus_y, params):
-    """Dimensionless sinc argument of the longitudinal phase mismatch.
-
-    Vanishes on the emission cone kappa-x^2 + kappa-y^2 = (2 theta0)^2
-    and is positive inside it.
-    """
-    kx = params.kappa(k_minus_x)
-    ky = params.kappa(k_minus_y)
-    return params.sinc_scale * (4.0 * params.theta0 ** 2 - kx * kx - ky * ky)
-
-
-def psi(k1x, k2x, k1y, k2y, params):
-    """Real pair amplitude (unnormalized), elementwise over arrays of the components."""
-    return (pump_envelope(k1x + k2x, k1y + k2y, params)
-            * sinc(mismatch_arg(k1x - k2x, k1y - k2y, params)))
-
-
-def density4(k1x, k2x, k1y, k2y, params):
-    """Four-dimensional joint probability density |psi|^2 (unnormalized), elementwise."""
-    a = psi(k1x, k2x, k1y, k2y, params)
-    return a * a
+    return np.exp(-0.5 * w2 * (kx * kx))

@@ -17,8 +17,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from biphoton import (SpdcParams, density4, f_approx, index_extraordinary,
-                      index_ordinary, load_crystal, sample_pairs)
+from biphoton import (SpdcParams, f_approx, index_ordinary, load_crystal,
+                      sample_pairs)
+from biphoton.crystal import index_extraordinary
 
 MC_SEED = 20240801
 Z_CM = 100.0
@@ -98,14 +99,26 @@ def argmax_x(curve):
     return float(curve.x[int(np.argmax(curve.y))])
 
 
+def curve_mean(curve):
+    """Mean of the curve taken as a density, trapezoid moments."""
+    return float(np.trapezoid(curve.x * curve.y, curve.x)
+                 / np.trapezoid(curve.y, curve.x))
+
+
+def _central_moment(curve, p):
+    x, y = curve.x, curve.y
+    return float(np.trapezoid((x - curve_mean(curve)) ** p * y, x)
+                 / np.trapezoid(y, x))
+
+
+def curve_rms(curve):
+    """Square root of the second central moment, curve taken as a density."""
+    return math.sqrt(_central_moment(curve, 2))
+
+
 def excess_kurtosis(curve):
     """Fourth standardized central moment minus 3, trapezoid moments."""
-    x, y = curve.x, curve.y
-    c = curve.mean()
-    w = np.trapezoid(y, x)
-    m2 = np.trapezoid((x - c) ** 2 * y, x) / w
-    m4 = np.trapezoid((x - c) ** 4 * y, x) / w
-    return float(m4 / (m2 * m2) - 3.0)
+    return _central_moment(curve, 4) / _central_moment(curve, 2) ** 2 - 3.0
 
 
 def fwhm(curve):
@@ -241,6 +254,36 @@ def f_exact_simpson(k_minus_x, params, qmax=12.0, n=1_500_001):
                + 2.0 * vals[2:-1:2].sum()) * h / 3.0
     tail_bound = 1.0 / (3.0 * scale * scale * (qmax * qmax - abs(c)) ** 1.5)
     return 2.0 * simpson, 2.0 * tail_bound
+
+
+def mismatch_arg(k_minus_x, k_minus_y, params):
+    """Oracle: the dimensionless sinc argument of the longitudinal phase mismatch.
+
+    (pi L / 8 n_o lam)(4 theta0^2 - kappa-x^2 - kappa-y^2) with
+    kappa = lam k / pi, from SpdcParams' fields alone.  It vanishes on the
+    emission cone and is positive inside it.
+    """
+    lam = params.lambda_p * 1e-4
+    kx, ky = lam * k_minus_x / math.pi, lam * k_minus_y / math.pi
+    return (math.pi * params.L / (8.0 * params.n_o * lam)
+            * (4.0 * params.theta0 ** 2 - kx * kx - ky * ky))
+
+
+def psi(k1x, k2x, k1y, k2y, params):
+    """Oracle: the real 4-D pair amplitude (unnormalized), elementwise over arrays.
+
+    Its own pump Gaussian in the summed components times numpy's sinc of
+    the mismatch in the difference components; it calls nothing of the
+    package.
+    """
+    kpx, kpy = k1x + k2x, k1y + k2y
+    pump = np.exp(-0.5 * params.w_p ** 2 * (kpx * kpx + kpy * kpy))
+    return pump * sinc_np(mismatch_arg(k1x - k2x, k1y - k2y, params))
+
+
+def density4(k1x, k2x, k1y, k2y, params):
+    """Oracle: the joint density |psi|^2 (unnormalized), elementwise."""
+    return psi(k1x, k2x, k1y, k2y, params) ** 2
 
 
 def brute_reduced(k1x, k2x, params, outer_epsrel=3e-8):
@@ -379,7 +422,7 @@ def f_exact_panels(k_minus_x, params, rel_tol=1e-10):
 
 
 def sinc_np(x):
-    """Oracle for wavefunction.sinc: numpy's sinc of the clipped argument."""
+    """Oracle for wavefunction.sinc and psi's sinc: numpy's sinc of the clipped argument."""
     return np.sinc(np.clip(x, -1e300, 1e300) / np.pi)
 
 

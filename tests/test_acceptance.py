@@ -11,18 +11,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from biphoton import (SpdcParams, chord_length, collinear_cut_angle,
-                      default_kappa_grid, f_approx, f_exact,
-                      entanglement_ratio, opening_angle_fit,
-                      phase_match, index_extraordinary, index_ordinary,
-                      plane_restricted_curve, reduced_bipartite,
-                      ring_from_params, sample_pairs, scan_coincidence,
-                      scan_single, single_particle_curve, width_coincidence,
-                      width_minus, width_single)
+from biphoton import (SpdcParams, collinear_cut_angle, default_kappa_grid,
+                      f_approx, f_exact, entanglement_ratio, opening_angle_fit,
+                      phase_match, index_ordinary, plane_restricted_curve,
+                      reduced_bipartite, ring_from_params, sample_pairs,
+                      scan_coincidence, scan_single, single_particle_curve,
+                      width_coincidence, width_minus, width_single)
+from biphoton.crystal import index_extraordinary
 from biphoton.curves import Curve
+from biphoton.ringscan import chord_length
 
-from conftest import (Z_CM, argmax_x, brute_reduced, f_approx_moment_ratio,
-                      fwhm, raw_frame_reduced)
+from conftest import (Z_CM, argmax_x, brute_reduced, curve_mean, curve_rms,
+                      f_approx_moment_ratio, fwhm, raw_frame_reduced)
 
 LAM_P = 0.4047
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -242,14 +242,14 @@ def test_c11_coincidence_scan(params_b, batch_b):
 
         centers = np.linspace(-0.15, 0.15, 201)
         mc = scan_single(batch_b, Z_CM * centers)
-        sigma_s = mc.rms_width() / Z_CM * math.pi / params_b.lambda_cm
+        sigma_s = curve_rms(mc) / Z_CM * math.pi / params_b.lambda_cm
 
         sigma_x = Z_CM * params_b.lambda_cm / (math.pi * math.sqrt(2.0) * params_b.w_p)
         cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
         co = scan_coincidence(batch_b, ring.r0, 0.5 * ring.delta_r, cpos)
         assert not co.is_empty
         n_c = co.y.sum()
-        centroid, rms = co.mean(), co.rms_width()
+        centroid, rms = curve_mean(co), curve_rms(co)
         bound = 4.0 * rms / math.sqrt(n_c)
         assert abs(centroid + ring.r0) <= bound, (
             f"centroid at {centroid:.5f} cm, D2 at {ring.r0} cm "
@@ -260,7 +260,7 @@ def test_c11_coincidence_scan(params_b, batch_b):
 
         # estimator bias of the finite window, taken from the exact curve
         theory = single_particle_curve(centers, params_b)
-        sys_bias = abs(theory.rms_width() * math.pi / params_b.lambda_cm
+        sys_bias = abs(curve_rms(theory) * math.pi / params_b.lambda_cm
                        / width_single(params_b) - 1.0)
         tol = 3.0 / math.sqrt(2.0 * n_c) + sys_bias
         r = entanglement_ratio(params_b)

@@ -352,6 +352,31 @@ def test_rejects_bad_input(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fcurve", "--theta0", "-1e-3"), "theta0 must lie in [0, pi/2)"),
+    (("report", "--theta0", "-1.5e-3"), "theta0 must lie in [0, pi/2)"),
+    (("distributions", "--k2x", "-inf"), "k2x must be finite"),
+    (("distributions", "--k2x", "-nan"), "k2x must be finite"),
+])
+def test_signed_flag_values_reach_their_checks(tmp_path, capsys, argv, message):
+    # argparse alone takes -1e-3, -inf and -nan for options, not values
+    assert run(*argv, "--out", str(tmp_path / "x"), "--grid", "11") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err, err
+    assert not (tmp_path / "x").exists()
+
+
+def test_signed_exponent_value_is_the_flags_value(tmp_path):
+    for out, argv in (("a", ["--k2x", "-1e4"]), ("b", ["--k2x=-1e4"])):
+        assert run("distributions", *argv, "--out", str(tmp_path / out),
+                   "--grid", "201") == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert "coincidence.dat" in names
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+
 @pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions",
                                      "scan", "report"])
 def test_wavelength_error_names_lambda_p(tmp_path, capsys, command):

@@ -6,10 +6,9 @@ from scipy.optimize import brentq
 
 from biphoton import (CrystalDispersion, CrystalFileError,
                       NoCollinearRootError, WavelengthRangeError,
-                      collinear_cut_angle, index_extraordinary,
-                      index_ordinary, load_crystal, opening_angle_fit,
-                      phase_match, pump_index)
-from biphoton.crystal import FIT_THRESHOLD
+                      collinear_cut_angle, index_ordinary, load_crystal,
+                      opening_angle_fit, phase_match, pump_index)
+from biphoton.crystal import FIT_THRESHOLD, index_extraordinary
 
 from conftest import collinear_cut_brentq
 

@@ -6,15 +6,15 @@ import pytest
 from biphoton import (Curve, SpdcParams, classify_regime,
                       coincidence_curve, default_kappa_grid, entanglement_ratio,
                       entanglement_report, f_approx, f_exact,
-                      measured_coincidence_width,
                       plane_restricted_curve, reduced_bipartite,
                       single_particle_curve, width_coincidence, width_minus,
                       width_single)
 from biphoton import distributions as dist
 
-from conftest import (argmax_x, excess_kurtosis, f_approx_moment_ratio,
-                      f_exact_panels, f_exact_simpson, fwhm, g_fresnel,
-                      plane_gh64, plane_sigma, raw_frame_reduced, traced_peak)
+from conftest import (argmax_x, curve_rms, density4, excess_kurtosis,
+                      f_approx_moment_ratio, f_exact_panels, f_exact_simpson,
+                      fwhm, g_fresnel, plane_gh64, plane_sigma,
+                      raw_frame_reduced, traced_peak)
 
 
 def test_f_exact_is_even(params_a):
@@ -283,7 +283,7 @@ def test_single_particle_curve_shape(params_b):
 def test_single_particle_rms_width(params_b):
     grid = np.linspace(-1.25 * params_b.theta0, 1.25 * params_b.theta0, 1201)
     c = single_particle_curve(grid, params_b)
-    sigma = c.rms_width() * math.pi / params_b.lambda_cm
+    sigma = curve_rms(c) * math.pi / params_b.lambda_cm
     assert abs(sigma / width_single(params_b) - 1.0) < 1e-2
 
 
@@ -292,7 +292,7 @@ def test_single_particle_collinear_bell():
     c = single_particle_curve(default_kappa_grid(p0, 1201), p0)
     assert abs(argmax_x(c)) < 2.0 * (c.x[1] - c.x[0])
     scale = math.sqrt(p0.lambda_cm / p0.L)
-    assert 0.2 * scale < c.rms_width() < 1.5 * scale
+    assert 0.2 * scale < curve_rms(c) < 1.5 * scale
 
 
 def test_curve_normalization_contract(params_b):
@@ -309,7 +309,8 @@ def test_coincidence_curve_properties(params_b):
     c = coincidence_curve(k2, params_b)
     assert argmax_x(c) == pytest.approx(-float(params_b.kappa(k2)),
                                          abs=float(c.x[1] - c.x[0]))
-    meas = measured_coincidence_width(c)
+    # the rms width over sqrt(2) is the reciprocal-waist width, here in cm^-1
+    meas = curve_rms(c) / math.sqrt(2.0) * math.pi / params_b.lambda_cm
     assert abs(meas / width_coincidence(params_b) - 1.0) < 1e-2
     assert abs(excess_kurtosis(c)) < 0.05
 
@@ -423,7 +424,6 @@ def test_plane_restricted_curve_refuses_an_unresolvable_edge(bbo):
 
 def test_reduction_not_equivalent_to_slicing(params_b):
     # reduced density vs in-plane slice on a small momentum grid
-    from biphoton import density4
     halves = params_b.k_from_kappa(np.linspace(-0.12, 0.12, 7))
     shift = 0.25 / params_b.w_p
     reduced = reduced_bipartite(halves + shift, -halves + shift, params_b)

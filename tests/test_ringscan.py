@@ -5,14 +5,14 @@ import pytest
 from scipy.special import sici
 from scipy.stats import kstest
 
-from biphoton import (NoRingError, SpdcParams, chord_length, cli, f_approx,
-                      measured_coincidence_width, ring_from_params,
+from biphoton import (NoRingError, SpdcParams, cli, f_approx, ring_from_params,
                       sample_pairs, scan_coincidence, scan_single,
                       width_coincidence)
 from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, RingGeometry,
-                                _sinc2_variates)
+                                _sinc2_variates, chord_length)
 
-from conftest import MC_SEED, Z_CM, _reference_sinc2, reference_pairs
+from conftest import (MC_SEED, Z_CM, _reference_sinc2, curve_mean, curve_rms,
+                      reference_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -327,18 +327,11 @@ def test_coincidence_scan(params_b, ring_b, batch_b):
     assert scan.d2_position == ring_b.r0
     # the centroid sits on -r0 within four standard errors of the histogram
     assert scan.xunit == "cm"
-    centroid, rms = scan.mean(), scan.rms_width()
+    centroid, rms = curve_mean(scan), curve_rms(scan)
     assert abs(centroid + ring_b.r0) <= 4.0 * rms / math.sqrt(scan.y.sum())
     # measured width in the reciprocal-waist convention, 10% at this pair count
     width_k = rms / math.sqrt(2.0) * math.pi / (Z_CM * params_b.lambda_cm)
     assert abs(width_k / width_coincidence(params_b) - 1.0) < 0.10
-
-
-def test_plane_scan_has_no_momentum_width(params_b, ring_b, batch_b):
-    positions = -ring_b.r0 + np.linspace(-0.05, 0.05, 61)
-    scan = scan_coincidence(batch_b, ring_b.r0, 0.5 * ring_b.delta_r, positions)
-    with pytest.raises(ValueError, match="cm"):
-        measured_coincidence_width(scan)
 
 
 def test_coincidence_empty_is_flagged(params_b, ring_b, batch_b):
