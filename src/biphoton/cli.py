@@ -403,12 +403,14 @@ def _signed_values(argv):
 
     argparse reads -10000 and -0.5 after a flag as its value but takes
     -1e4, -inf and -nan for options; every token float() accepts after a
-    _KEYS flag is that flag's value.
+    _KEYS flag, or after a prefix that argparse reads as one, is that
+    flag's value.
     """
     flags = {"--" + key.replace("_", "-") for key in _KEYS}
     out = []
     for token in argv:
-        if out and out[-1] in flags and token.startswith("-"):
+        if out and token.startswith("-") and (
+                out[-1] in flags or sum(f.startswith(out[-1]) for f in flags) == 1):
             try:
                 float(token)
             except ValueError:

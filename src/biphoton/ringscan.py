@@ -29,14 +29,19 @@ the rest, so every decision is the float64 test's.  Pairs are drawn in
 blocks of _BLOCK, block i from the stream SeedSequence(seed,
 spawn_key=(i,)), so a scan summed block by block depends on (seed, pair
 count) alone and runs in constant memory.
-A batch's vertical positions, PairBatch.y1 and .y2, are formed on first read.
+A batch holds each pair's summed position and polar separation; its
+positions x1, x2, y1 and y2 are formed on first read.  The scans bin each
+photon, and test each pair against the D2 slit, from float32 positions
+wherever a proven bound on their error leaves no doubt, and form the
+float64 position of the rest, so every count is np.histogram's of the
+float64 positions.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -124,24 +129,71 @@ def chord_length(x, ring):
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Detection-plane positions of sampled photon pairs (cm).
+    """Sampled photon pairs in the detection plane (cm).
 
-    y1, y2 = (py +- rho sin phi)/2 are formed on first read; a scan reads x alone.
+    px, py are x1 + x2 and y1 + y2; rho, phi are the polar form of the
+    separation r1 - r2.  x1, x2 = (px +- rho cos phi)/2 and y1, y2 =
+    (py +- rho sin phi)/2 are formed on first read.  A scan reads _x32
+    instead and forms x only where that leaves an edge in doubt.  spare
+    holds n + 4 min(n, _BLOCK) + 190 float64 or more: _x32's rows, then the
+    scans' scratch, so the scans of one batch run one at a time.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
-    seed: int
+    px: np.ndarray
     py: np.ndarray
     rho: np.ndarray
     phi: np.ndarray
+    seed: int
+    spare: np.ndarray | None = field(default=None, repr=False)
 
+    _mx = cached_property(lambda self: self.rho * np.cos(self.phi))
+    x1 = cached_property(lambda self: 0.5 * (self.px + self._mx))
+    x2 = cached_property(lambda self: 0.5 * (self.px - self._mx))
     _my = cached_property(lambda self: self.rho * np.sin(self.phi))
     y1 = cached_property(lambda self: 0.5 * (self.py + self._my))
     y2 = cached_property(lambda self: 0.5 * (self.py - self._my))
 
     def __len__(self):
-        return len(self.x1)
+        return len(self.px)
+
+    def _take(self, idx):
+        """The pairs idx as a batch of their own, for their exact x."""
+        return PairBatch(self.px[idx], self.py[idx], self.rho[idx], self.phi[idx],
+                         self.seed)
+
+    @cached_property
+    def _x32(self):
+        """u1, u2: 2 x1 and 2 x2 in float32, in spare's first row (see _X32_TOL)."""
+        u1, u2 = self.spare[:len(self)].view(np.float32).reshape(2, -1)
+        f32 = {"dtype": np.float32, "casting": "same_kind"}
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(self.rho, np.cos(self.phi, out=u1, **f32), out=u1, **f32)
+            np.subtract(self.px, u1, out=u2, **f32)
+            np.add(self.px, u1, out=u1, **f32)
+        return u1, u2
+
+    def _squeeze_blocks(self):
+        """Per block of up to _BLOCK pairs: its start, its rows of _x32, its
+        e = 2 rho + 2 max|px| + 2^-120 in float32 (see _X32_TOL; inf wherever
+        u1 or u2 is) and scratch in spare: two float32, an int64 and two bool rows.
+        """
+        n, m = len(self), min(len(self), _BLOCK)
+        w = self.spare[n:]
+        f32 = w[m:3 * m].view(np.float32).reshape(4, m)
+        flags = f32[3].view(np.bool_).reshape(4, m)[:2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_bound = np.float32(2.0 * np.maximum(self.px.max(), -self.px.min())
+                                 + 2.0 ** -120)
+        for start in range(0, n, _BLOCK):
+            sl = slice(start, start + _BLOCK)
+            c = self.px[sl].size
+            e = f32[0, :c]
+            with np.errstate(over="ignore"):
+                np.multiply(self.rho[sl], 2.0, out=e, dtype=np.float32,
+                            casting="same_kind")
+                np.add(e, p_bound, out=e)
+            yield (start, *(u[sl] for u in self._x32), e, f32[1:3, :c],
+                   w[:c].view(np.intp), flags[:, :c])
 
 
 # pairs per block: block i of a run is drawn from SeedSequence(seed, spawn_key=(i,))
@@ -237,33 +289,27 @@ def sample_pairs(params, z, n, seed, block=0):
     # difference momentum z * kappa_minus (clipped at 0 against rounding)
     sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     four_theta_sq = 4.0 * params.theta0 ** 2
-    # each block writes its slice; x1 holds px until x1 and x2 are halved.
-    # The rows and the sampler's work rows are one allocation, which a scan's
-    # next block reuses: apart, their sum can pass glibc's trim threshold (twice
-    # the largest block freed), and every block then faults its pages in anew.
+    # each block writes its slice.  The four rows, a spare row and the
+    # sampler's work rows (the scans' scratch, see PairBatch) are one
+    # allocation, which a scan's next block reuses: apart, their sum can pass
+    # glibc's trim threshold (twice the largest block freed), and every block
+    # then faults its pages in anew.
     k = min(n, _BLOCK) * 4 // 3 + 64
     buf = np.empty(5 * n + 3 * k)
-    x1, x2, py, rho, phi = buf[:5 * n].reshape(5, n)
+    px, py, rho, phi = buf[:4 * n].reshape(4, n)
     work = buf[5 * n:].reshape(3, k)
     for i, start in enumerate(range(0, n, _BLOCK), start=block):
         sl = slice(start, min(start + _BLOCK, n))
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for v in (x1[sl], py[sl]):
+        for v in (px[sl], py[sl]):
             np.multiply(rng.standard_normal(out=v), sigma, out=v)
         r, p = rho[sl], phi[sl]
         _sinc2_variates(rng, params.sinc_scale * four_theta_sq, r, work)
-        # rho = z sqrt(max(4 theta0^2 - x/S, 0)), phi = 2 pi U and
-        # mx = rho cos(phi) in place, mx in a work row the sampler is done with
-        mx = work[0, :r.size]
+        # rho = z sqrt(max(4 theta0^2 - x/S, 0)) in place, and phi = 2 pi U
         np.subtract(four_theta_sq, np.divide(r, params.sinc_scale, out=r), out=r)
         np.multiply(z, np.sqrt(np.maximum(r, 0.0, out=r), out=r), out=r)
         np.multiply(2.0 * math.pi, rng.random(out=p), out=p)
-        np.multiply(r, np.cos(p, out=mx), out=mx)
-        np.subtract(x1[sl], mx, out=x2[sl])
-        x1[sl] += mx
-    x1 *= 0.5
-    x2 *= 0.5
-    return PairBatch(x1=x1, x2=x2, seed=seed, py=py, rho=rho, phi=phi)
+    return PairBatch(px, py, rho, phi, seed, buf[4 * n:])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -315,6 +361,56 @@ def _bin_edges(positions):
     return np.concatenate([positions - 0.5 * h, [positions[-1] + 0.5 * h]])
 
 
+# The scans' squeeze.  A scan needs each photon's bin and each pair's slit
+# test, not its float64 x = (px +- rho cos phi)/2, whose cosine costs 27 ns
+# a value (the float32 one 1 ns).  PairBatch._x32 holds u ~ 2x in float32,
+# from phi, rho and px rounded to float32 and numpy's float32 cosine, and
+# e = 2 rho + 2 max|px| + 2^-120.  Against the float64 2x, u errs by at most
+#     2^-24 (13.5 rho + 2.1 |px|) + 2^-147:
+# fl32(phi) moves phi by up to 2^-24 * 2 pi, the cosine errs by at most
+# 2 ulps (2^-22), rho's cast and the product add 2^-24 rho each, px's cast
+# and the sum 2^-24 (|px| + rho), and an operation that underflows 2^-150.
+# The bin coordinate v = u S + c, with S = 1/(2h) and c = 1/2 - e0/h for
+# edges within eta bins of e0 + j h, adds 2^-24 (3 |u| S + 2 |c|) bins in
+# float32, so _X32_TOL (e S + |c|) bounds the error in v with a margin of
+# almost 2.  A photon with |v - rint v| < 1/2 - _X32_TOL (e S + |c| + 1) - eta
+# lies inside bin rint(v) - 1 for np.histogram as well; the term 1 covers
+# the rounding of that threshold and of eta.  Likewise |x - d| <= w/2 fails
+# for |u - fl32(2d)| > w + _X32_TOL (e + |fl32(2d)| + w).  A NaN passes
+# neither test, e is inf wherever u is, and the exact x decides the rest.
+_X32_TOL = 2.0 ** -20
+
+
+def _histogram_x(batch, edges):
+    """np.histogram(x1, edges)[0] + np.histogram(x2, edges)[0], with no sort.
+
+    A bincount of the float32 bin indices, where the squeeze (the comment
+    above _X32_TOL) leaves no doubt; np.histogram of the exact x of the rest.
+    """
+    n_bins = edges.size - 1
+    counts = np.zeros(n_bins + 2, np.intp)
+    doubtful = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = (edges[-1] - edges[0]) / n_bins
+        eta = np.max(np.abs((edges - edges[0]) / h - np.arange(n_bins + 1)))
+        scale, shift = np.float32(0.5 / h), np.float32(0.5 - edges[0] / h)
+        tol = np.float32(_X32_TOL * 0.5 / h)
+        sure = np.float32(0.5 - eta - _X32_TOL * (abs(0.5 - edges[0] / h) + 1.0))
+        for start, u1, u2, g, (v, k), index, (doubt, _) in batch._squeeze_blocks():
+            np.subtract(sure, np.multiply(g, tol, out=g), out=g)
+            for u, name in ((u1, "x1"), (u2, "x2")):
+                np.add(np.multiply(u, scale, out=v), shift, out=v)
+                np.rint(v, out=k)
+                np.less(np.abs(np.subtract(v, k, out=v), out=v), g, out=doubt)
+                np.logical_not(doubt, out=doubt)
+                np.copyto(k, 0.0, where=doubt)
+                np.copyto(index, np.clip(k, 0, n_bins + 1, out=k), casting="unsafe")
+                counts += np.bincount(index, minlength=n_bins + 2)
+                rest = batch._take(start + np.flatnonzero(doubt))
+                doubtful.append(getattr(rest, name))
+    return counts[1:-1] + np.histogram(np.concatenate(doubtful), bins=edges)[0]
+
+
 def scan_single(source, positions):
     """Single-detector scan: expected or sampled counts per vertical line.
 
@@ -330,9 +426,7 @@ def scan_single(source, positions):
                           meta={"r0_cm": repr(source.r0),
                                 "delta_r_cm": repr(source.delta_r)})
     if isinstance(source, PairBatch):
-        edges = _bin_edges(positions)
-        counts = (np.histogram(source.x1, bins=edges)[0]
-                  + np.histogram(source.x2, bins=edges)[0])
+        counts = _histogram_x(source, _bin_edges(positions))
         return ScanResult(x=positions, y=counts, mode="single-mc",
                           pairs_sampled=len(source), seed=source.seed)
     raise TypeError(f"cannot scan a {type(source).__name__}")
@@ -350,9 +444,21 @@ def scan_coincidence(samples, d2_position, slit_width, positions):
     positions = np.asarray(positions, dtype=float)
     edges = _bin_edges(positions)
     half = 0.5 * slit_width
-    hit2 = np.abs(samples.x2 - d2_position) <= half
-    hit1 = np.abs(samples.x1 - d2_position) <= half
-    partner = np.concatenate([samples.x1[hit2], samples.x2[hit1]])
+    # the pairs the squeeze (see _X32_TOL) cannot rule out; their exact x decides
+    near = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.float32(2.0 * d2_position)
+        width = np.float32(slit_width + _X32_TOL * (abs(float(d2)) + slit_width))
+        for start, u1, u2, thr, (a, _), _, (far, far2) in samples._squeeze_blocks():
+            np.add(np.multiply(thr, np.float32(_X32_TOL), out=thr), width, out=thr)
+            np.greater(np.abs(np.subtract(u1, d2, out=a), out=a), thr, out=far)
+            np.greater(np.abs(np.subtract(u2, d2, out=a), out=a), thr, out=far2)
+            np.logical_not(np.logical_and(far, far2, out=far), out=far)
+            near.append(start + np.flatnonzero(far))
+    near = samples._take(np.concatenate(near))
+    hit2 = np.abs(near.x2 - d2_position) <= half
+    hit1 = np.abs(near.x1 - d2_position) <= half
+    partner = np.concatenate([near.x1[hit2], near.x2[hit1]])
     counts, _ = np.histogram(partner, bins=edges)
     return ScanResult(x=positions, y=counts, mode="coincidence",
                       pairs_sampled=len(samples), seed=samples.seed,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -104,6 +105,51 @@ def test_scan_command(tmp_path):
     comparison = load_table(out / "scan_comparison.dat")
     assert comparison.shape[1] == 6
     assert np.all(np.isfinite(comparison))
+
+
+# SHA-256 of scan_single_mc.dat, scan_coincidence.dat and scan_comparison.dat
+# for 2 * 65536 + 12345 pairs, as np.histogram of the float64 positions and
+# the plain float64 slit test wrote them before the scans' float32 squeeze
+_SCAN_DIGESTS = {
+    ("A", 1): (
+        "52d895f998ea05361cc19a04bb1617aefb563f1b9d5627582327614290b6bf0f",
+        "d2abc377ab02855c725d20ac9acaf7837552fa763c569575523223db53137cde",
+        "3e3abe1aa8a171d8a47911729b09dcd37055a6681a572870167b0e7ad09809c4"),
+    ("A", 20240801): (
+        "2934935a57356b5b7c0497ab6678d676d30c8fd44edaf2801f3c1e0bacdc1b53",
+        "d7b5acdff05c3a24bced7054d57d7401c52e96c2a895430d7718d68b23e02327",
+        "21f4a69371def435a8018cdd96a9b1bfa7e8879618a1e35d5b4988845c7d826e"),
+    ("B", 1): (
+        "7c03c5d4a2ec8e2b3452cb8da2d0f9963d4431435e9f7c96d7d73e75ed6dff35",
+        "1e1a8b0fd9c5dbcb1727c768a113da1ad9e39516d4f81f8b5393f29f534db608",
+        "ce26f08c6ccd657615b369c9fe0c89540311da680eae02d3dd73cda5c2df4deb"),
+    ("B", 20240801): (
+        "2f39d67f2c461608e73351c266e5c6cd78980b252831f3a1cdc6d024dc239555",
+        "91072662353c88536428eb3b5809d67e9dda3df254efba6c847949f0fad89773",
+        "2e62f665f8ec493acb8397cdf2d9b84f8375495e119afdad9420dfd3600e3831"),
+    ("default", 1): (
+        "126c79dee36d65a966c7304937f0cd52f8e5fa10108e1835d6d040b9cda161f9",
+        "b587f972288f6ecb8d485c88cada500dfbabd27d77299f40ff40800b01288360",
+        "e941adc6b880b3e83f27f1710a93257b134e1dd0fcb0fba4e8c2170455c2301f"),
+    ("default", 20240801): (
+        "0886602a402e8f4536130017579979bdccaf840957129538f9b3d837d0561dc3",
+        "d2527506763c4044190674e612a6a568f1a1fb524a3e2e7efb9213eaeaed738d",
+        "9f133d61fbccce658e1ea4dd7741343298de1361bcf612855c5bed32f5689bd0"),
+}
+_SCAN_CONFIGS = {"A": ["--theta0", "0.28", "--waist", "0.5", "--length", "0.5"],
+                 "B": ["--theta0", "0.1", "--waist", "0.1", "--length", "0.1"],
+                 "default": ["--phi0", "0.5275", "--waist", "0.1", "--length", "0.1"]}
+
+
+@pytest.mark.parametrize("config, seed", sorted(_SCAN_DIGESTS))
+def test_scan_tables_keep_their_digests(tmp_path, config, seed):
+    out = tmp_path / "s"
+    assert run("scan", *_SCAN_CONFIGS[config], "--pairs", "143417",
+               "--seed", str(seed), "--out", str(out)) == 0
+    names = ("scan_single_mc.dat", "scan_coincidence.dat", "scan_comparison.dat")
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in names)
+    assert digests == _SCAN_DIGESTS[config, seed]
 
 
 _PEAK_RSS = """
@@ -367,14 +413,17 @@ def test_signed_flag_values_reach_their_checks(tmp_path, capsys, argv, message):
 
 
 def test_signed_exponent_value_is_the_flags_value(tmp_path):
-    for out, argv in (("a", ["--k2x", "-1e4"]), ("b", ["--k2x=-1e4"])):
+    # --k2 is a prefix that argparse reads as --k2x
+    runs = (("a", ["--k2x", "-1e4"]), ("b", ["--k2x=-1e4"]), ("c", ["--k2", "-1e4"]))
+    for out, argv in runs:
         assert run("distributions", *argv, "--out", str(tmp_path / out),
                    "--grid", "201") == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert "coincidence.dat" in names
     for name in names:
-        assert ((tmp_path / "a" / name).read_bytes()
-                == (tmp_path / "b" / name).read_bytes()), name
+        for out in ("a", "c"):
+            assert ((tmp_path / out / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), (out, name)
 
 
 @pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions",

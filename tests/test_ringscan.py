@@ -5,11 +5,11 @@ import pytest
 from scipy.special import sici
 from scipy.stats import kstest
 
-from biphoton import (NoRingError, SpdcParams, cli, f_approx, ring_from_params,
-                      sample_pairs, scan_coincidence, scan_single,
-                      width_coincidence)
+from biphoton import (NoRingError, SpdcParams, cli, default_kappa_grid, f_approx,
+                      ring_from_params, sample_pairs, scan_coincidence,
+                      scan_single, width_coincidence)
 from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, RingGeometry,
-                                _sinc2_variates, chord_length)
+                                _bin_edges, _sinc2_variates, chord_length)
 
 from conftest import (MC_SEED, Z_CM, _reference_sinc2, curve_mean, curve_rms,
                       reference_pairs)
@@ -185,6 +185,109 @@ def test_float32_sine_meets_the_squeeze_premise():
     assert np.max(np.abs(s32 - sine) / ulp) <= 2.0
     err = np.abs(s32.astype(float) ** 2 - np.sin(x) ** 2) / np.minimum(x * x, 1.0)
     assert err.max() < _SQUEEZE_TOL / 8
+
+
+def test_float32_cosine_meets_the_binning_premise(request):
+    # the scans' bound (see _X32_TOL) rests on numpy's float32 cosine erring by
+    # at most 2 ulps, and never passing 1 in magnitude, on [0, 2 pi].  Swept
+    # densely, and near multiples of pi/2, it does; on sampled batches, u = 2x
+    # in float32 then meets the bound 2^-24 (13.5 rho + 2.1 |px|) + 2^-147
+    near = np.multiply.outer(np.arange(5) * math.pi / 2,
+                             1.0 + np.linspace(-1e-6, 1e-6, 2001)).ravel()
+    phi = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 4_000_001), near])
+    phi32 = phi[(phi >= 0.0) & (phi <= 2.0 * math.pi)].astype(np.float32)
+    c32 = np.cos(phi32)
+    cosine = np.cos(phi32.astype(float))
+    ulp = np.spacing(np.abs(cosine).astype(np.float32)).astype(float)
+    assert np.max(np.abs(c32 - cosine) / ulp) <= 2.0
+    assert np.max(np.abs(c32)) <= 1.0
+    for config in ("a", "b", "long"):
+        params = request.getfixturevalue(f"params_{config}")
+        batch = sample_pairs(params, Z_CM, _BLOCK + 1, seed=MC_SEED)
+        ref = sample_pairs(params, Z_CM, _BLOCK + 1, seed=MC_SEED)
+        bound = 2.0 ** -24 * (13.5 * ref.rho + 2.1 * np.abs(ref.px)) + 2.0 ** -147
+        for u, x in zip(batch._x32, (ref.x1, ref.x2)):
+            assert np.all(np.abs(u.astype(float) - 2.0 * x) <= bound), config
+
+
+def _edge_grid(value, h, first, n_bins):
+    """Scan lines of spacing h whose edge number first is value."""
+    positions = value + 0.5 * h + (np.arange(n_bins) - first) * h
+    return positions, _bin_edges(positions)
+
+
+def test_scans_match_np_histogram_on_edges_and_slit_boundaries(params_b):
+    # sampled exact x1 and x2 values, and their neighbours one ulp away, as the
+    # first, an inner and the last scan edge and as either D2 slit boundary:
+    # the squeeze must leave each in doubt and count it as np.histogram and
+    # the float64 slit test do
+    n, n_bins, h = _BLOCK + 4097, 40, 2.0 ** -5
+    batch = sample_pairs(params_b, Z_CM, n, seed=MC_SEED)
+    ref = sample_pairs(params_b, Z_CM, n, seed=MC_SEED)
+    rng = np.random.default_rng(11)
+    picks = [ref.x1[i] for i in rng.integers(0, n, 3)] + [
+        ref.x2[i] for i in rng.integers(0, n, 3)]
+    cpos = -10.0 + np.linspace(-0.5, 0.5, 61)
+    cedges = _bin_edges(cpos)
+    checked = 0
+    for x in picks:
+        for value in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+            for first in (0, 17, n_bins):
+                positions, edges = _edge_grid(value, h, first, n_bins)
+                if edges[first] != value:  # the grid rounds: another pick
+                    continue
+                want = (np.histogram(ref.x1, bins=edges)[0]
+                        + np.histogram(ref.x2, bins=edges)[0])
+                assert np.array_equal(scan_single(batch, positions).counts, want)
+                checked += 1
+            for d2 in (value - h, value + h):
+                if abs(value - d2) != h:
+                    continue
+                hit2 = np.abs(ref.x2 - d2) <= h
+                hit1 = np.abs(ref.x1 - d2) <= h
+                assert hit1.any() or hit2.any()
+                want = np.histogram(np.concatenate([ref.x1[hit2], ref.x2[hit1]]),
+                                    bins=cedges)[0]
+                got = scan_coincidence(batch, d2, 2.0 * h, cpos).counts
+                assert np.array_equal(got, want)
+                checked += 1
+    assert checked >= 80
+
+
+@pytest.mark.parametrize("z", [1e40, 1e30, 1e-30, 1e-45])
+def test_scans_at_float32_extremes_match_np_histogram(params_b, z):
+    # z = 1e40 puts rho past float32's range (u = inf), z = 1e-45 the scan
+    # lines' spacing below it (1/(2h) = inf); both leave every photon to the
+    # exact x.  The squeeze decides at z = 1e30 and 1e-30
+    n = 30_000
+    batch = sample_pairs(params_b, z, n, seed=MC_SEED)
+    ref = sample_pairs(params_b, z, n, seed=MC_SEED)
+    ring = ring_from_params(params_b, z)
+    positions = 0.5 * default_kappa_grid(params_b, 241) * z
+    edges = _bin_edges(positions)
+    want = np.histogram(ref.x1, bins=edges)[0] + np.histogram(ref.x2, bins=edges)[0]
+    assert want.sum() > n
+    assert np.array_equal(scan_single(batch, positions).counts, want)
+    half = 0.5 * ring.delta_r
+    cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * ring.delta_r
+    hit2 = np.abs(ref.x2 - ring.r0) <= half
+    hit1 = np.abs(ref.x1 - ring.r0) <= half
+    want = np.histogram(np.concatenate([ref.x1[hit2], ref.x2[hit1]]),
+                        bins=_bin_edges(cpos))[0]
+    assert want.sum() > 0
+    got = scan_coincidence(batch, ring.r0, 2.0 * half, cpos).counts
+    assert np.array_equal(got, want)
+
+
+def test_scans_form_no_float64_positions(params_b, ring_b):
+    # the scans bin from the float32 rows; the float64 cosine of every pair
+    # (x1 and x2) would cost more than the rest of a scan.  len() reads px
+    batch = sample_pairs(params_b, Z_CM, _BLOCK + 1, seed=MC_SEED)
+    scan_single(batch, Z_CM * np.linspace(-0.15, 0.15, 201))
+    scan_coincidence(batch, ring_b.r0, 0.5 * ring_b.delta_r,
+                     -ring_b.r0 + np.linspace(-0.05, 0.05, 61))
+    assert len(batch) == _BLOCK + 1
+    assert not {"x1", "x2", "_mx"} & batch.__dict__.keys()
 
 
 def test_sampling_argument_validation(params_b):
