@@ -21,20 +21,18 @@ entries, which override the built-in defaults (the moderate waist-and-
 crystal parameter set: lambda_p 0.4047 um, phi0 0.5275 rad, waist and
 length 0.1 cm, z 100 cm).
 
-Exit codes: 0 success, 2 configuration error: a flag value argparse
-cannot parse, a pump wavelength outside the crystal's range or at a
-pole of its Sellmeier form, a theta0 of pi/2 or more, a --rel-tol finer
-than G(u) is evaluated to, a --grid numpy cannot allocate, a curve that
-underflows to all zeros, for `dispersion` a crystal with no collinear
-cut, for the other commands a crystal length whose gain overflows or a
-waist not above lambda_p/(2 pi), for `distributions` and `report` a
-length and waist whose cone edge needs more in-plane nodes than one chunk
-holds, for `distributions` a waist and k2x whose coincidence grid rounds
-to repeated abscissae, and for `scan` a cone no wider than its ring's
-thickness, a ring too large or too small for floats, or a waist so wide
-that the coincidence scan lines round to an uneven grid at the ring.  Each
-command computes all it writes before it makes the output directory, so
-every refusal comes before any output.
+Exit codes: 0 success, 2 configuration error.  The model's domain is
+checked as the config, SpdcParams and the ring are built: lambda_p of at
+least 0.2 um, a waist above lambda_p/(2 pi) and at most 1 cm, a length of
+at most 100 cm, theta0 below pi/2, |k2x| below pi/lambda_p and, for
+`scan`, z from 1 cm to 1 km.  Also refused: a flag value argparse cannot
+parse, a pump wavelength outside the crystal's range or at a pole of its
+Sellmeier form, a --rel-tol finer than G(u) is evaluated to, a --grid
+numpy cannot allocate, for `dispersion` a crystal with no collinear cut,
+for `distributions` and `report` a cone edge that needs more in-plane
+nodes than one chunk holds, and for `scan` a cone no wider than its
+ring's thickness.  Each command computes all it writes before it makes
+the output directory, so every refusal comes before any output.
 """
 
 from __future__ import annotations
@@ -143,8 +141,7 @@ def resolve_config(args):
                           f"evaluated to ({dist._G_REL_ERR:g})")
     if cfg.slit is not None and cfg.slit <= 0:
         raise ConfigError("slit must be positive")
-    # past the vacuum wavenumber pi/lambda_p of a degenerate photon the
-    # partner is evanescent (and near 1e190 the coincidence grid rounds away)
+    # past pi/lambda_p, the vacuum wavenumber of a photon, its partner is evanescent
     k_photon = math.pi / (cfg.lambda_p * cr.MICRON_TO_CM)
     if abs(cfg.k2x) >= k_photon:
         raise ConfigError("k2x must be below the photon wavenumber pi/lambda_p "
@@ -173,15 +170,6 @@ def _load_setup(cfg):
     return disp, params
 
 
-def _normalized(cfg, norm, *curves):
-    """Each curve normalized to norm; one that underflows to all zeros exits 2."""
-    for curve in curves:
-        if not curve.y.any():
-            raise ConfigError(f"length = {cfg.length!r}: the {curve.meta['kind']} "
-                              "curve underflows to all zeros")
-    return [curve.normalized(norm) for curve in curves]
-
-
 def _plane_curve(cfg, grid, params):
     """The in-plane curve; a cone edge finer than its rule can resolve exits 2."""
     try:
@@ -189,14 +177,6 @@ def _plane_curve(cfg, grid, params):
     except ValueError as exc:
         raise ConfigError(f"length = {cfg.length!r}, waist = {cfg.waist!r}: "
                           f"{exc}") from None
-
-
-def _coincidence_curve(cfg, params):
-    """The coincidence curve; a grid that rounds to repeated abscissae exits 2."""
-    try:
-        return dist.coincidence_curve(cfg.k2x, params)
-    except ValueError as exc:
-        raise ConfigError(f"waist = {cfg.waist!r}, k2x = {cfg.k2x!r}: {exc}") from None
 
 
 def _outdir(cfg):
@@ -299,9 +279,10 @@ def cmd_distributions(cfg):
     """Single, coincidence and plane-restricted curves."""
     _, params = _load_setup(cfg)
     grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
-    single, coinc, plane = _normalized(
-        cfg, _NORM_MAP[cfg.normalize], dist.single_particle_curve(grid, params),
-        _coincidence_curve(cfg, params), _plane_curve(cfg, grid, params))
+    norm = _NORM_MAP[cfg.normalize]
+    single, coinc, plane = (curve.normalized(norm) for curve in (
+        dist.single_particle_curve(grid, params),
+        dist.coincidence_curve(cfg.k2x, params), _plane_curve(cfg, grid, params)))
     text = _report_text(params, single, plane)
 
     out = _outdir(cfg)
@@ -320,7 +301,7 @@ def cmd_scan(cfg):
     _, params = _load_setup(cfg)
     try:
         ring = rs.ring_from_params(params, cfg.z)
-    except ValueError as exc:  # NoRingError, or a ring too large for floats
+    except ValueError as exc:  # a z outside the far field, or NoRingError
         raise ConfigError(str(exc)) from None
     slit = cfg.slit if cfg.slit is not None else 0.5 * ring.delta_r
     n_bins = min(cfg.grid, 241)
@@ -329,22 +310,21 @@ def cmd_scan(cfg):
 
     sigma_x = cfg.z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
-    try:
-        rs._bin_edges(cpos)
-    except ValueError:
-        raise ConfigError(f"waist = {cfg.waist!r}: the coincidence scan lines, "
-                          f"{0.2 * sigma_x:.3g} cm apart, round to an uneven grid "
-                          f"at the ring radius {ring.r0:.6g} cm") from None
 
-    mc = coinc = None
+    single = np.zeros(positions.size, np.int64)
+    paired = np.zeros(cpos.size, np.int64)
     for block, start in enumerate(range(0, cfg.pairs, rs._BLOCK)):
         # one block of pairs at a time, so memory does not grow with --pairs
         m = min(rs._BLOCK, cfg.pairs - start)
         batch = rs.sample_pairs(params, cfg.z, m, cfg.seed, block=block)
-        part = (rs.scan_single(batch, positions),
-                rs.scan_coincidence(batch, ring.r0, slit, cpos))
-        mc, coinc = part if mc is None else (mc + part[0], coinc + part[1])
-        del batch, part   # one block alive at a time: free it before the next draw
+        single += rs.scan_single(batch, positions).y.astype(np.int64)
+        paired += rs.scan_coincidence(batch, ring.r0, slit, cpos).y.astype(np.int64)
+        del batch   # one block alive at a time: free it before the next draw
+    mc = rs.ScanResult(x=positions, y=single, mode="single-mc",
+                       pairs_sampled=cfg.pairs, seed=cfg.seed)
+    coinc = rs.ScanResult(x=cpos, y=paired, mode="coincidence",
+                          pairs_sampled=cfg.pairs, seed=cfg.seed,
+                          d2_position=float(ring.r0), slit_width=float(slit))
 
     kappas = positions / cfg.z
     theory = dist.f_exact(2.0 * params.k_from_kappa(kappas), params)
@@ -377,9 +357,8 @@ def cmd_report(cfg):
     """Widths and entanglement ratio."""
     _, params = _load_setup(cfg)
     grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
-    text = _report_text(params, *_normalized(
-        cfg, "unit-area", dist.single_particle_curve(grid, params),
-        _plane_curve(cfg, grid, params)))
+    text = _report_text(params, *(curve.normalized("unit-area") for curve in (
+        dist.single_particle_curve(grid, params), _plane_curve(cfg, grid, params))))
     out = _outdir(cfg)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")

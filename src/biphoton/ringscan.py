@@ -20,8 +20,7 @@ density.  Two independent routes to that curve are provided:
 
 Positions are in cm in the detection plane, and a scan is a Curve
 tagged xunit "cm"; x = z * kappa links it to the dimensionless momentum
-axis used by the theory curves.  A ring whose outer radius squared
-overflows is refused; a scan line whose offset squared does misses it.
+axis used by the theory curves.
 Sampling is exact (rejection from the squared-sinc law, no table) and
 reproducible.  A float32 sine decides most of the rejection tests, but only
 where a proven bound on its error leaves no doubt; the float64 sine decides
@@ -40,14 +39,14 @@ float64 positions.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .curves import Curve
 from .distributions import width_coincidence
+from .wavefunction import _Z_MAX, _Z_MIN
 
 __all__ = [
     "NoRingError",
@@ -67,7 +66,11 @@ class NoRingError(ValueError):
 
 @dataclass(frozen=True)
 class RingGeometry:
-    """Annulus in the detection plane: distance z, radius r0, thickness delta_r (cm)."""
+    """Annulus in the detection plane: distance z, radius r0, thickness delta_r (cm).
+
+    From ring_from_params its radii lie between 1.6e-6 cm and 1e5 pi cm, so
+    chord_length's squares of them stay far inside the float range.
+    """
 
     z: float
     r0: float
@@ -78,13 +81,6 @@ class RingGeometry:
             raise ValueError("z, r0 and delta_r must be positive and finite")
         if self.delta_r >= self.r0:
             raise ValueError("ring thickness must be below its radius")
-        # chord_length squares the radii: both squares must be normal floats
-        if self.r_outer * self.r_outer == math.inf:
-            raise ValueError(f"z = {self.z!r} cm puts the ring's outer radius "
-                             f"{self.r_outer!r} cm past the range of its square")
-        if self.r_inner * self.r_inner < sys.float_info.min:
-            raise ValueError(f"z = {self.z!r} cm puts the ring's inner radius "
-                             f"{self.r_inner!r} cm below the range of its square")
 
     @property
     def r_outer(self):
@@ -98,18 +94,19 @@ class RingGeometry:
 def ring_from_params(params, z):
     """Ring radius z*theta0 and thickness z*width_coincidence*lam/pi.
 
-    Raises NoRingError unless theta0 exceeds the ring's angular thickness
-    lam/(2 pi w_p), which covers collinear parameters (theta0 = 0), and
-    ValueError (from RingGeometry) unless z is positive and finite and
-    the squares of the ring's radii are normal floats.
+    Raises ValueError unless z lies in the far-field domain [_Z_MIN, _Z_MAX]
+    (1 cm to 1 km), and NoRingError unless theta0 exceeds the ring's angular
+    thickness lam/(2 pi w_p), which covers collinear parameters (theta0 = 0).
     """
-    thickness = width_coincidence(params) * params.lambda_cm / math.pi
-    if not params.theta0 > thickness:
-        raise NoRingError(f"theta0 = {params.theta0!r} rad is not above the "
-                          f"ring's angular thickness {thickness!r} rad: no "
-                          "emission ring to scan")
+    if not _Z_MIN <= z <= _Z_MAX:
+        raise ValueError(f"z = {z!r} cm lies outside the far-field domain "
+                         f"[{_Z_MIN}, {_Z_MAX}] cm")
     r0 = z * params.theta0
     delta_r = z * width_coincidence(params) * params.lambda_cm / math.pi
+    if not r0 > delta_r:
+        raise NoRingError(f"theta0 = {params.theta0!r} rad is not above the "
+                          f"ring's angular thickness {delta_r / z:.6g} rad: no "
+                          "emission ring to scan")
     return RingGeometry(z=z, r0=r0, delta_r=delta_r)
 
 
@@ -342,13 +339,6 @@ class ScanResult(Curve):
                 "d2_position_cm": self.d2_position, "slit_width_cm": self.slit_width}
         lines = [f"{key}: {value}" for key, value in scan.items() if value is not None]
         return super().header_lines([*lines, *extra])
-
-    def __add__(self, other):
-        """One Monte-Carlo scan of two disjoint batches over the same lines."""
-        if not np.array_equal(self.x, other.x):
-            raise ValueError("cannot add scans over different lines")
-        return replace(self, y=self.y + other.y,
-                       pairs_sampled=self.pairs_sampled + other.pairs_sampled)
 
 
 def _bin_edges(positions):

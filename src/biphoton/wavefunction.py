@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+# The model's domain (paraxial type-I emission of an optical pump, a waist
+# w_p >> lambda_p, a finite crystal, far-field detection): lambda_p in um, w_p,
+# L and z in cm.  There S = pi L/(8 n_o lambda) < 2.0e6 and every |u| =
+# S |4 theta0^2 - kappa^2| a command forms is below 2e8, far from the float range.
+_LAMBDA_MIN, _WAIST_MAX, _LENGTH_MAX = 0.2, 1.0, 100.0
+_Z_MIN, _Z_MAX = 1.0, 1e5
+
+
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 exactly and sinc(+-inf) = 0, its limit;
     accurate for |x| up to ~1e8.
@@ -56,9 +64,9 @@ def sinc(x):
 class SpdcParams:
     """Physical configuration of one down-conversion setup.
 
-    lambda_p : pump wavelength, um
-    w_p      : pump waist, cm
-    L        : crystal length, cm
+    lambda_p : pump wavelength, um, at least _LAMBDA_MIN
+    w_p      : pump waist, cm, above lambda_p/(2 pi) and at most _WAIST_MAX
+    L        : crystal length, cm, at most _LENGTH_MAX
     theta0   : cone opening angle, rad, in [0, pi/2) (0 in the collinear regime)
     n_o      : ordinary index of the emitted photons, i.e. at 2*lambda_p
     """
@@ -73,16 +81,17 @@ class SpdcParams:
         if not all(map(math.isfinite, (self.lambda_p, self.w_p, self.L,
                                        self.theta0, self.n_o))):
             raise ValueError("lambda_p, w_p, L, theta0 and n_o must all be finite")
-        if self.lambda_p <= 0 or self.w_p <= 0 or self.L <= 0:
-            raise ValueError("lambda_p, w_p and L must all be positive")
+        if self.lambda_p < _LAMBDA_MIN:
+            raise ValueError(f"lambda_p = {self.lambda_p!r} um under {_LAMBDA_MIN} um")
+        if not 0.0 < self.w_p <= _WAIST_MAX:
+            raise ValueError(f"waist w_p = {self.w_p!r} cm not in (0, {_WAIST_MAX}] cm")
+        if not 0.0 < self.L <= _LENGTH_MAX:
+            raise ValueError(f"length L = {self.L!r} cm not in (0, {_LENGTH_MAX}] cm")
         if not 0.0 <= self.theta0 < math.pi / 2:
             # a cone opens by less than a right angle
             raise ValueError(f"theta0 must lie in [0, pi/2), got {self.theta0!r}")
         if self.n_o <= 1.0:
             raise ValueError("n_o must exceed 1")
-        if not math.isfinite(self.sinc_scale):
-            raise ValueError(f"crystal length L = {self.L!r} cm overflows the "
-                             "gain pi L/(8 n_o lambda_p)")
         if 0.5 / self.w_p >= math.pi / self.lambda_cm:
             # the pump's momentum spread would pass the photon wavenumber
             raise ValueError(f"pump waist w_p = {self.w_p!r} cm is not above "

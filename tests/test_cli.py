@@ -361,34 +361,38 @@ def test_theta0_zero_distributions_ok(tmp_path):
     # no evaluation of G(u) is accurate to 1e-18
     *[(command, "--rel-tol", "1e-18") for command in
       ("dispersion", "fcurve", "distributions", "scan", "report")],
-    # a ring whose outer radius squares past the float range
+    # a detector plane past the far field's 1 km
     ("scan", "--z", "1e300"),
-    # an in-plane cone edge with ~1e298 sinc^2 arches across the pump
+    # a crystal longer than the model's 100 cm
     ("report", "--length", "1e300"),
     ("distributions", "--length", "1e300"),
-    # a ring whose inner radius squares below the normal floats
+    # a detector plane nearer than the far field's 1 cm
     ("scan", "--z", "1e-300"),
     ("scan", "--z", "1e-310"),
-    # a gain pi L/(8 n_o lambda_p) past the float range
+    # a crystal longer than 100 cm, as long as to overflow the gain
     *[(command, "--length", "1e305") for command in
       ("fcurve", "distributions", "report", "scan")],
     # a pump whose momentum spread 1/(2 w_p) passes the photon wavenumber
     *[(command, "--waist", "1e-200") for command in
       ("fcurve", "distributions", "report", "scan")],
-    # an in-plane cone edge whose arch count overflows
+    # a crystal past 100 cm with a waist below lambda_p/(2 pi)
     ("distributions", "--length", "1e303", "--waist", "1e-5"),
     ("report", "--length", "1e303", "--waist", "1e-5"),
     # a cone edge with ~4e4 sinc^2 arches across the pump: more in-plane
     # nodes than one chunk holds
     ("distributions", "--length", "100", "--waist", "0.001"),
     ("report", "--length", "100", "--waist", "0.001"),
-    # coincidence scan lines a few ulps of the ring radius apart, which
-    # round to an uneven grid (1e10) or to one point (1e200)
+    # a waist wider than the model's 1 cm
     ("scan", "--waist", "1e10", "--pairs", "1000"),
     ("scan", "--waist", "1e200", "--pairs", "1000"),
-    # a coincidence curve whose 501 points, 12 pump widths wide, round to
-    # repeated abscissae at kappa(k2x)
     ("distributions", "--waist", "1e10", "--k2x", "1e4"),
+    # crystals and detector planes far outside the model's domain
+    ("fcurve", "--length", "1e300"),
+    ("fcurve", "--length", "2e303", "--theta0", "1.5"),
+    ("fcurve", "--length", "1e303"),
+    ("fcurve", "--length", "1e303", "--theta0", "0"),
+    ("scan", "--length", "1e303", "--pairs", "1000"),
+    ("scan", "--z", "1.6e-153", "--pairs", "1000"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")
@@ -541,29 +545,64 @@ def test_cone_interior_column_has_one_policy(tmp_path):
     assert np.isinf(rows[:, 2]).tolist() == [False] * 5 + [True] + [False] * 5
 
 
-def test_extreme_length_fcurve_is_quiet(tmp_path, capsys):
-    # |u| ~ 1e302: G's far-field terms overflow their denominators to 0
-    assert run("fcurve", "--length", "1e300", "--grid", "11",
-               "--out", str(tmp_path / "f")) == 0
-    assert capsys.readouterr().err == ""
+# BBO's coefficients, valid from 0.1 um on, so that the domain's shortest pump
+# 0.2 um is a point of the Sellmeier form
+_WIDE_CRYSTAL = ("name = BBO-wide\nsellmeier_o = 2.7405 0.0184 0.0179 0.0155\n"
+                 "sellmeier_e = 2.3730 0.0128 0.0156 0.0044\nvalid_range = 0.1 1.06\n")
+_BOUNDS = [("lambda_p", 0.2, 0.0), ("waist", 1.0, 2.0), ("length", 100.0, 200.0)]
+
+
+@pytest.mark.parametrize("command, key, bound, past", [
+    *[(command, *bound) for command in ("fcurve", "distributions", "report", "scan")
+      for bound in _BOUNDS],
+    ("scan", "z", 1.0, 0.0),
+    ("scan", "z", 1e5, 2e5),
+])
+def test_domain_bound_is_exact(tmp_path, capsys, command, key, bound, past):
+    # the bound itself lies inside the model's domain, the next float past it
+    # does not
+    crystal = tmp_path / "wide.crystal"
+    crystal.write_text(_WIDE_CRYSTAL)
+    flag = "--" + key.replace("_", "-")
+    argv = [command, "--crystal", str(crystal), "--theta0", "0.1", "--grid", "11",
+            "--pairs", "1000"]
+    assert run(*argv, flag, repr(bound), "--out", str(tmp_path / "in")) == 0
+    capsys.readouterr()
+    beyond = repr(float(np.nextafter(bound, past)))
+    assert run(*argv, flag, beyond, "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err, err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [
-    # |u| up to 1e308, where the phase 2|u| of G's endpoint term overflows
-    ("fcurve", "--length", "2e303", "--theta0", "1.5"),
-    ("fcurve", "--length", "1e303"),
-    ("fcurve", "--length", "1e303", "--theta0", "0"),
-    ("scan", "--length", "1e303", "--pairs", "1000"),
-    # the smallest ring whose radii square to normal floats
-    ("scan", "--z", "1.6e-153", "--pairs", "1000"),
-])
-def test_extreme_config_writes_no_nan(tmp_path, argv):
-    out = tmp_path / "x"
-    assert run(*argv, "--out", str(out), "--grid", "11") == 0
-    paths = list(out.glob("*.dat"))
-    assert paths
-    for path in paths:
-        assert not np.any(np.isnan(load_table(path))), path.name
+    ("--lambda-p", lambda_p, "--theta0", theta0, "--waist", "1", "--length", length)
+    for lambda_p in ("0.22", "0.53") for theta0 in ("0", "1.5")
+    for length in ("1e-4", "100")])
+def test_extreme_config_writes_no_nan(tmp_path, capsys, argv):
+    # the corners of the model's domain: BBO's shortest and longest pumps, no
+    # cone and the widest, the widest waist, a 1 um and the longest crystal,
+    # and the nearest and farthest detector planes.  Each command runs quietly
+    # (the suite makes warnings errors) and writes no NaN
+    runs = [("fcurve",), ("distributions",), ("report",),
+            ("scan", "--z", "1"), ("scan", "--z", "1e5")]
+    for i, command in enumerate(runs):
+        out = tmp_path / str(i)
+        code = run(*command, *argv, "--grid", "201", "--pairs", "1000",
+                   "--out", str(out))
+        err = capsys.readouterr().err
+        if command[0] == "scan" and argv[3] == "0":
+            # no ring to scan without a cone
+            assert code == 2 and "ring's angular thickness" in err, err
+            assert not out.exists()
+            continue
+        assert code == 0
+        # scan's 1000 pairs may miss the D2 slit
+        assert err in ("", "warning: coincidence scan captured no pairs\n"), err
+        paths = list(out.glob("*.dat"))
+        assert paths or command[0] == "report"
+        for path in paths:
+            assert not np.any(np.isnan(load_table(path))), path
 
 
 def test_default_config_echo(tmp_path):

@@ -161,26 +161,17 @@ _W, _V = dist._G_SWITCH, dist._SERIES_SWITCH
 _G_ORACLE_POINTS = [0.0, 3.0, -3.0,
                     _W + 1e-6, _W - 1e-6, -_W + 1e-6, -_W - 1e-6,
                     _V + 1e-3, _V - 1e-3, -_V + 1e-3, -_V - 1e-3,
-                    15.5, -15.5, 1e2, -1e2, 1e3, -1e3, 1.8e4, -2.3e4, 1e6, -1e6]
+                    15.5, -15.5, 1e2, -1e2, 1e3, -1e3, 1.8e4, -2.3e4, 1e6, -1e6,
+                    2e8, -2e8]
 
 
 def test_g_against_fresnel_oracle():
-    # every branch and both sides of each switch, out to |u| = 1e6
+    # every branch and both sides of each switch, out to |u| = 2e8, the
+    # largest the model's domain reaches
     u = np.array(_G_ORACLE_POINTS)
     exact = np.array([g_fresnel(x) for x in u])
     err = np.abs(dist._g_of_u(u) / exact - 1.0)
     assert err.max() <= dist._G_REL_ERR, f"{err.max():.2e} at u = {u[err.argmax()]:g}"
-
-
-def test_g_far_from_the_edge_is_quiet():
-    # 8 u^2 overflows past |u| ~ 4.7e153 and |u|^1.5 past ~3e205; the terms
-    # they divide go to 0 without a warning (the suite makes warnings errors).
-    # The closed forms stand in for the oracle, whose 50 digits cannot resolve
-    # G(-1e200) 200 digits below its terms; G(-1e300) underflows to 0
-    u = np.array([1e200, 1e300, -1e200, -1e300])
-    expected = [math.pi / 1e100, math.pi / 1e150, math.pi / (4.0 * 1e300), 0.0]
-    np.testing.assert_allclose(dist._g_of_u(u), expected, rtol=dist._G_REL_ERR,
-                               atol=0.0)
 
 
 def test_f_approx_reference_points(params_a):

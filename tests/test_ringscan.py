@@ -44,11 +44,10 @@ def test_ring_errors(params_b):
 
 
 def test_ring_too_large_for_floats(params_b, ring_b):
-    # chord_length squares the outer radius: past the float range it is refused
+    # a detector plane past the far field's 1 km is refused, long before the
+    # square of the ring's radius would leave the float range
     with pytest.raises(ValueError, match="z = 1e"):
         ring_from_params(params_b, 1e300)
-    with pytest.raises(ValueError, match="z = "):
-        RingGeometry(z=Z_CM, r0=1.4e154, delta_r=0.1)
     # a line whose x^2 overflows misses the ring, without a warning
     assert chord_length(1e200, ring_b) == 0.0
 
@@ -262,7 +261,11 @@ def test_scans_at_float32_extremes_match_np_histogram(params_b, z):
     n = 30_000
     batch = sample_pairs(params_b, z, n, seed=MC_SEED)
     ref = sample_pairs(params_b, z, n, seed=MC_SEED)
-    ring = ring_from_params(params_b, z)
+    # sample_pairs and the scans take any z, while ring_from_params holds z to
+    # the far field: the ring at z is built directly
+    ring = RingGeometry(z=z, r0=z * params_b.theta0,
+                        delta_r=z * width_coincidence(params_b) * params_b.lambda_cm
+                        / math.pi)
     positions = 0.5 * default_kappa_grid(params_b, 241) * z
     edges = _bin_edges(positions)
     want = np.histogram(ref.x1, bins=edges)[0] + np.histogram(ref.x2, bins=edges)[0]
@@ -309,7 +312,9 @@ def _sinc2_cdf(x):
                                             (0.5, 0.0)])
 def test_radial_sampler_matches_sinc2_law(bbo, length, theta0):
     # x = S(4 theta0^2 - kappa^2) is sinc^2-distributed on x <= 4 S theta0^2
-    params = SpdcParams.from_crystal(bbo, 0.4047, length, length, theta0=theta0)
+    # the waist, at most the domain's 1 cm, leaves the radial law as it is
+    params = SpdcParams.from_crystal(bbo, 0.4047, min(length, 1.0), length,
+                                     theta0=theta0)
     batch = sample_pairs(params, 1.0, 200_000, seed=MC_SEED)  # at z = 1, x1 - x2 = kappa_x
     kappa_sq = (batch.x1 - batch.x2) ** 2 + (batch.y1 - batch.y2) ** 2
     x_max = 4.0 * params.sinc_scale * theta0 ** 2
@@ -331,17 +336,12 @@ def test_blockwise_scans_equal_one_scan(params_b, ring_b, tmp_path):
     centers = Z_CM * np.linspace(-0.15, 0.15, 201)
     cpos = -ring_b.r0 + np.linspace(-0.05, 0.05, 61)
     slit = 0.5 * ring_b.delta_r
-    single = sum((scan_single(b, centers) for b in blocks[1:]),
-                 scan_single(blocks[0], centers))
-    coinc = sum((scan_coincidence(b, ring_b.r0, slit, cpos) for b in blocks[1:]),
-                scan_coincidence(blocks[0], ring_b.r0, slit, cpos))
-    assert np.array_equal(single.counts, scan_single(whole, centers).counts)
-    assert np.array_equal(coinc.counts,
+    single = sum(scan_single(b, centers).counts for b in blocks)
+    coinc = sum(scan_coincidence(b, ring_b.r0, slit, cpos).counts for b in blocks)
+    assert np.array_equal(single, scan_single(whole, centers).counts)
+    assert np.array_equal(coinc,
                           scan_coincidence(whole, ring_b.r0, slit, cpos).counts)
-    assert single.pairs_sampled == n and coinc.pairs_sampled == n
-    assert coinc.counts.sum() > 0
-    with pytest.raises(ValueError):
-        scan_single(blocks[0], centers) + scan_single(blocks[1], 2.0 * centers)
+    assert coinc.sum() > 0
     # the scan command histograms the same n pairs, block by block
     out = tmp_path / "blocks"
     assert cli.main(["scan", "--theta0", "0.1", "--out", str(out),
