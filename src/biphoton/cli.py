@@ -313,13 +313,14 @@ def cmd_scan(cfg):
 
     single = np.zeros(positions.size, np.int64)
     paired = np.zeros(cpos.size, np.int64)
+    # one block of pairs at a time, each drawn into the same workspace, so
+    # memory does not grow with --pairs and no block allocates
+    work = np.empty(rs._workspace_size(min(rs._BLOCK, cfg.pairs)))
     for block, start in enumerate(range(0, cfg.pairs, rs._BLOCK)):
-        # one block of pairs at a time, so memory does not grow with --pairs
         m = min(rs._BLOCK, cfg.pairs - start)
-        batch = rs.sample_pairs(params, cfg.z, m, cfg.seed, block=block)
+        batch = rs.sample_pairs(params, cfg.z, m, cfg.seed, block=block, out=work)
         single += rs.scan_single(batch, positions).y.astype(np.int64)
         paired += rs.scan_coincidence(batch, ring.r0, slit, cpos).y.astype(np.int64)
-        del batch   # one block alive at a time: free it before the next draw
     mc = rs.ScanResult(x=positions, y=single, mode="single-mc",
                        pairs_sampled=cfg.pairs, seed=cfg.seed)
     coinc = rs.ScanResult(x=cpos, y=paired, mode="coincidence",

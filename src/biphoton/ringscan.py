@@ -132,7 +132,7 @@ class PairBatch:
     separation r1 - r2.  x1, x2 = (px +- rho cos phi)/2 and y1, y2 =
     (py +- rho sin phi)/2 are formed on first read.  A scan reads _x32
     instead and forms x only where that leaves an edge in doubt.  spare
-    holds n + 4 min(n, _BLOCK) + 190 float64 or more: _x32's rows, then the
+    holds n + 3 min(n, _BLOCK) float64 or more: _x32's rows, then the
     scans' scratch, so the scans of one batch run one at a time.
     """
 
@@ -265,7 +265,15 @@ def _sinc2_variates(rng, x_max, out, work):
     return out
 
 
-def sample_pairs(params, z, n, seed, block=0):
+def _workspace_size(n):
+    """float64 values sample_pairs uses for n pairs: the batch's four rows,
+    then the sampler's three work rows, which the scans' spare (see PairBatch)
+    takes over once the draw is done."""
+    m = min(n, _BLOCK)
+    return 4 * n + max(3 * (m * 4 // 3 + 64), n + 3 * m)
+
+
+def sample_pairs(params, z, n, seed, block=0, *, out=None):
     """Draw n photon pairs and map them to the detection plane at distance z.
 
     Summed momenta are Gaussian with the pump-envelope variance; the
@@ -277,24 +285,34 @@ def sample_pairs(params, z, n, seed, block=0):
     so (seed, block, n) fixes the batch bit for bit, and n pairs from
     block 0 are the single blocks 0, 1, 2, ... laid end to end: a scan
     may draw and histogram them one at a time.
+
+    out, if given, is the workspace the batch is drawn into: a writeable
+    C-contiguous float64 array of at least _workspace_size(n) values.  The
+    batch is a view of it, so the next draw into out overwrites the last
+    batch; its contents do not change the draw.  A scan that draws block
+    after block into one workspace allocates nothing per block.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     if block < 0:
         raise ValueError("block must be >= 0")
+    size = _workspace_size(n)
+    if out is None:
+        out = np.empty(size)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.flags.c_contiguous and out.flags.writeable
+              and out.size >= size):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array "
+                         f"of at least {size} values for {n} pairs")
     # x1 + x2 and x1 - x2 in cm: the pump-limited Gaussian spread, and the
     # difference momentum z * kappa_minus (clipped at 0 against rounding)
     sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     four_theta_sq = 4.0 * params.theta0 ** 2
-    # each block writes its slice.  The four rows, a spare row and the
-    # sampler's work rows (the scans' scratch, see PairBatch) are one
-    # allocation, which a scan's next block reuses: apart, their sum can pass
-    # glibc's trim threshold (twice the largest block freed), and every block
-    # then faults its pages in anew.
-    k = min(n, _BLOCK) * 4 // 3 + 64
-    buf = np.empty(5 * n + 3 * k)
+    # each block writes its slice of the four rows
+    buf = out.reshape(-1)[:size]
     px, py, rho, phi = buf[:4 * n].reshape(4, n)
-    work = buf[5 * n:].reshape(3, k)
+    k = min(n, _BLOCK) * 4 // 3 + 64
+    work = buf[4 * n:4 * n + 3 * k].reshape(3, k)
     for i, start in enumerate(range(0, n, _BLOCK), start=block):
         sl = slice(start, min(start + _BLOCK, n))
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -344,9 +362,11 @@ class ScanResult(Curve):
 def _bin_edges(positions):
     positions = np.asarray(positions, dtype=float)
     steps = np.diff(positions)
-    if (positions.size < 2 or not steps[0] > 0.0
-            or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
-        raise ValueError("scan positions must be a uniform increasing grid")
+    # np.allclose(steps, steps[0], rtol=1e-9, atol=0) in one reduction; a
+    # finite first step bounds the others, so every position is finite
+    if (positions.size < 2 or not 0.0 < steps[0] < math.inf
+            or not np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]):
+        raise ValueError("scan positions must be a finite, uniform increasing grid")
     h = steps[0]
     return np.concatenate([positions - 0.5 * h, [positions[-1] + 0.5 * h]])
 

@@ -35,9 +35,10 @@ __all__ = [
 
 
 # The model's domain (paraxial type-I emission of an optical pump, a waist
-# w_p >> lambda_p, a finite crystal, far-field detection): lambda_p in um, w_p,
-# L and z in cm.  There S = pi L/(8 n_o lambda) < 2.0e6 and every |u| =
-# S |4 theta0^2 - kappa^2| a command forms is below 2e8, far from the float range.
+# w_p >> lambda_p, a crystal at least one pump wavelength long, far-field
+# detection): lambda_p in um, w_p, L and z in cm.  There S = pi L/(8 n_o lambda)
+# < 2.0e6, every |u| = S |4 theta0^2 - kappa^2| a command forms is below 2e8,
+# and the momentum grid's 1.5 sqrt(lambda/L) below 1.5, far from the float range.
 _LAMBDA_MIN, _WAIST_MAX, _LENGTH_MAX = 0.2, 1.0, 100.0
 _Z_MIN, _Z_MAX = 1.0, 1e5
 
@@ -66,7 +67,7 @@ class SpdcParams:
 
     lambda_p : pump wavelength, um, at least _LAMBDA_MIN
     w_p      : pump waist, cm, above lambda_p/(2 pi) and at most _WAIST_MAX
-    L        : crystal length, cm, at most _LENGTH_MAX
+    L        : crystal length, cm, at least lambda_p and at most _LENGTH_MAX
     theta0   : cone opening angle, rad, in [0, pi/2) (0 in the collinear regime)
     n_o      : ordinary index of the emitted photons, i.e. at 2*lambda_p
     """
@@ -85,8 +86,9 @@ class SpdcParams:
             raise ValueError(f"lambda_p = {self.lambda_p!r} um under {_LAMBDA_MIN} um")
         if not 0.0 < self.w_p <= _WAIST_MAX:
             raise ValueError(f"waist w_p = {self.w_p!r} cm not in (0, {_WAIST_MAX}] cm")
-        if not 0.0 < self.L <= _LENGTH_MAX:
-            raise ValueError(f"length L = {self.L!r} cm not in (0, {_LENGTH_MAX}] cm")
+        if not self.lambda_cm <= self.L <= _LENGTH_MAX:
+            raise ValueError(f"length L = {self.L!r} cm not in [{self.lambda_cm!r}, "
+                             f"{_LENGTH_MAX}] cm, from one pump wavelength")
         if not 0.0 <= self.theta0 < math.pi / 2:
             # a cone opens by less than a right angle
             raise ValueError(f"theta0 must lie in [0, pi/2), got {self.theta0!r}")

@@ -1,5 +1,8 @@
+import compileall
 import hashlib
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -8,6 +11,7 @@ import pytest
 
 from biphoton import (CrystalFileError, cli, default_kappa_grid, load_crystal,
                       read_curve, sample_pairs, scan_single)
+from biphoton.crystal import MICRON_TO_CM
 
 from conftest import argmax_x, traced_peak
 
@@ -153,30 +157,61 @@ def test_scan_tables_keep_their_digests(tmp_path, config, seed):
 
 
 _PEAK_RSS = """
-import sys
+import contextlib, io, json, sys
 from biphoton import cli
-if cli.main(sys.argv[1:]) != 0:
-    sys.exit("scan failed")
-with open("/proc/self/status", encoding="ascii") as fh:
-    print(next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")))
+# each argv list in turn in this one interpreter, as the benchmark's pass does;
+# the peak resident set in kB after each
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            sys.exit(f"{argv} failed")
+    with open("/proc/self/status", encoding="ascii") as fh:
+        print(next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")))
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="needs /proc/self/status for the peak resident set")
+def _peaks_mb(tmp_path, *argvs):
+    """The peak resident set in MB after each command of one fresh interpreter.
+
+    Like the benchmark's passes, the interpreter imports the package from
+    compiled bytecode, here a compiled copy in tmp_path: compiling the
+    sources at import would change the heap the measurement sees.
+    """
+    src = tmp_path / "src"
+    shutil.copytree(os.path.dirname(os.path.abspath(cli.__file__)),
+                    src / "biphoton", ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(src, quiet=1)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=300, check=True)
+    return [int(v) / 1024.0 for v in proc.stdout.split()]
+
+
+_needs_proc_status = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="needs /proc/self/status for the peak resident set")
+
+
+@_needs_proc_status
 def test_scan_memory_does_not_grow_with_pairs(tmp_path):
     # the scan histograms fixed-size blocks, so ten times the pairs must
     # not raise the peak resident set
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    peaks_mb = []
-    for pairs in ("200000", "2000000"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "scan", "--pairs", pairs,
-             "--out", str(tmp_path / pairs)],
-            env=env, capture_output=True, text=True, timeout=300, check=True)
-        peaks_mb.append(int(proc.stdout.split()[-1]) / 1024.0)
+    peaks_mb = [_peaks_mb(tmp_path / pairs, ["scan", "--pairs", pairs, "--out",
+                                             str(tmp_path / pairs / "out")])[0]
+                for pairs in ("200000", "2000000")]
     assert abs(peaks_mb[1] - peaks_mb[0]) < 20.0, peaks_mb
+
+
+@_needs_proc_status
+def test_repeated_scans_do_not_grow_the_peak(tmp_path):
+    # every scan draws its blocks into one workspace and frees it at its end,
+    # so later scans in the same process reuse that memory; one that frees
+    # and requests its block buffer anew each block leaves the heap 4 MB higher
+    peaks_mb = _peaks_mb(tmp_path, *[
+        ["scan", *_SCAN_CONFIGS[config], "--pairs", "200000", "--out",
+         str(tmp_path / str(i))] for i, config in enumerate("ABA")])
+    assert peaks_mb[2] - peaks_mb[0] <= 1.5, peaks_mb
 
 
 _PAGE_FAULTS = """
@@ -190,9 +225,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_scan_reuses_block_memory(tmp_path):
-    # each block of pairs reuses the memory the previous one freed; a block
-    # handed back to the system faults its 5.5 MB in again, about 1 400 page
-    # faults, so the 28 extra blocks here would add some 39 000
+    # each block of pairs is drawn into the memory the previous one used; a
+    # block handed back to the system faults its 4.2 MB in again, about 1 000
+    # page faults, so the 28 extra blocks here would add some 29 000
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     faults = []
     for pairs in ("200000", "2000000"):
@@ -207,7 +242,7 @@ def test_scan_reuses_block_memory(tmp_path):
 
 def test_scan_holds_one_block_at_a_time(tmp_path):
     # three blocks of pairs peak no higher than one, but for the two summed
-    # histograms (about 3 kB); a second live block would add 2.6 MB
+    # histograms (about 3 kB); a second live block would add 4.2 MB
     peaks = []
     for pairs in ("65536", "196608"):
         out = tmp_path / pairs
@@ -393,6 +428,11 @@ def test_theta0_zero_distributions_ok(tmp_path):
     ("fcurve", "--length", "1e303", "--theta0", "0"),
     ("scan", "--length", "1e303", "--pairs", "1000"),
     ("scan", "--z", "1.6e-153", "--pairs", "1000"),
+    # crystals shorter than one pump wavelength, down to subnormal lengths
+    # whose momentum grid 1.5 sqrt(lambda_p/L) wide overflows
+    *[(command, "--length", "5e-324") for command in
+      ("fcurve", "distributions", "report", "scan")],
+    ("fcurve", "--length", "1e-310"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")
@@ -549,7 +589,9 @@ def test_cone_interior_column_has_one_policy(tmp_path):
 # 0.2 um is a point of the Sellmeier form
 _WIDE_CRYSTAL = ("name = BBO-wide\nsellmeier_o = 2.7405 0.0184 0.0179 0.0155\n"
                  "sellmeier_e = 2.3730 0.0128 0.0156 0.0044\nvalid_range = 0.1 1.06\n")
-_BOUNDS = [("lambda_p", 0.2, 0.0), ("waist", 1.0, 2.0), ("length", 100.0, 200.0)]
+_BOUNDS = [("lambda_p", 0.2, 0.0), ("waist", 1.0, 2.0), ("length", 100.0, 200.0),
+           # one wavelength of the default pump, 0.4047 um
+           ("length", 0.4047 * MICRON_TO_CM, 0.0)]
 
 
 @pytest.mark.parametrize("command, key, bound, past", [

@@ -9,7 +9,8 @@ from biphoton import (NoRingError, SpdcParams, cli, default_kappa_grid, f_approx
                       ring_from_params, sample_pairs, scan_coincidence,
                       scan_single, width_coincidence)
 from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, RingGeometry,
-                                _bin_edges, _sinc2_variates, chord_length)
+                                _bin_edges, _sinc2_variates, _workspace_size,
+                                chord_length)
 
 from conftest import (MC_SEED, Z_CM, _reference_sinc2, curve_mean, curve_rms,
                       reference_pairs)
@@ -300,6 +301,35 @@ def test_sampling_argument_validation(params_b):
         sample_pairs(params_b, Z_CM, 10, seed=1, block=-1)
 
 
+def test_batch_drawn_into_a_used_workspace_is_unchanged(params_b, ring_b):
+    # out is only scratch to the draw: after another batch and its scans
+    # left their values in it, a full block, a later block and a partial
+    # last block each come out as they do without out
+    work = np.empty(_workspace_size(_BLOCK))
+    centers = Z_CM * np.linspace(-0.15, 0.15, 201)
+    cpos = -ring_b.r0 + np.linspace(-0.05, 0.05, 61)
+    for m, block in [(_BLOCK, 0), (_BLOCK, 5), (1234, 7)]:
+        other = sample_pairs(params_b, Z_CM, _BLOCK, seed=MC_SEED + 1,
+                             block=block + 1, out=work)
+        scan_single(other, centers)
+        scan_coincidence(other, ring_b.r0, 0.5 * ring_b.delta_r, cpos)
+        batch = sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=block, out=work)
+        fresh = sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=block)
+        for key in ("px", "py", "rho", "phi", "x1", "y2"):
+            assert getattr(batch, key).tobytes() == getattr(fresh, key).tobytes(), key
+
+
+@pytest.mark.parametrize("out", [
+    np.full(_workspace_size(100) - 1, 7.0),                  # too small
+    np.full(_workspace_size(100), 7.0, np.float32),          # not float64
+    np.full(2 * _workspace_size(100), 7.0)[::2],             # not contiguous
+], ids=["small", "float32", "strided"])
+def test_sample_pairs_refuses_a_bad_workspace(params_b, out):
+    with pytest.raises(ValueError, match="out must be"):
+        sample_pairs(params_b, Z_CM, 100, seed=MC_SEED, out=out)
+    assert np.all(out == 7.0)  # refused before any draw
+
+
 def _sinc2_cdf(x):
     """Closed-form cumulative of sinc^2 on the real line: pi/2 + Si(2x) - sin^2(x)/x."""
     x = np.asarray(x, dtype=float)
@@ -452,6 +482,43 @@ def test_scan_input_validation(params_b, ring_b, batch_b):
         scan_single(batch_b, np.array([0.0, 1.0, 3.0]))  # nonuniform
     with pytest.raises(TypeError):
         scan_single(object(), np.linspace(-1, 1, 11))
+
+
+# the largest deviations from a unit step that the position after 2 (ulp
+# 2^-51) and the one before it (ulp 2^-52) can hold within rtol = 1e-9
+_AT_RTOL = math.floor(1e-9 / 2.0 ** -51) * 2.0 ** -51
+_AT_RTOL_BELOW = math.floor(1e-9 / 2.0 ** -52) * 2.0 ** -52
+
+
+@pytest.mark.parametrize("positions, uniform", [
+    (np.linspace(-3.0, 3.0, 241), True),
+    (-10.0 + np.linspace(-6.0, 6.0, 61) * 4.6e-5, True),
+    ([0.0, 1.0, 2.0 + _AT_RTOL], True),
+    ([0.0, 1.0, 2.0 - _AT_RTOL_BELOW], True),
+    ([0.0, 1.0, np.nextafter(2.0 + _AT_RTOL, 3.0)], False),
+    ([0.0, 1.0, np.nextafter(2.0 - _AT_RTOL_BELOW, 1.0)], False),
+    ([0.0, 1.0, 3.0], False),
+    ([-math.inf, 0.0, math.inf], None),
+    ([-math.inf, 0.0, 1.0], None),
+    ([0.0, 1.0, math.inf], None),
+    ([0.0, 1.0, 2.0, -math.inf], None),
+    ([math.nan, 0.0, 1.0], None),
+    ([0.0, math.nan, 2.0], None),
+    ([0.0, 1.0, math.nan], None),
+])
+def test_bin_edges_take_finite_uniform_grids_only(positions, uniform):
+    # the one-reduction check gives np.allclose's verdict with rtol = 1e-9 on
+    # finite grids (uniform is that verdict), and refuses every other grid
+    positions = np.asarray(positions, dtype=float)
+    if uniform is not None:
+        steps = np.diff(positions)
+        assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0) == uniform
+    if not uniform:
+        with pytest.raises(ValueError, match="finite, uniform"):
+            _bin_edges(positions)
+        return
+    edges = _bin_edges(positions)
+    assert edges.size == positions.size + 1 and np.all(np.isfinite(edges))
 
 
 def test_scan_result_io(tmp_path, params_b, ring_b):
