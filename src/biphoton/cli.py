@@ -146,8 +146,8 @@ def resolve_config(args):
     if abs(cfg.k2x) >= k_photon:
         raise ConfigError("k2x must be below the photon wavenumber pi/lambda_p "
                           f"in magnitude, got {cfg.k2x!r}")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed!r}")
     if cfg.grid < 3:
         raise ConfigError("grid must hold at least 3 points")
     if cfg.pairs <= 0:

@@ -33,14 +33,13 @@ stated, not requested: no function here takes a tolerance, and the
 command line compares a requested --rel-tol with it once.
 
 The quadrature kernels (the Gauss-Legendre and Gauss-Laguerre bands
-of G(u), and the in-plane curve's three bands: Gauss-Hermite, the mean
-of sinc^2 and a resolving trapezoid rule at the cone edge) fill a
-preallocated result at most _ROWS grid points at a time.  Their node
-matrices are then a fixed few hundred kB, whatever the grid size, and
-memory grows only with the output columns.  The series band has no
-node matrix and goes _SERIES_ROWS points at a time.  Every point's
-nodes, arithmetic and reduction order are those of an unchunked
-evaluation, so f_exact is bitwise the same wherever the chunks split.
+of G(u), and the in-plane curve's trapezoid rule) fill a preallocated
+result at most _ROWS grid points at a time.  Their node matrices are
+then a fixed few hundred kB, whatever the grid size, and memory grows
+only with the output columns.  The series band has no node matrix and
+goes _SERIES_ROWS points at a time.  Every point's nodes, arithmetic
+and reduction order are those of an unchunked evaluation, so f_exact
+is bitwise the same wherever the chunks split.
 
 Because the gain is large, sinc^2 acts nearly like a delta function of
 its argument, giving the closed-form cone-interior approximation
@@ -324,27 +323,25 @@ def coincidence_curve(k2x_fixed, params):
 #     a = 4 S beta kappa1,  b = S beta^2,  beta = lam/(pi w_p),
 # with zeros at t+- = 2 (kappa1 -+ theta0)/beta.  On |t| <= _PLANE_T, where
 # all but e^{-42} of the Gaussian lies, its slope |a - 2bt| is between
-# |a| - 2b _PLANE_T and |a| + 2b _PLANE_T.  Each grid point takes one of three
-# rules by its own a, b and t+-:
-#   1. slope at most _PLANE_SLOW: the 64-node Gauss-Hermite rule, which
-#      integrates e^{-t^2} cos(2at) to 5e-16 for a <= 6 (4e-10 at a = 7);
-#   2. slope at least _PLANE_SLOW and both zeros past _PLANE_FAR, beyond the
-#      rule's largest node 10.53: the same nodes on 1/(2 x^2), the mean of
-#      sinc^2 = (1 - cos 2x)/(2 x^2); the term dropped is of order e^{-a^2};
-#   3. the rest, the cone edge: a uniform trapezoid rule on [-_PLANE_T, _PLANE_T]
-#      with m = ceil(1.5 arches) + 32 nodes, arches = 2 _PLANE_T x the largest
-#      slope / pi.  The integrand is entire, so the error falls geometrically
-#      once the step resolves the arches (Trefethen & Weideman, SIAM Review
-#      56, 2014).
-# On 19 configurations, L up to 11 cm and w_p down to 0.003 cm, the worst
-# error measured is 4.9e-12 of the curve's peak; _PLANE_PEAK_ERR keeps a
-# margin above that.
-# A trapezoid chunk holds at most _PLANE_NODES nodes, as a _ROWS-point
-# Gauss-Hermite chunk does; a point that needs more is refused.
-_GH64_NODES, _GH64_WEIGHTS = np.polynomial.hermite.hermgauss(64)
+# |a| - 2b _PLANE_T and |a| + 2b _PLANE_T.  Every grid point takes a uniform
+# trapezoid rule on [-_PLANE_T, _PLANE_T], on one of two integrands:
+#   1. slope at least _PLANE_SLOW and both zeros past _PLANE_FAR: 1/(2 x^2),
+#      the mean of sinc^2 = (1 - cos 2x)/(2 x^2), on _PLANE_FAR_NODES nodes;
+#      the term dropped is of order e^{-a^2};
+#   2. the rest: sinc^2 on ceil(1.5 arches) + 32 nodes, arches = 2 _PLANE_T x
+#      the largest slope / pi, rounded up to a multiple of 16 so that a grid
+#      forms few node groups.
+# Both integrands are analytic on the interval, so the error falls
+# geometrically once the step resolves the arches (Trefethen & Weideman,
+# SIAM Review 56, 2014).  On 32 configurations, theta0 = 0.1 and 0.28, L
+# from 0.1 to 11 cm and w_p from 0.003 to 0.5 cm, the worst error measured
+# is 1.2e-12 of the curve's peak; _PLANE_PEAK_ERR keeps a margin above
+# that.  A chunk holds at most _PLANE_NODES nodes; a point that needs more
+# is refused.
 _PLANE_T = 6.5
 _PLANE_SLOW = 6.0
 _PLANE_FAR = 11.0
+_PLANE_FAR_NODES = 64
 _PLANE_NODES = 64 * _ROWS
 _PLANE_PEAK_ERR = 1e-10
 
@@ -370,9 +367,10 @@ def plane_restricted_curve(kappa_grid, params):
     """Distribution obtained when only in-plane photons are counted.
 
     integral dk2x |psi(k1x, k2x, 0, 0)|^2 over a 1-D grid, in t with
-    k2x = -k1x + t/w_p, by one of three rules per point (see the comment
-    above), to _PLANE_PEAK_ERR (1e-10) of the curve's peak.  A cone edge
-    that needs more than _PLANE_NODES trapezoid nodes raises ValueError.
+    k2x = -k1x + t/w_p, by a trapezoid rule on one of two integrands per
+    point (see the comment above), to _PLANE_PEAK_ERR (1e-10) of the
+    curve's peak.  A cone edge that needs more than _PLANE_NODES nodes
+    raises ValueError.
 
     In-plane restriction skips the y reduction entirely, so the curve is
     concentrated in two islands at kappa = +-theta0, each about
@@ -386,34 +384,29 @@ def plane_restricted_curve(kappa_grid, params):
     beta = params.lambda_cm / (math.pi * params.w_p)
     a = np.abs(4.0 * params.sinc_scale * beta * kappa_grid)
     bend = 2.0 * params.sinc_scale * beta * beta * _PLANE_T
-    slow = a + bend <= _PLANE_SLOW
     far = ((a - bend >= _PLANE_SLOW)
            & (2.0 * np.abs(np.abs(kappa_grid) - params.theta0) > _PLANE_FAR * beta))
-    nodes = np.ceil(1.5 * 2.0 * _PLANE_T * (a + bend) / math.pi) + 32.0
-    edge = np.flatnonzero(~(slow | far))
-    if edge.size and not nodes[edge].max() <= _PLANE_NODES:
+    # each point's node group j >= 1, of 16 j + 32 nodes; 0 in the far band
+    group = np.ceil((a + bend) * (3.0 * _PLANE_T / (16.0 * math.pi)))
+    group[far] = 0.0
+    most = 16.0 * group.max(initial=0.0) + 32.0
+    if not most <= _PLANE_NODES:
         raise ValueError(
-            f"the in-plane rule needs up to {nodes[edge].max():.3g} nodes per "
+            f"the in-plane rule needs up to {most:.3g} nodes per "
             f"point at the cone edge, past {_PLANE_NODES}: the crystal is too "
             "long or the pump waist too narrow")
 
+    group = group.astype(np.intp)
     vals = np.empty(k1.shape)
-    gh_t = _GH64_NODES / params.w_p
-    for band, kernel in ((slow, _sinc2), (far, _sinc2_mean)):
-        points = np.flatnonzero(band)
-        for rows in _row_slices(points.size, _ROWS):
-            p = points[rows]
-            vals[p] = (kernel(_plane_arg(k1[p], gh_t, params)) @ _GH64_WEIGHTS
-                       / params.w_p)
-    m_edge = nodes[edge].astype(int)
-    for m in sorted(set(m_edge.tolist())):
+    for j in np.flatnonzero(np.bincount(group)).tolist():
+        kernel, m = (_sinc2, 16 * j + 32) if j else (_sinc2_mean, _PLANE_FAR_NODES)
         t = np.linspace(-_PLANE_T, _PLANE_T, m)
         weights = np.exp(-t * t) * (t[1] - t[0])
         weights[[0, -1]] *= 0.5
-        points = edge[m_edge == m]
+        points = np.flatnonzero(group == j)
         for rows in _row_slices(points.size, min(_ROWS, _PLANE_NODES // m)):
             p = points[rows]
-            vals[p] = (_sinc2(_plane_arg(k1[p], t / params.w_p, params)) @ weights
+            vals[p] = (kernel(_plane_arg(k1[p], t / params.w_p, params)) @ weights
                        / params.w_p)
     meta = _params_meta(params)
     meta["kind"] = "plane-restricted"

@@ -361,12 +361,15 @@ class ScanResult(Curve):
 
 def _bin_edges(positions):
     positions = np.asarray(positions, dtype=float)
-    steps = np.diff(positions)
     # np.allclose(steps, steps[0], rtol=1e-9, atol=0) in one reduction; a
-    # finite first step bounds the others, so every position is finite
-    if (positions.size < 2 or not 0.0 < steps[0] < math.inf
-            or not np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]):
-        raise ValueError("scan positions must be a finite, uniform increasing grid")
+    # finite first step bounds the others, so every position is finite.  A
+    # step or an outer edge past the float range comes out inf or NaN, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(positions)
+        if (positions.size < 2 or not 0.0 < steps[0] < math.inf
+                or not np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]
+                or not max(-positions[0], positions[-1]) + 0.5 * steps[0] < math.inf):
+            raise ValueError("scan positions must be a finite, uniform increasing grid")
     h = steps[0]
     return np.concatenate([positions - 0.5 * h, [positions[-1] + 0.5 * h]])
 

@@ -429,23 +429,17 @@ def sinc_np(x):
 _GH64_NODES, _GH64_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
-def plane_gh64(kappa_grid, params, rows):
-    """The in-plane curve by the plain 64-node Gauss-Hermite rule, rows points at a time.
+def plane_gh64(kappa_grid, params):
+    """The in-plane curve by the plain 64-node Gauss-Hermite rule.
 
     integral dt e^{-t^2} sinc^2(S (4 theta0^2 - kappa_-^2)) / w_p with
     k2x = -k1x + t/w_p: exact while the sinc argument turns slowly across
-    the pump Gaussian, as on the README configurations.  The points go
-    in chunks of rows, since the last bits of a matrix-vector product can
-    depend on where a row falls in the matrix.
+    the pump Gaussian, as on the README configurations.
     """
     k1 = params.k_from_kappa(np.asarray(kappa_grid, dtype=float))
-    out = np.empty(k1.shape)
-    for start in range(0, k1.size, rows):
-        part = slice(start, start + rows)
-        kap = params.kappa(2.0 * k1[part, None] - (_GH64_NODES / params.w_p)[None, :])
-        arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
-        out[part] = (sinc_np(arg) ** 2 @ _GH64_WEIGHTS) / params.w_p
-    return out
+    kap = params.kappa(2.0 * k1[:, None] - (_GH64_NODES / params.w_p)[None, :])
+    arg = params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
+    return (sinc_np(arg) ** 2 @ _GH64_WEIGHTS) / params.w_p
 
 
 _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -462,9 +456,10 @@ def plane_sigma(kappa1, params, resolution=1):
         w_p plane = 2 sqrt(pi) Re int_0^1 (1 - s) A^{-1/2} e^{2iu0 s - a^2 s^2/A} ds,
 
     A = 1 + 2ibs: one smooth integral over [0, 1], with no sinc^2 arches in
-    t.  Composite 20-node Gauss-Legendre, with resolution x (64 + |u0|)
-    panels so that each holds at most a third of a turn of e^{2iu0 s};
-    callers compare two resolutions to bound the error.
+    t.  Composite 20-node Gauss-Legendre, with resolution x (64 + |u0|/4)
+    panels so that each holds at most 4/pi turns of e^{2iu0 s}, well
+    inside what 20 nodes resolve; callers compare two resolutions to bound
+    the error.
     """
     beta = params.lambda_cm / (math.pi * params.w_p)
     scale = params.sinc_scale
@@ -473,7 +468,7 @@ def plane_sigma(kappa1, params, resolution=1):
     for k in np.atleast_1d(np.asarray(kappa1, dtype=float)):
         u0 = scale * (4.0 * params.theta0 ** 2 - 4.0 * k * k)
         a = 4.0 * scale * beta * k
-        edges = np.linspace(0.0, 1.0, resolution * (64 + math.ceil(abs(u0))) + 1)
+        edges = np.linspace(0.0, 1.0, resolution * (64 + math.ceil(abs(u0) / 4.0)) + 1)
         half = 0.5 * np.diff(edges)[:, None]
         s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL20_NODES).ravel()
         w = (half * _GL20_WEIGHTS).ravel()

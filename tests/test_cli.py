@@ -433,6 +433,8 @@ def test_theta0_zero_distributions_ok(tmp_path):
     *[(command, "--length", "5e-324") for command in
       ("fcurve", "distributions", "report", "scan")],
     ("fcurve", "--length", "1e-310"),
+    # a seed past 64 bits
+    ("scan", "--seed", "18446744073709551616", "--pairs", "1000"),
 ])
 def test_rejects_bad_input(tmp_path, capsys, argv):
     key = argv[1].lstrip("-").replace("-", "_")

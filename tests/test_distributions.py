@@ -322,16 +322,19 @@ def test_plane_restricted_curve(params_b):
                                  {"theta0": 0.1, "w_p": 0.1, "L": 0.1},
                                  {"phi0": 0.5275, "w_p": 0.1, "L": 0.1},
                                  {"theta0": 0.0, "w_p": 0.1, "L": 0.1}])
-def test_plane_restricted_curve_is_gauss_hermite_on_reference_configs(bbo, cut):
-    # configs A, B, the CLI default and a collinear one: the sinc argument
-    # turns slowly across the pump Gaussian at every point, so every value
-    # is the plain 64-node Gauss-Hermite rule's, bit for bit
+def test_plane_restricted_curve_on_reference_configs(bbo, cut):
+    # configs A, B, the CLI default and a collinear one, on the CLI's grids:
+    # the sigma oracle at every point, and the plain 64-node Gauss-Hermite
+    # rule, exact while the sinc argument turns slowly across the pump
+    # Gaussian, as it does at every point here
     cut = dict(cut)
     p = SpdcParams.from_crystal(bbo, 0.4047, cut.pop("w_p"), cut.pop("L"), **cut)
+    peak = plane_sigma(p.theta0, p)[0]
     for n in (1201, 2001):
         grid = default_kappa_grid(p, n)
-        assert np.array_equal(plane_restricted_curve(grid, p).y,
-                              plane_gh64(grid, p, dist._ROWS))
+        _check_plane_against_sigma_oracle(p, grid)
+        gh64 = plane_gh64(grid, p)
+        assert np.max(np.abs(plane_restricted_curve(grid, p).y - gh64)) <= 1e-13 * peak
 
 
 def _plane_coefficients(p):
@@ -376,23 +379,34 @@ def test_plane_restricted_curve_long_crystal_against_sigma_oracle(bbo, w_p):
 
 
 def test_plane_restricted_curve_across_band_switches(bbo):
-    # L = 10 cm, w_p = 0.05 cm.  With theta0 = 0.28 the slope switches
-    # |a| -+ 2bT = _PLANE_SLOW lie far from both zeros of the sinc argument,
-    # and the zero switch min|t+-| = _PLANE_FAR lies where |a| ~ 17
+    # L = 10 cm, w_p = 0.05 cm.  With theta0 = 0.28 the slope bounds
+    # |a| -+ 2bT cross _PLANE_SLOW (the far band starts where the lower one
+    # does) far from both zeros of the sinc argument, and the zero switch
+    # min|t+-| = _PLANE_FAR lies where |a| ~ 17.  The node count steps by 16
+    # where 1.5 arches, 3 _PLANE_T (|a| + 2bT)/pi, crosses a multiple of 16:
+    # at |a| ~ 2.5 and 5.1, both below the far band
     p = SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=0.28)
     beta, per_kappa, bend = _plane_coefficients(p)
     slope_switches = [(dist._PLANE_SLOW - bend) / per_kappa,
                       (dist._PLANE_SLOW + bend) / per_kappa]
     zero_switches = [p.theta0 + side * 0.5 * dist._PLANE_FAR * beta
                      for side in (-1.0, 1.0)]
+    group_switches = [(16.0 * math.pi * j / (3.0 * dist._PLANE_T) - bend) / per_kappa
+                      for j in (1, 2)]
     sides = np.array([1.0 - 1e-9, 1.0 + 1e-9])
-    _check_plane_against_sigma_oracle(
-        p, np.sort(np.outer(slope_switches + zero_switches, sides).ravel()))
+    kappas = np.sort(np.outer(slope_switches + zero_switches + group_switches,
+                              sides).ravel())
+    for switch in group_switches:
+        groups = np.ceil(3.0 * dist._PLANE_T * (per_kappa * switch * sides + bend)
+                         / (16.0 * math.pi))
+        assert groups[1] == groups[0] + 1.0
+    _check_plane_against_sigma_oracle(p, kappas)
 
 
 @pytest.mark.parametrize("slope", [4.0, "below", "above"])
 def test_plane_restricted_curve_island_across_band_switches(bbo, slope):
-    # the island at kappa1 = theta0 where |a| is 4 or on either slope switch,
+    # the island at kappa1 = theta0 where |a| is 4 or where a slope bound
+    # |a| -+ 2bT is _PLANE_SLOW (the far band's switch for the lower one),
     # out to 8 pump drifts each side, past both zero switches: every value
     # there is at least 3e-5 of the peak, and the oracle holds 1e-11 of it.
     # Taking sinc^2's mean from |a| = 3 on costs 7e-7 of the value here

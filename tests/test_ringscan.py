@@ -505,10 +505,15 @@ _AT_RTOL_BELOW = math.floor(1e-9 / 2.0 ** -52) * 2.0 ** -52
     ([math.nan, 0.0, 1.0], None),
     ([0.0, math.nan, 2.0], None),
     ([0.0, 1.0, math.nan], None),
+    # a step, or an outer edge, past the float range
+    ([-1.7e308, 1.7e308], None),
+    ([-1.7e308, 0.0, 1.7e308], None),
+    ([-1e308, 0.0, 1e308], True),
 ])
 def test_bin_edges_take_finite_uniform_grids_only(positions, uniform):
     # the one-reduction check gives np.allclose's verdict with rtol = 1e-9 on
-    # finite grids (uniform is that verdict), and refuses every other grid
+    # grids whose steps and edges are finite (uniform is that verdict), and
+    # refuses every other grid, with no warning on the way
     positions = np.asarray(positions, dtype=float)
     if uniform is not None:
         steps = np.diff(positions)
