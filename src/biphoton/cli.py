@@ -30,9 +30,10 @@ parse, a pump wavelength outside the crystal's range or at a pole of its
 Sellmeier form, a --rel-tol finer than G(u) is evaluated to, a --grid
 numpy cannot allocate, for `dispersion` a crystal with no collinear cut,
 for `distributions` and `report` a cone edge that needs more in-plane
-nodes than one chunk holds, and for `scan` a cone no wider than its
-ring's thickness.  Each command computes all it writes before it makes
-the output directory, so every refusal comes before any output.
+nodes than one chunk holds, for `scan` a cone no wider than its ring's
+thickness, and an --out that cannot be made a directory.  Each command
+computes all it writes before it makes the output directory, so every
+refusal comes before any output.
 """
 
 from __future__ import annotations
@@ -180,8 +181,12 @@ def _plane_curve(cfg, grid, params):
 
 
 def _outdir(cfg):
+    """The output directory, made if missing; a path that cannot be one exits 2."""
     path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out = {cfg.out!r}: {exc}") from None
     return path
 
 
@@ -331,7 +336,9 @@ def cmd_scan(cfg):
     theory = dist.f_exact(2.0 * params.k_from_kappa(kappas), params)
 
     def ua(v):
-        return v / np.trapezoid(v, kappas)
+        # unit area; a scan that captured no pairs stays all zero
+        area = np.trapezoid(v, kappas)
+        return v / area if area else v
 
     cols = [kappas, ua(analytic.y), ua(mc.y), ua(theory)]
     diff_am = np.abs(cols[1] - cols[3])
@@ -343,8 +350,9 @@ def cmd_scan(cfg):
     analytic.write(out / "scan_single_analytic.dat", extra_header=header)
     mc.write(out / "scan_single_mc.dat", extra_header=header)
     coinc.write(out / "scan_coincidence.dat", extra_header=header)
-    if coinc.is_empty:
-        print("warning: coincidence scan captured no pairs", file=sys.stderr)
+    for scan in (mc, coinc):
+        if scan.is_empty:
+            print(f"warning: {scan.mode} scan captured no pairs", file=sys.stderr)
     _write_table(out / "scan_comparison.dat", header,
                  cols + [diff_am, diff_mm],
                  ["kappa", "analytic_ua", "mc_ua", "theory_ua",

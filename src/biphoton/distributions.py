@@ -17,28 +17,27 @@ variable, the same for every crystal, waist and length:
 
 the second form from writing sinc^2 as the Fourier transform of the
 triangle 1 - |t| and doing the integral over p first; what is left is
-a Fresnel integral (Abramowitz & Stegun 7.3).  For |u| up to a few
-oscillations a fixed Gauss-Legendre rule on [0, 1] evaluates it.
-Beyond that the s-integral splits into the stationary point s = 0, in
-closed form (exactly pi/sqrt(u) of G for u > 0, pi/(4 |u|^(3/2)) for
-u < 0), and the endpoint s = 1, whose integral along the steepest-descent
-path s^2 = 1 + i t/(2|u|) is smooth and decays like e^{-t}.  Up to
-|u| = 24 a fixed Gauss-Laguerre rule takes that endpoint integral;
-from there on its asymptotic series in i/(2|u|), 20 terms by Horner's
-rule, whose remainder is rigorously bounded by the first term left out
-(1.7e-18 absolute in G at |u| = 24, less beyond).  Negative u is the
-complex conjugate.  G is accurate to _G_REL_ERR in relative terms for
-every |u| up to the 2e8 the model's domain reaches.  That accuracy is
-stated, not requested: no function here takes a tolerance, and the
-command line compares a requested --rel-tol with it once.
+a Fresnel integral (Abramowitz & Stegun 7.3).  Below |u| = 16 a fixed
+Gauss-Legendre rule on [0, 1] evaluates it.  From there on the
+s-integral splits into the stationary point s = 0, in closed form
+(exactly pi/sqrt(u) of G for u > 0, pi/(4 |u|^(3/2)) for u < 0), and
+the endpoint s = 1, whose integral along the steepest-descent path
+s^2 = 1 + i t/(2|u|) is smooth and decays like e^{-t}; its asymptotic
+series in i/(2|u|), 30 terms by Horner's rule, has a remainder
+rigorously bounded by the first term left out (1.4e-15 absolute in G
+at |u| = 16, less beyond).  Negative u is the complex conjugate.  G is
+accurate to _G_REL_ERR in relative terms for every |u| up to the 2e8
+the model's domain reaches.  That accuracy is stated, not requested: no
+function here takes a tolerance, and the command line compares a
+requested --rel-tol with it once.
 
-The quadrature kernels (the Gauss-Legendre and Gauss-Laguerre bands
-of G(u), and the in-plane curve's trapezoid rule) fill a preallocated
-result at most _ROWS grid points at a time.  Their node matrices are
-then a fixed few hundred kB, whatever the grid size, and memory grows
-only with the output columns.  The series band has no node matrix and
-goes _SERIES_ROWS points at a time.  Every point's nodes, arithmetic
-and reduction order are those of an unchunked evaluation, so f_exact
+The quadrature kernels (the Gauss-Legendre band of G(u) and the
+in-plane curve's trapezoid rule) fill a preallocated result at most
+_ROWS grid points at a time.  Their node matrices are then a fixed few
+hundred kB, whatever the grid size, and memory grows only with the
+output columns.  The series band has no node matrix and goes
+_SERIES_ROWS points at a time.  Every point's nodes, arithmetic and
+reduction order are those of an unchunked evaluation, so f_exact
 is bitwise the same wherever the chunks split.
 
 Because the gain is large, sinc^2 acts nearly like a delta function of
@@ -91,27 +90,24 @@ REGIME_COLLINEAR = "collinear"
 # Regime thresholds: theta0 vs sqrt(lam/L) with a symmetric factor 3.
 REGIME_FACTOR = 3.0
 
-# G(u) takes one of three branches by |u|:
-#   |u| <= _G_SWITCH: Gauss-Legendre in s;
-#   beyond it, the stationary point in closed form plus the endpoint term
-#   e^{2iv}/(8 v^2) I(v), v = |u|, with
+# G(u) takes one of two branches by |u|:
+#   |u| < _SERIES_SWITCH: Gauss-Legendre in s, _S_NODES nodes;
+#   from _SERIES_SWITCH on, the stationary point in closed form plus the
+#   endpoint term e^{2iv}/(8 v^2) I(v), v = |u|, with
 #       I(v) = int_0^inf t e^{-t} (1 + i t/(2v))^(-1/2) dt
-#   by Gauss-Laguerre below _SERIES_SWITCH, and from _SERIES_SWITCH on by
-#   its asymptotic series sum_{k<K} a_k (i/(2v))^k, a_k = binom(-1/2, k) (k+1)!,
+#   by its asymptotic series sum_{k<K} a_k (i/(2v))^k, a_k = binom(-1/2, k) (k+1)!,
 #   K = _SERIES_TERMS.  As |1 + iy| >= 1 for real y, the Taylor remainder of
 #   (1 + iy)^(-1/2) is at most its next term, so |I - series| <= |a_K|/(2v)^K
-#   and G moves by at most 2 sqrt(2 pi)/(8 v^2) times that: 1.7e-18 at
-#   v = 24, K = 20, which is 2.5e-16 of G(-24), the smallest G there.
-# Against mpmath's Fresnel integrals on 21 points from 0 to +-1e6, the
-# worst relative error is 5.8e-14 (u = -6, Gauss-Legendre), 2.2e-16 in the
-# series band; _G_REL_ERR keeps a margin above that.
-_G_SWITCH = 6.0
-_SERIES_SWITCH = 24.0
-_SERIES_TERMS = 20
+#   and G moves by at most 2 sqrt(2 pi)/(8 v^2) times that: 1.4e-15 at
+#   v = 16, K = 30, which is 1.1e-13 of G(-16), the smallest G there.
+# Against mpmath's Fresnel integrals on 45 points from 0 to +-2e8, the
+# worst relative error is 1.2e-13 (u = -12, Gauss-Legendre);
+# _G_REL_ERR keeps a margin above that.
+_SERIES_SWITCH = 16.0
+_SERIES_TERMS = 30
 _G_REL_ERR = 1e-12
-_S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(56)
 _S_NODES, _S_WEIGHTS = 0.5 * (_S_NODES + 1.0), 0.5 * _S_WEIGHTS
-_T_NODES, _T_WEIGHTS = np.polynomial.laguerre.laggauss(48)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 # the series as I = P(w^2) + i w Q(w^2), w = 1/(2v): a_k i^k for even k
 # and a_k i^(k-1) for odd k, the coefficients of P and Q in rising order
@@ -120,7 +116,7 @@ _SERIES_A = [(-1) ** (k + k // 2) * math.comb(2 * k, k) * math.factorial(k + 1) 
 _SERIES_P, _SERIES_Q = _SERIES_A[0::2], _SERIES_A[1::2]
 
 # The quadrature kernels work on _ROWS grid points at a time, so their
-# node matrices (_ROWS x 48 complex at most, 200 kB) stay in cache and
+# node matrices (_ROWS x 56 complex at most, 230 kB) stay in cache and
 # memory does not grow with the grid.  The series band of G has no node
 # matrix; it takes _SERIES_ROWS points at a time, which spreads numpy's
 # per-call overhead over more points.  Each point's arithmetic does not
@@ -142,45 +138,32 @@ def _g_of_u(u):
     for block in _row_slices(flat.size, _SERIES_ROWS):
         u_b, g_b = flat[block], g[block]
         series = np.abs(u_b) >= _SERIES_SWITCH
-        g_b[series] = _g_far(u_b[series], _series_path)
-        rest = np.flatnonzero(~series)
-        for rows in _row_slices(rest.size, _ROWS):
-            g_b[rest[rows]] = _g_rows(u_b[rest[rows]])
+        g_b[series] = _g_far(u_b[series])
+        near = np.flatnonzero(~series)
+        for rows in _row_slices(near.size, _ROWS):
+            g_b[near[rows]] = _g_near(u_b[near[rows]])
     return g.reshape(u.shape)[()]
 
 
-def _g_rows(u):
+def _g_near(u):
     """G over a 1-D array u of at most _ROWS points below _SERIES_SWITCH."""
-    g = np.empty(u.shape)
-    near = np.abs(u) <= _G_SWITCH
     s2 = _S_NODES * _S_NODES
-    inner = np.sum(np.exp(2j * u[near, None] * s2) * ((1.0 - s2) * _S_WEIGHTS),
-                   axis=1)
-    g[near] = 2.0 * _ROOT_2PI * (np.exp(-0.25j * math.pi) * inner).real
-    g[~near] = _g_far(u[~near], _laguerre_path)
-    return g
+    # summed along each row, never by a matmul, whose order can follow the row count
+    inner = np.sum(np.exp(2j * u[:, None] * s2) * ((1.0 - s2) * _S_WEIGHTS), axis=1)
+    return 2.0 * _ROOT_2PI * (np.exp(-0.25j * math.pi) * inner).real
 
 
-def _laguerre_path(v):
-    """I(v) by the 48-node Gauss-Laguerre rule."""
-    return np.sum(_T_NODES * _T_WEIGHTS
-                  / np.sqrt(1.0 + 0.5j * _T_NODES / v[:, None]), axis=1)
-
-
-def _series_path(v):
-    """I(v) by its asymptotic series, Horner's rule in w^2 for P and Q."""
-    w = 0.5 / v
-    x = w * w
-    return polyval(x, _SERIES_P) + 1j * (w * polyval(x, _SERIES_Q))
-
-
-def _g_far(u, path):
-    """G for |u| > _G_SWITCH, I(v) from path; 8 u^2 is finite up to |u| ~ 4.7e153."""
+def _g_far(u):
+    """G from _SERIES_SWITCH on; 8 u^2 is finite up to |u| ~ 4.7e153."""
     v = np.abs(u)
     positive = u > 0.0
+    # I(v) by its series, Horner's rule in w^2 for P and Q
+    w = 0.5 / v
+    x = w * w
+    series = polyval(x, _SERIES_P) + 1j * (w * polyval(x, _SERIES_Q))
     # endpoint term, v = |u|: E(v) = e^{2iv}/(8 v^2) I(v);
     # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
-    end = np.exp(2j * v) / (8.0 * v * v) * path(v)
+    end = np.exp(2j * v) / (8.0 * v * v) * series
     stationary = np.where(positive, math.pi / np.sqrt(v), 0.25 * math.pi / v ** 1.5)
     turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
     return stationary - 2.0 * _ROOT_2PI * (turn * end).real

@@ -113,12 +113,13 @@ def test_scan_command(tmp_path):
 
 # SHA-256 of scan_single_mc.dat, scan_coincidence.dat and scan_comparison.dat
 # for 2 * 65536 + 12345 pairs, as np.histogram of the float64 positions and
-# the plain float64 slit test wrote them before the scans' float32 squeeze
+# the plain float64 slit test wrote them before the scans' float32 squeeze;
+# scan_comparison.dat as G(u) on two bands writes its theory_ua column
 _SCAN_DIGESTS = {
     ("A", 1): (
         "52d895f998ea05361cc19a04bb1617aefb563f1b9d5627582327614290b6bf0f",
         "d2abc377ab02855c725d20ac9acaf7837552fa763c569575523223db53137cde",
-        "3e3abe1aa8a171d8a47911729b09dcd37055a6681a572870167b0e7ad09809c4"),
+        "836e3efa42fd0ab1a2689aad7c3cda745e9ef0da588da313e44b9a68f7544210"),
     ("A", 20240801): (
         "2934935a57356b5b7c0497ab6678d676d30c8fd44edaf2801f3c1e0bacdc1b53",
         "d7b5acdff05c3a24bced7054d57d7401c52e96c2a895430d7718d68b23e02327",
@@ -126,19 +127,19 @@ _SCAN_DIGESTS = {
     ("B", 1): (
         "7c03c5d4a2ec8e2b3452cb8da2d0f9963d4431435e9f7c96d7d73e75ed6dff35",
         "1e1a8b0fd9c5dbcb1727c768a113da1ad9e39516d4f81f8b5393f29f534db608",
-        "ce26f08c6ccd657615b369c9fe0c89540311da680eae02d3dd73cda5c2df4deb"),
+        "0fc78c62123c40dc8d8b638681011aa19875cecad3f74ec58ffcc2deb5328ce2"),
     ("B", 20240801): (
         "2f39d67f2c461608e73351c266e5c6cd78980b252831f3a1cdc6d024dc239555",
         "91072662353c88536428eb3b5809d67e9dda3df254efba6c847949f0fad89773",
-        "2e62f665f8ec493acb8397cdf2d9b84f8375495e119afdad9420dfd3600e3831"),
+        "3c2bec93d199989f75c6e457c443d9e251b39424bb2df4ef8c6220601295b5b5"),
     ("default", 1): (
         "126c79dee36d65a966c7304937f0cd52f8e5fa10108e1835d6d040b9cda161f9",
         "b587f972288f6ecb8d485c88cada500dfbabd27d77299f40ff40800b01288360",
-        "e941adc6b880b3e83f27f1710a93257b134e1dd0fcb0fba4e8c2170455c2301f"),
+        "419df20f7c5903143fe4e8509f58aee857b47cc577121f4c3a9705e817158f43"),
     ("default", 20240801): (
         "0886602a402e8f4536130017579979bdccaf840957129538f9b3d837d0561dc3",
         "d2527506763c4044190674e612a6a568f1a1fb524a3e2e7efb9213eaeaed738d",
-        "9f133d61fbccce658e1ea4dd7741343298de1361bcf612855c5bed32f5689bd0"),
+        "00d0aa3aeca54036b3f5b27b99deb89cfb2deecf11a8585753e08d3067efe7b3"),
 }
 _SCAN_CONFIGS = {"A": ["--theta0", "0.28", "--waist", "0.5", "--length", "0.5"],
                  "B": ["--theta0", "0.1", "--waist", "0.1", "--length", "0.1"],
@@ -494,6 +495,21 @@ def test_unallocatable_grid_is_a_config_error(tmp_path, capsys, command, grid):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["fcurve", "scan"])
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys,
+                                                          command, sub):
+    # an existing file, or a path below one, cannot be made a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / sub if sub else blocker
+    assert run(command, "--out", str(out), "--grid", "11", "--pairs", "1000") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: out = {str(out)!r}: "), \
+        captured.err
+    assert captured.out == "" and blocker.read_text() == "kept\n"
+
+
 def test_help_exits_zero(capsys):
     for argv in (["--help"], ["scan", "--help"]):
         with pytest.raises(SystemExit) as exc:
@@ -647,6 +663,21 @@ def test_extreme_config_writes_no_nan(tmp_path, capsys, argv):
         assert paths or command[0] == "report"
         for path in paths:
             assert not np.any(np.isnan(load_table(path))), path
+
+
+def test_scan_that_captures_no_pairs_writes_zeros(tmp_path, capsys):
+    # a cone this narrow puts both photons of the one pair outside the scan
+    # lines; each empty scan warns, and its unit-area column stays 0, not NaN
+    out = tmp_path / "s"
+    assert run("scan", "--theta0", "6.8e-5", "--pairs", "1", "--seed", "7",
+               "--out", str(out)) == 0
+    assert capsys.readouterr().err == (
+        "warning: single-mc scan captured no pairs\n"
+        "warning: coincidence scan captured no pairs\n")
+    comparison = load_table(out / "scan_comparison.dat")
+    assert not np.any(np.isnan(comparison))
+    assert np.all(comparison[:, 2] == 0.0)
+    np.testing.assert_array_equal(comparison[:, 5], comparison[:, 3])
 
 
 def test_default_config_echo(tmp_path):
