@@ -216,19 +216,22 @@ def _write_table(path, header_lines, columns, names):
 def cmd_dispersion(cfg):
     """Index difference and cone angle tables."""
     disp = cr.load_crystal(cfg.crystal)
-    fit_start = max(cr.FIT_THRESHOLD + 1e-6, 0.51)
-    phis, phis_fit = _grid(cfg, lambda n: (np.linspace(0.0, 1.2, n),
-                                           np.linspace(fit_start, 1.2, n)))
     try:
-        exact = cr.phase_match(disp, phis_fit, cfg.lambda_p).theta0
-        pm = cr.phase_match(disp, phis, cfg.lambda_p)
+        # reads every index phase_match reads, so the calls below cannot fail
         root = cr.collinear_cut_angle(disp, cfg.lambda_p)
     except cr.WavelengthRangeError as exc:
         raise ConfigError(f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
     except cr.NoCollinearRootError as exc:
         raise ConfigError(f"crystal {disp.name} has no collinear cut at "
                           f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
-    fit = cr.opening_angle_fit(phis_fit)
+    # the law's table runs from the cut to 1.2 rad, or is the cut alone
+    phis, phis_fit = _grid(cfg, lambda n: (np.linspace(0.0, 1.2, n),
+                                           np.linspace(root, max(root, 1.2), n)))
+    pm = cr.phase_match(disp, phis, cfg.lambda_p)
+    exact = cr.phase_match(disp, phis_fit, cfg.lambda_p).theta0
+    fit = cr.opening_angle_fit(disp, phis_fit, cfg.lambda_p)
+    # at the cut both angles vanish: the residual's limit there is 0
+    residual = np.divide(fit - exact, exact, out=np.zeros_like(fit), where=fit > 0)
 
     out = _outdir(cfg)
     header = _header(f"biphoton dispersion ({disp.name})", cfg)
@@ -237,7 +240,7 @@ def cmd_dispersion(cfg):
     _write_table(out / "cone_angle.dat", header, [phis, pm.theta0],
                  ["phi0_rad", "theta0_rad"])
     _write_table(out / "cone_angle_fit.dat", header,
-                 [phis_fit, fit, exact, (fit - exact) / exact],
+                 [phis_fit, fit, exact, residual],
                  ["phi0_rad", "fit_rad", "exact_rad", "rel_residual"])
     print(f"collinear cut angle: {root:.6f} rad")
     print(f"wrote 3 tables to {out}")

@@ -19,8 +19,9 @@ five decimal places.
 
 Indices are taken at one wavelength at a time; the cut angle phi0 may
 be a number or an array, so a whole sweep of cuts is one phase_match
-call.  A number in gives Python floats out.  The collinear cut angle,
-where the index difference vanishes, has a closed form.
+call.  A number in gives Python floats out.  The collinear cut angle
+phi_c, where the index difference vanishes, has a closed form, and so
+has the cone's square-root law just above it.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ __all__ = [
     "collinear_cut_angle",
     "opening_angle_fit",
 ]
-
-# Interpolation formula for the cone opening angle vs cut angle,
-# theta0 = FIT_SCALE * sqrt(phi0 - FIT_THRESHOLD); valid above the
-# collinear threshold only.
-FIT_SCALE = 0.63
-FIT_THRESHOLD = 0.5008
 
 MICRON_TO_CM = 1e-4
 
@@ -217,19 +212,25 @@ def collinear_cut_angle(disp, lambda_p):
     return math.asin(math.sqrt(sin2))
 
 
-def opening_angle_fit(phi0):
-    """Square-root interpolation of the cone opening angle above the collinear cut.
+def opening_angle_fit(disp, phi0, lambda_p):
+    """Cone opening angle by the square-root law C sqrt(phi0 - phi_c).
 
-    phi0 is a number or an array.  Only defined where every element is
-    >= the fitted threshold angle; below it (or at NaN) the emission
-    cone does not exist and a ValueError is raised.
+    Near the collinear cut phi_c, delta_n is linear in phi0 - phi_c, so
+    theta0^2 = -2 N delta_n gives C^2 = -2 N dn_p/dphi at phi_c, with
+    N = n_o(2 lambda_p) = n_p(phi_c) and, from pump_index's closed form,
+    dn_p/dphi = -n_p^3 (n_o^2 - n_e^2) sin phi cos phi / (n_o n_e)^2.
+    phi0 is a number or an array; an element below phi_c (or NaN) raises
+    ValueError.
     """
     phi = np.asarray(phi0, dtype=float)
-    above = phi >= FIT_THRESHOLD
+    cut = collinear_cut_angle(disp, lambda_p)
+    above = phi >= cut
     if not above.all():
-        raise ValueError(f"phi0 = {phi[~above].flat[0]} below the collinear "
-                         f"threshold {FIT_THRESHOLD}")
-    return _like(phi, FIT_SCALE * np.sqrt(phi - FIT_THRESHOLD))
+        raise ValueError(f"phi0 = {phi[~above].flat[0]} below the collinear cut {cut}")
+    n_o, n_e = index_ordinary(disp, lambda_p), index_extraordinary(disp, lambda_p)
+    big_n = index_ordinary(disp, 2.0 * lambda_p)
+    c2 = big_n ** 4 * (n_o * n_o - n_e * n_e) * math.sin(2.0 * cut) / (n_o * n_e) ** 2
+    return _like(phi, np.sqrt(c2 * (phi - cut)))
 
 
 def read_keys(text, known, fail):

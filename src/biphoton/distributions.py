@@ -245,9 +245,7 @@ def reduced_bipartite(k1x, k2x, params):
 
     Elementwise over arrays of k1x and k2x.
     """
-    kp = k1x + k2x
-    gauss = np.exp(-(params.w_p * kp) ** 2)
-    return gauss * f_exact(k1x - k2x, params)
+    return pump_envelope(k1x + k2x, params) ** 2 * f_exact(k1x - k2x, params)
 
 
 def default_kappa_grid(params, n=2001):
@@ -280,19 +278,16 @@ def single_particle_curve(kappa_grid, params):
 
 
 def coincidence_curve(k2x_fixed, params):
-    """Conditional distribution of k1x at fixed k2x: Gaussian times F(2 k2x).
+    """Conditional distribution of k1x at fixed k2x: reduced_bipartite(k1x, k2x).
 
-    Peaks at k1x = -k2x; the grid holds 501 points six Gaussian widths
-    each way of it.  The overall factor F(2 k2x) only matters for the raw
-    scale (it vanishes quickly once |2 k2x| leaves the cone).  For |k2x| <
-    pi/lambda_p and w_p <= 1 cm its points lie at least 1e-7 apart in kappa.
+    Peaks near k1x = -k2x; the grid holds 501 points six Gaussian widths
+    each way of it.  For |k2x| < pi/lambda_p and w_p <= 1 cm its points lie
+    at least 1e-7 apart in kappa.
     """
     center = -float(params.kappa(k2x_fixed))
     sigma = params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     kappa_grid = np.linspace(center - 6.0 * sigma, center + 6.0 * sigma, 501)
-    k1 = params.k_from_kappa(kappa_grid)
-    scale = f_exact(2.0 * k2x_fixed, params)
-    vals = pump_envelope(k1 + k2x_fixed, params) ** 2 * scale
+    vals = reduced_bipartite(params.k_from_kappa(kappa_grid), k2x_fixed, params)
     meta = _params_meta(params)
     meta["kind"] = "coincidence"
     meta["k2x_cm^-1"] = repr(float(k2x_fixed))

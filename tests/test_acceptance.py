@@ -60,7 +60,7 @@ def test_c02_collinear_root_and_fit(bbo):
         assert abs(root - 0.5008) <= 1e-3, f"root {root}"
         for phi in np.linspace(0.51, 0.9, 79):
             exact = phase_match(bbo, phi, LAM_P).theta0
-            rel = abs(opening_angle_fit(phi) - exact) / exact
+            rel = abs(opening_angle_fit(bbo, phi, LAM_P) - exact) / exact
             assert rel < 0.05, f"fit deviation {rel:.4f} at phi0={phi:.3f}"
 
 

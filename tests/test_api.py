@@ -4,7 +4,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import biphoton
+from biphoton import cli
 
 # what `import biphoton` binds in a fresh interpreter: the five layer
 # modules it imports from, and the names it re-exports
@@ -78,14 +81,20 @@ def test_all_lists_resolve_and_hold_the_package_names():
 _STALE_TRACE_POINTS = {("biphoton.ringscan", "ScanResult", "write")}
 
 
+def _perfbench(name):
+    """The benchmark's module perfbench/<name>.py, loaded from its file."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(root, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_points_resolve():
     # perfbench wraps each layer's functions by name; read its table without
     # calling its install(), which patches the package
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench("tracing")
     missing = []
     for module_name, owner_name, attr, _, _ in tracing.TRACE_POINTS:
         if (module_name, owner_name, attr) in _STALE_TRACE_POINTS:
@@ -96,3 +105,18 @@ def test_benchmark_trace_points_resolve():
             missing.append(f"{module_name}:{owner_name or ''}.{attr}")
     assert missing == []
     assert len(tracing.TRACE_POINTS) - len(_STALE_TRACE_POINTS) == 16
+
+
+@pytest.mark.parametrize("config", ["A", "default"])
+def test_benchmark_gates_pass(tmp_path, monkeypatch, config):
+    # the benchmark fails an operation whose fcurve or scan tables its checks
+    # reject; run both commands on its configs and apply those checks
+    monkeypatch.setitem(sys.modules, "oracle", _perfbench("oracle"))
+    checks = _perfbench("checks")
+    flags = [*_perfbench("workloads").config_flags(config), "--grid", "201"]
+    fcurve, scan = str(tmp_path / "fcurve"), str(tmp_path / "scan")
+    assert cli.main(["fcurve", *flags, "--out", fcurve]) == 0
+    assert cli.main(["scan", *flags, "--pairs", "1000000", "--seed", "7",
+                     "--out", scan]) == 0
+    assert checks.check_fcurve(fcurve, 7) is None
+    assert checks.check_scan(scan) is None

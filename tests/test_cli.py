@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from biphoton import (CrystalFileError, cli, default_kappa_grid, load_crystal,
-                      read_curve, sample_pairs, scan_single)
+from biphoton import (CrystalFileError, cli, collinear_cut_angle,
+                      default_kappa_grid, load_crystal, read_curve, sample_pairs,
+                      scan_single)
 from biphoton.crystal import MICRON_TO_CM
 
 from conftest import argmax_x, traced_peak
@@ -45,6 +46,31 @@ def test_dispersion_command(tmp_path):
     fit = load_table(out / "cone_angle_fit.dat")
     sel = (fit[:, 0] >= 0.51) & (fit[:, 0] <= 0.9)
     assert np.max(np.abs(fit[sel, 3])) < 0.05
+
+
+def test_dispersion_law_starts_at_the_cut(tmp_path, bbo):
+    # at 0.5 um the collinear cut is 0.4168 rad, far below BBO's 0.5008 at
+    # 405 nm; the law's table starts there and its residual stays below 9%
+    # (8.3%) over the first 0.4 rad
+    out = tmp_path / "d"
+    assert run("dispersion", "--lambda-p", "0.5", "--out", str(out)) == 0
+    fit = load_table(out / "cone_angle_fit.dat")
+    cut = collinear_cut_angle(bbo, 0.5)
+    assert round(cut, 4) == 0.4168
+    assert fit[0, 0] == float("%.12e" % cut) and fit[0, 1] == 0.0
+    assert np.all(np.diff(fit[:, 0]) > 0.0) and fit[-1, 0] == 1.2
+    first = fit[:, 0] <= cut + 0.4
+    assert np.max(np.abs(fit[first, 3])) < 0.09
+    # a crystal whose cut lies past the table's 1.2 rad: one angle, the cut
+    late = tmp_path / "late.crystal"
+    late.write_text("name = Late\nsellmeier_o = 2.7405 0.0184 0.0179 0.0155\n"
+                    "sellmeier_e = 2.665 0.0128 0.0156 0.0044\n"
+                    "valid_range = 0.22 1.06\n")
+    assert collinear_cut_angle(load_crystal(late), 0.4047) > 1.2
+    assert run("dispersion", "--crystal", str(late), "--grid", "11",
+               "--out", str(tmp_path / "late")) == 0
+    fit = load_table(tmp_path / "late" / "cone_angle_fit.dat")
+    assert np.all(fit[:, 0] == fit[0, 0]) and np.all(fit[:, [1, 3]] == 0.0)
 
 
 def test_fcurve_command(tmp_path):

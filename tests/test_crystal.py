@@ -8,7 +8,7 @@ from biphoton import (CrystalDispersion, CrystalFileError,
                       NoCollinearRootError, WavelengthRangeError,
                       collinear_cut_angle, index_ordinary, load_crystal,
                       opening_angle_fit, phase_match, pump_index)
-from biphoton.crystal import FIT_THRESHOLD, index_extraordinary
+from biphoton.crystal import index_extraordinary
 
 from conftest import collinear_cut_brentq
 
@@ -82,7 +82,7 @@ def test_phase_match_scalar_gives_floats(bbo):
         assert type(value) is float
     assert type(phase_match(bbo, 0.3, LAM_P).theta0) is float
     assert type(pump_index(bbo, 0.5275, LAM_P)) is float
-    assert type(opening_angle_fit(0.7)) is float
+    assert type(opening_angle_fit(bbo, 0.7, LAM_P)) is float
 
 
 def test_phase_match_array_equals_scalar_calls(bbo):
@@ -100,9 +100,9 @@ def test_phase_match_array_equals_scalar_calls(bbo):
         assert np.array_equal(getattr(pm, field),
                               [getattr(r, field) for r in one], equal_nan=True), field
     assert np.array_equal(pump_index(bbo, phis, LAM_P), [r.n_p for r in one])
-    fit_phis = phis[phis >= FIT_THRESHOLD]
-    assert np.array_equal(opening_angle_fit(fit_phis),
-                          [opening_angle_fit(float(p)) for p in fit_phis])
+    fit_phis = phis[phis >= collinear_cut_angle(bbo, LAM_P)]
+    assert np.array_equal(opening_angle_fit(bbo, fit_phis, LAM_P),
+                          [opening_angle_fit(bbo, float(p), LAM_P) for p in fit_phis])
     # shapes pass through
     assert phase_match(bbo, phis.reshape(-1, 4), LAM_P).delta_n.shape == (251, 4)
 
@@ -149,20 +149,47 @@ def test_collinear_cut_angle_no_sign_change(bbo):
         collinear_cut_angle(_toy(bbo_o, bbo_o), LAM_P)
 
 
-def test_opening_angle_fit_values():
-    assert opening_angle_fit(0.7) == pytest.approx(0.63 * math.sqrt(0.7 - 0.5008), rel=1e-14)
-    assert opening_angle_fit(0.7) == pytest.approx(0.2812, abs=5e-5)
-    assert opening_angle_fit(0.5275) == pytest.approx(0.1029, abs=5e-5)
-    assert opening_angle_fit(FIT_THRESHOLD) == 0.0
-    for bad in (0.49, math.nan, np.array([0.6, 0.49, 0.7]), np.array([0.6, math.nan])):
-        with pytest.raises(ValueError):
-            opening_angle_fit(bad)
+def _law_scale(disp, lambda_p, h=1e-6):
+    """C of theta0 = C sqrt(phi0 - phi_c), from a central difference of delta_n."""
+    cut = collinear_cut_angle(disp, lambda_p)
+    dn = phase_match(disp, np.array([cut - h, cut + h]), lambda_p)
+    slope = (dn.delta_n[1] - dn.delta_n[0]) / (2.0 * h)
+    return math.sqrt(-2.0 * dn.n_o_signal * slope), cut
+
+
+def test_opening_angle_fit_values(bbo):
+    # the law C sqrt(phi0 - phi_c) with C from the derivative of delta_n at
+    # the cut, taken here by a finite difference of phase_match
+    for lambda_p, scale in ((LAM_P, 0.6076), (0.5, 0.5636)):
+        c, cut = _law_scale(bbo, lambda_p)
+        assert c == pytest.approx(scale, abs=5e-5)
+        for phi in (cut + 1e-3, 0.7, np.array([cut, 0.9, 1.2])):
+            np.testing.assert_allclose(opening_angle_fit(bbo, phi, lambda_p),
+                                       c * np.sqrt(phi - cut), rtol=1e-8)
+        assert opening_angle_fit(bbo, cut, lambda_p) == 0.0
+        for bad in (cut - 1e-9, math.nan, np.array([0.6, cut - 0.01, 0.7]),
+                    np.array([0.6, math.nan])):
+            with pytest.raises(ValueError):
+                opening_angle_fit(bbo, bad, lambda_p)
+
+
+@pytest.mark.parametrize("lambda_p", [LAM_P, 0.5])
+def test_opening_angle_law_is_the_limit_at_the_cut(bbo, lambda_p):
+    # the law is the leading order of the exact angle: its relative error
+    # shrinks in proportion to phi0 - phi_c (-0.27 and -0.41 times it)
+    cut = collinear_cut_angle(bbo, lambda_p)
+    steps = np.array([1e-3, 1e-4, 1e-5])
+    rel = (opening_angle_fit(bbo, cut + steps, lambda_p)
+           / phase_match(bbo, cut + steps, lambda_p).theta0 - 1.0)
+    slope = rel / steps
+    assert np.all(np.abs(slope) < 0.5)
+    assert np.ptp(slope) < 0.01 * np.abs(slope).max()
 
 
 def test_fit_tracks_exact_cone_angle(bbo):
     for phi in np.linspace(0.51, 0.9, 79):
         exact = phase_match(bbo, phi, LAM_P).theta0
-        assert abs(opening_angle_fit(phi) - exact) / exact < 0.05
+        assert abs(opening_angle_fit(bbo, phi, LAM_P) - exact) / exact < 0.05
 
 
 def test_load_bundled_crystal(bbo):

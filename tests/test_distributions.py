@@ -305,6 +305,23 @@ def test_coincidence_curve_properties(params_b):
     assert abs(excess_kurtosis(c)) < 0.05
 
 
+def test_coincidence_curve_is_reduced_bipartite_at_the_cone_edge(params_long):
+    # at kappa2 = theta0, f(2 k2x) sits on the cone edge and f_exact(k1x - k2x)
+    # turns by about 12 in u per Gaussian width on the long crystal: the
+    # conditional is the joint density, not the Gaussian times f(2 k2x)
+    p = params_long
+    k2 = p.k_from_kappa(p.theta0)
+    c = coincidence_curve(k2, p)
+    k1 = p.k_from_kappa(c.x)
+    assert np.array_equal(c.y, reduced_bipartite(k1, k2, p))
+    # the joint density against mpmath's G at every 25th point
+    for i in range(0, c.x.size, 25):
+        u = p.sinc_scale * (4.0 * p.theta0 ** 2 - float(p.kappa(k1[i] - k2)) ** 2)
+        ref = (math.exp(-(p.w_p * (k1[i] + k2)) ** 2) * g_fresnel(u)
+               / math.sqrt(p.sinc_scale))
+        assert c.y[i] == pytest.approx(ref, rel=1e-11, abs=1e-11 * c.y.max())
+
+
 def test_plane_restricted_curve(params_b):
     grid = default_kappa_grid(params_b, 2001)
     plane = plane_restricted_curve(grid, params_b)

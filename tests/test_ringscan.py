@@ -443,10 +443,14 @@ def test_mc_error_shrinks_as_sqrt_n(params_b, ring_b):
     a_int = analytic.counts[interior] / analytic.counts[interior].sum()
 
     def mse(n):
-        batch = sample_pairs(params_b, Z_CM, n, seed=7)
-        m = scan_single(batch, Z_CM * centers).counts
-        m_int = m[interior] / m[interior].sum()
-        return np.mean((m_int - a_int) ** 2)
+        # pooled over 4 seeds: at one seed the ratio leaves (2, 8) for about
+        # 1.5% of seeds, pooled over 4 it stayed within 2.6-5.3 on 125 groups
+        total = 0.0
+        for seed in range(7, 11):
+            m = scan_single(sample_pairs(params_b, Z_CM, n, seed=seed),
+                            Z_CM * centers).counts
+            total += np.mean((m[interior] / m[interior].sum() - a_int) ** 2)
+        return total
 
     ratio = mse(50_000) / mse(200_000)
     assert 2.0 < ratio < 8.0
