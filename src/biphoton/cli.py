@@ -224,9 +224,12 @@ def cmd_dispersion(cfg):
     except cr.NoCollinearRootError as exc:
         raise ConfigError(f"crystal {disp.name} has no collinear cut at "
                           f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
-    # the law's table runs from the cut to 1.2 rad, or is the cut alone
+    # the law's table runs from the cut to where the cone opens: up to 1.2 rad
+    # (or the cut alone) when n_o > n_e at the pump, as in BBO, else down to 0
+    toward = (0.0 if cr.index_extraordinary(disp, cfg.lambda_p)
+              > cr.index_ordinary(disp, cfg.lambda_p) else max(root, 1.2))
     phis, phis_fit = _grid(cfg, lambda n: (np.linspace(0.0, 1.2, n),
-                                           np.linspace(root, max(root, 1.2), n)))
+                                           np.linspace(root, toward, n)))
     pm = cr.phase_match(disp, phis, cfg.lambda_p)
     exact = cr.phase_match(disp, phis_fit, cfg.lambda_p).theta0
     fit = cr.opening_angle_fit(disp, phis_fit, cfg.lambda_p)

@@ -219,18 +219,19 @@ def opening_angle_fit(disp, phi0, lambda_p):
     theta0^2 = -2 N delta_n gives C^2 = -2 N dn_p/dphi at phi_c, with
     N = n_o(2 lambda_p) = n_p(phi_c) and, from pump_index's closed form,
     dn_p/dphi = -n_p^3 (n_o^2 - n_e^2) sin phi cos phi / (n_o n_e)^2.
-    phi0 is a number or an array; an element below phi_c (or NaN) raises
-    ValueError.
+    The cone opens where C^2 (phi0 - phi_c) >= 0, and there the law is
+    |C| sqrt|phi0 - phi_c|.  phi0 is a number or an array; an element
+    elsewhere (or NaN) raises ValueError.
     """
     phi = np.asarray(phi0, dtype=float)
     cut = collinear_cut_angle(disp, lambda_p)
-    above = phi >= cut
-    if not above.all():
-        raise ValueError(f"phi0 = {phi[~above].flat[0]} below the collinear cut {cut}")
     n_o, n_e = index_ordinary(disp, lambda_p), index_extraordinary(disp, lambda_p)
     big_n = index_ordinary(disp, 2.0 * lambda_p)
     c2 = big_n ** 4 * (n_o * n_o - n_e * n_e) * math.sin(2.0 * cut) / (n_o * n_e) ** 2
-    return _like(phi, np.sqrt(c2 * (phi - cut)))
+    opens = c2 * (phi - cut) >= 0.0
+    if not opens.all():
+        raise ValueError(f"no cone opens at phi0 = {phi[~opens].flat[0]} (cut {cut})")
+    return _like(phi, np.sqrt(abs(c2) * np.abs(phi - cut)))
 
 
 def read_keys(text, known, fail):

@@ -13,7 +13,7 @@ density.  Two independent routes to that curve are provided:
   reproduces the inverse-square-root projection law, and
 
 * a Monte-Carlo mode that draws photon pairs from the actual pair
-  density (Gaussian summed momenta; difference-momentum magnitude from
+  density (Gaussian summed x momentum; difference-momentum magnitude from
   the squared-sinc radial law, uniform azimuth), maps each photon to
   the plane via r = z * lam * k_perp / pi, and bins detections per
   scan line.
@@ -28,8 +28,8 @@ the rest, so every decision is the float64 test's.  Pairs are drawn in
 blocks of _BLOCK, block i from the stream SeedSequence(seed,
 spawn_key=(i,)), so a scan summed block by block depends on (seed, pair
 count) alone and runs in constant memory.
-A batch holds each pair's summed position and polar separation; its
-positions x1, x2, y1 and y2 are formed on first read.  The scans bin each
+A batch holds each pair's summed x and polar separation (no scan reads y,
+so none is drawn); x1 and x2 are formed on first read.  The scans bin each
 photon, and test each pair against the D2 slit, from float32 positions
 wherever a proven bound on their error leaves no doubt, and form the
 float64 position of the rest, so every count is np.histogram's of the
@@ -128,16 +128,14 @@ def chord_length(x, ring):
 class PairBatch:
     """Sampled photon pairs in the detection plane (cm).
 
-    px, py are x1 + x2 and y1 + y2; rho, phi are the polar form of the
-    separation r1 - r2.  x1, x2 = (px +- rho cos phi)/2 and y1, y2 =
-    (py +- rho sin phi)/2 are formed on first read.  A scan reads _x32
-    instead and forms x only where that leaves an edge in doubt.  spare
-    holds n + 3 min(n, _BLOCK) float64 or more: _x32's rows, then the
-    scans' scratch, so the scans of one batch run one at a time.
+    px is x1 + x2; rho, phi are the polar form of the separation r1 - r2.
+    x1, x2 = (px +- rho cos phi)/2 are formed on first read; y is not drawn.
+    A scan reads _x32 instead and forms x only where that leaves an edge in
+    doubt.  spare holds n + 3 min(n, _BLOCK) float64 or more: _x32's rows,
+    then the scans' scratch, so the scans of one batch run one at a time.
     """
 
     px: np.ndarray
-    py: np.ndarray
     rho: np.ndarray
     phi: np.ndarray
     seed: int
@@ -146,17 +144,13 @@ class PairBatch:
     _mx = cached_property(lambda self: self.rho * np.cos(self.phi))
     x1 = cached_property(lambda self: 0.5 * (self.px + self._mx))
     x2 = cached_property(lambda self: 0.5 * (self.px - self._mx))
-    _my = cached_property(lambda self: self.rho * np.sin(self.phi))
-    y1 = cached_property(lambda self: 0.5 * (self.py + self._my))
-    y2 = cached_property(lambda self: 0.5 * (self.py - self._my))
 
     def __len__(self):
         return len(self.px)
 
     def _take(self, idx):
         """The pairs idx as a batch of their own, for their exact x."""
-        return PairBatch(self.px[idx], self.py[idx], self.rho[idx], self.phi[idx],
-                         self.seed)
+        return PairBatch(self.px[idx], self.rho[idx], self.phi[idx], self.seed)
 
     @cached_property
     def _x32(self):
@@ -266,25 +260,25 @@ def _sinc2_variates(rng, x_max, out, work):
 
 
 def _workspace_size(n):
-    """float64 values sample_pairs uses for n pairs: the batch's four rows,
+    """float64 values sample_pairs uses for n pairs: the batch's three rows,
     then the sampler's three work rows, which the scans' spare (see PairBatch)
     takes over once the draw is done."""
     m = min(n, _BLOCK)
-    return 4 * n + max(3 * (m * 4 // 3 + 64), n + 3 * m)
+    return 3 * n + max(3 * (m * 4 // 3 + 64), n + 3 * m)
 
 
 def sample_pairs(params, z, n, seed, block=0, *, out=None):
     """Draw n photon pairs and map them to the detection plane at distance z.
 
-    Summed momenta are Gaussian with the pump-envelope variance; the
-    difference-momentum magnitude kappa follows the squared-sinc radial
-    law exactly: x = S(4 theta0^2 - kappa^2) has density sinc^2(x) on
-    x <= 4 S theta0^2, so x is drawn by rejection and mapped back.  The
-    azimuth is uniform on [0, 2 pi).  Pairs come in blocks of _BLOCK,
-    the j-th from the stream SeedSequence(seed, spawn_key=(block + j,)),
-    so (seed, block, n) fixes the batch bit for bit, and n pairs from
-    block 0 are the single blocks 0, 1, 2, ... laid end to end: a scan
-    may draw and histogram them one at a time.
+    The summed x momentum is Gaussian with the pump-envelope variance (no
+    scan reads y, so none is drawn); the difference-momentum magnitude kappa
+    follows the squared-sinc radial law exactly: x = S(4 theta0^2 - kappa^2)
+    has density sinc^2(x) on x <= 4 S theta0^2, so x is drawn by rejection
+    and mapped back.  The azimuth is uniform on [0, 2 pi).  Pairs come in
+    blocks of _BLOCK, the j-th from the stream SeedSequence(seed,
+    spawn_key=(block + j,)), so (seed, block, n) fixes the batch bit for
+    bit, and n pairs from block 0 are the single blocks 0, 1, 2, ... laid
+    end to end: a scan may draw and histogram them one at a time.
 
     out, if given, is the workspace the batch is drawn into: a writeable
     C-contiguous float64 array of at least _workspace_size(n) values.  The
@@ -308,23 +302,22 @@ def sample_pairs(params, z, n, seed, block=0, *, out=None):
     # difference momentum z * kappa_minus (clipped at 0 against rounding)
     sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     four_theta_sq = 4.0 * params.theta0 ** 2
-    # each block writes its slice of the four rows
+    # each block writes its slice of the three rows
     buf = out.reshape(-1)[:size]
-    px, py, rho, phi = buf[:4 * n].reshape(4, n)
+    px, rho, phi = buf[:3 * n].reshape(3, n)
     k = min(n, _BLOCK) * 4 // 3 + 64
-    work = buf[4 * n:4 * n + 3 * k].reshape(3, k)
+    work = buf[3 * n:3 * n + 3 * k].reshape(3, k)
     for i, start in enumerate(range(0, n, _BLOCK), start=block):
         sl = slice(start, min(start + _BLOCK, n))
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for v in (px[sl], py[sl]):
-            np.multiply(rng.standard_normal(out=v), sigma, out=v)
-        r, p = rho[sl], phi[sl]
+        v, r, p = px[sl], rho[sl], phi[sl]
+        np.multiply(rng.standard_normal(out=v), sigma, out=v)
         _sinc2_variates(rng, params.sinc_scale * four_theta_sq, r, work)
         # rho = z sqrt(max(4 theta0^2 - x/S, 0)) in place, and phi = 2 pi U
         np.subtract(four_theta_sq, np.divide(r, params.sinc_scale, out=r), out=r)
         np.multiply(z, np.sqrt(np.maximum(r, 0.0, out=r), out=r), out=r)
         np.multiply(2.0 * math.pi, rng.random(out=p), out=p)
-    return PairBatch(px, py, rho, phi, seed, buf[4 * n:])
+    return PairBatch(px, rho, phi, seed, buf[3 * n:])
 
 
 @dataclass(frozen=True, kw_only=True)

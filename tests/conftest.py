@@ -170,11 +170,11 @@ def _reference_sinc2(rng, x_max, m):
 
 
 def reference_pairs(params, z, n, seed, block=0):
-    """Bit-for-bit oracle of sample_pairs: (x1, y1, x2, y2), plainly written.
+    """Bit-for-bit oracle of sample_pairs: (x1, x2, rho, phi), plainly written.
 
     The same draws in the same order as the package's in-place sampler:
     blocks of 2**16 pairs, block i from SeedSequence(seed, spawn_key=(i,)),
-    then per block two Gaussians, the sinc^2 variates and the azimuths.
+    then per block one Gaussian (px), the sinc^2 variates and the azimuths.
     """
     sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     four_theta_sq = 4.0 * params.theta0 ** 2
@@ -182,13 +182,22 @@ def reference_pairs(params, z, n, seed, block=0):
     for i, start in enumerate(range(0, n, 2 ** 16), start=block):
         m = min(2 ** 16, n - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        px, py = rng.normal(0.0, sigma, m), rng.normal(0.0, sigma, m)
+        px = rng.normal(0.0, sigma, m)
         x = _reference_sinc2(rng, params.sinc_scale * four_theta_sq, m)
         rho = z * np.sqrt(np.maximum(four_theta_sq - x / params.sinc_scale, 0.0))
         phi = 2.0 * math.pi * rng.random(m)
-        mx, my = rho * np.cos(phi), rho * np.sin(phi)
-        parts.append((px + mx, py + my, px - mx, py - my))
-    return tuple(0.5 * np.concatenate(c) for c in zip(*parts))
+        mx = rho * np.cos(phi)
+        parts.append((0.5 * (px + mx), 0.5 * (px - mx), rho, phi))
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def pair_y(batch, params, z, seed):
+    """y1, y2 for a batch, whose sampler draws no y: py from its own Gaussian
+    stream with px's pump-envelope spread, and the separation's rho sin phi."""
+    sigma = z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
+    py = np.random.default_rng(seed).normal(0.0, sigma, len(batch))
+    my = batch.rho * np.sin(batch.phi)
+    return 0.5 * (py + my), 0.5 * (py - my)
 
 
 def g_fresnel(u):

@@ -73,6 +73,27 @@ def test_dispersion_law_starts_at_the_cut(tmp_path, bbo):
     assert np.all(fit[:, 0] == fit[0, 0]) and np.all(fit[:, [1, 3]] == 0.0)
 
 
+def test_dispersion_law_of_a_positive_crystal(tmp_path):
+    # n_e > n_o at the pump: the cone opens below the cut, 0.6658 rad at
+    # 405 nm, so the law's table runs from the cut down to 0 rad, where
+    # phase_match gives 0.31 rad; no NaN and no warning (the suite turns
+    # warnings into errors), and the law within 5% over 0.15 rad (3.3%)
+    toy = tmp_path / "positive.crystal"
+    toy.write_text("name = Positive\nsellmeier_o = 2.7405 -0.0184 0.0179 0.0\n"
+                   "sellmeier_e = 2.8 0.0128 0.0156 0.0044\n"
+                   "valid_range = 0.22 1.06\n")
+    out = tmp_path / "pos"
+    assert run("dispersion", "--crystal", str(toy), "--out", str(out)) == 0
+    fit = load_table(out / "cone_angle_fit.dat")
+    cut = collinear_cut_angle(load_crystal(toy), 0.4047)
+    assert round(cut, 4) == 0.6658
+    assert not np.isnan(fit).any()
+    assert fit[0, 0] == float("%.12e" % cut) and fit[0, 1] == 0.0
+    assert np.all(np.diff(fit[:, 0]) < 0.0) and fit[-1, 0] == 0.0
+    near = fit[:, 0] >= cut - 0.15
+    assert np.max(np.abs(fit[near, 3])) < 0.05
+
+
 def test_fcurve_command(tmp_path):
     out = tmp_path / "f"
     assert run("fcurve", "--out", str(out), "--grid", "301") == 0
@@ -138,34 +159,35 @@ def test_scan_command(tmp_path):
 
 
 # SHA-256 of scan_single_mc.dat, scan_coincidence.dat and scan_comparison.dat
-# for 2 * 65536 + 12345 pairs, as np.histogram of the float64 positions and
-# the plain float64 slit test wrote them before the scans' float32 squeeze;
-# scan_comparison.dat as G(u) on two bands writes its theory_ua column
+# for 2 * 65536 + 12345 pairs of the stream that draws no y, as np.histogram
+# of the float64 positions and the plain float64 slit test write them (the
+# scans swapped for those two, the same digests); scan_comparison.dat as G(u)
+# on two bands writes its theory_ua column
 _SCAN_DIGESTS = {
     ("A", 1): (
-        "52d895f998ea05361cc19a04bb1617aefb563f1b9d5627582327614290b6bf0f",
-        "d2abc377ab02855c725d20ac9acaf7837552fa763c569575523223db53137cde",
-        "836e3efa42fd0ab1a2689aad7c3cda745e9ef0da588da313e44b9a68f7544210"),
+        "63b56a8764bff7505638450e32b85eda30620ff2d61b2817f0902947762286f0",
+        "73458e3370f2a39cd5b15dbef5400e256ff4ad158fee59a05e220c3ee80cc7fe",
+        "93527920c85d5a0fd0bb3da694698255a7781da4f646c9863fa7d3eeaa4cf165"),
     ("A", 20240801): (
-        "2934935a57356b5b7c0497ab6678d676d30c8fd44edaf2801f3c1e0bacdc1b53",
-        "d7b5acdff05c3a24bced7054d57d7401c52e96c2a895430d7718d68b23e02327",
-        "21f4a69371def435a8018cdd96a9b1bfa7e8879618a1e35d5b4988845c7d826e"),
+        "d049b38a58b71f913a6f48eb0b095e2450321f31f1447b170c390b713bbd9f65",
+        "f98d608059667bd1fd67ae307c941d50100a1bdc0922d79fa397f09e9f0a4caf",
+        "dba3ee4f8ec6d4cea415b69fad8f5cfa3f5030961f270c359dafe46d789f3e18"),
     ("B", 1): (
-        "7c03c5d4a2ec8e2b3452cb8da2d0f9963d4431435e9f7c96d7d73e75ed6dff35",
-        "1e1a8b0fd9c5dbcb1727c768a113da1ad9e39516d4f81f8b5393f29f534db608",
-        "0fc78c62123c40dc8d8b638681011aa19875cecad3f74ec58ffcc2deb5328ce2"),
+        "b255e19985387c7515536cf434a19a730c363c5a6d8986ac27bb7bc60506f674",
+        "a8235535dd4d9154c93ac8baf37183f0326fc461e570d5327c526c6ade11d2b1",
+        "c7dcdf1de9116b5e5808a7e55c42107e515dbcde77b720b2c12f0058438f06b3"),
     ("B", 20240801): (
-        "2f39d67f2c461608e73351c266e5c6cd78980b252831f3a1cdc6d024dc239555",
-        "91072662353c88536428eb3b5809d67e9dda3df254efba6c847949f0fad89773",
-        "3c2bec93d199989f75c6e457c443d9e251b39424bb2df4ef8c6220601295b5b5"),
+        "bd66ad74db37088688ff27b4e1935de40ede2a298d3254ae5d7e15f1ed4fda67",
+        "4a4ef12cbcfa60e2c5333f478cea06a79a02be0e3d5197163a8dc6d9fc80bf18",
+        "b0e08c2b9df7ce1232c0a9d4b3e3bb701f66bda0add9257b74e74213b1296254"),
     ("default", 1): (
-        "126c79dee36d65a966c7304937f0cd52f8e5fa10108e1835d6d040b9cda161f9",
-        "b587f972288f6ecb8d485c88cada500dfbabd27d77299f40ff40800b01288360",
-        "419df20f7c5903143fe4e8509f58aee857b47cc577121f4c3a9705e817158f43"),
+        "941cc1a220c829a99d4af1367d20ecb3b5d5dea560028ec1a7a5d28023b255b0",
+        "5433197d897ebdbd1ad46017375517f2195958f81ad6b0f4a4ab33902a512c05",
+        "c66c116259c88a20b27968ff2014368ac1726719c03c3f8a5fd1e5c1261ad5f8"),
     ("default", 20240801): (
-        "0886602a402e8f4536130017579979bdccaf840957129538f9b3d837d0561dc3",
-        "d2527506763c4044190674e612a6a568f1a1fb524a3e2e7efb9213eaeaed738d",
-        "00d0aa3aeca54036b3f5b27b99deb89cfb2deecf11a8585753e08d3067efe7b3"),
+        "777418b59c28f97ac8c329dc5350f7a483397f254a90b45083fbeaec008ce37a",
+        "00b680bad5fca7568b65947e2808abae738632dc60927b91442a037a6501d8c0",
+        "a804ee7e381a42607b6937ae02191349d53ad6882f8eb090c448a0fb4ea2c769"),
 }
 _SCAN_CONFIGS = {"A": ["--theta0", "0.28", "--waist", "0.5", "--length", "0.5"],
                  "B": ["--theta0", "0.1", "--waist", "0.1", "--length", "0.1"],
@@ -253,8 +275,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def test_scan_reuses_block_memory(tmp_path):
     # each block of pairs is drawn into the memory the previous one used; a
-    # block handed back to the system faults its 4.2 MB in again, about 1 000
-    # page faults, so the 28 extra blocks here would add some 29 000
+    # block handed back to the system faults its 3.7 MB in again, about 900
+    # page faults, so the 28 extra blocks here would add some 25 000
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     faults = []
     for pairs in ("200000", "2000000"):
@@ -269,7 +291,7 @@ def test_scan_reuses_block_memory(tmp_path):
 
 def test_scan_holds_one_block_at_a_time(tmp_path):
     # three blocks of pairs peak no higher than one, but for the two summed
-    # histograms (about 3 kB); a second live block would add 4.2 MB
+    # histograms (about 3 kB); a second live block would add 3.7 MB
     peaks = []
     for pairs in ("65536", "196608"):
         out = tmp_path / pairs

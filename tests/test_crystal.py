@@ -186,6 +186,23 @@ def test_opening_angle_law_is_the_limit_at_the_cut(bbo, lambda_p):
     assert np.ptp(slope) < 0.01 * np.abs(slope).max()
 
 
+def test_opening_angle_law_below_the_cut_of_a_positive_crystal():
+    # n_e > n_o at the pump: the cone opens below the cut, and the law
+    # |C| sqrt(phi_c - phi0) is the exact angle's leading order there
+    toy = _toy((2.7405, -0.0184, 0.0179, 0.0), (2.8, 0.0128, 0.0156, 0.0044))
+    cut = collinear_cut_angle(toy, LAM_P)
+    steps = np.array([1e-3, 1e-4, 1e-5])
+    rel = (opening_angle_fit(toy, cut - steps, LAM_P)
+           / phase_match(toy, cut - steps, LAM_P).theta0 - 1.0)
+    slope = rel / steps
+    assert np.all(np.abs(slope) < 0.5)
+    assert np.ptp(slope) < 0.01 * np.abs(slope).max()
+    assert math.copysign(1.0, opening_angle_fit(toy, cut, LAM_P)) == 1.0
+    for bad in (cut + 1e-9, math.nan, np.array([0.3, cut + 0.01])):
+        with pytest.raises(ValueError, match="no cone opens"):
+            opening_angle_fit(toy, bad, LAM_P)
+
+
 def test_fit_tracks_exact_cone_angle(bbo):
     for phi in np.linspace(0.51, 0.9, 79):
         exact = phase_match(bbo, phi, LAM_P).theta0

@@ -5,15 +5,16 @@ import pytest
 from scipy.special import sici
 from scipy.stats import kstest
 
-from biphoton import (NoRingError, SpdcParams, cli, default_kappa_grid, f_approx,
-                      ring_from_params, sample_pairs, scan_coincidence,
-                      scan_single, width_coincidence)
+from biphoton import (NoRingError, SpdcParams, cli, default_kappa_grid,
+                      entanglement_ratio, f_approx, ring_from_params,
+                      sample_pairs, scan_coincidence, scan_single,
+                      width_coincidence)
 from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, RingGeometry,
                                 _bin_edges, _sinc2_variates, _workspace_size,
                                 chord_length)
 
 from conftest import (MC_SEED, Z_CM, _reference_sinc2, curve_mean, curve_rms,
-                      reference_pairs)
+                      pair_y, reference_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +71,13 @@ def test_chord_length(ring_b):
 def test_sampling_determinism(params_b):
     a = sample_pairs(params_b, Z_CM, 2000, seed=7)
     b = sample_pairs(params_b, Z_CM, 2000, seed=7)
-    assert np.array_equal(a.x1, b.x1) and np.array_equal(a.y2, b.y2)
+    assert np.array_equal(a.x1, b.x1) and np.array_equal(a.phi, b.phi)
     c = sample_pairs(params_b, Z_CM, 2000, seed=8)
     assert not np.array_equal(a.x1, c.x1)
     # each block index is its own reproducible stream
     s1 = sample_pairs(params_b, Z_CM, 2000, seed=7, block=3)
     s2 = sample_pairs(params_b, Z_CM, 2000, seed=7, block=3)
-    assert np.array_equal(s1.x2, s2.x2) and np.array_equal(s1.y1, s2.y1)
+    assert np.array_equal(s1.x2, s2.x2) and np.array_equal(s1.rho, s2.rho)
     assert len(s1) == 2000
     s3 = sample_pairs(params_b, Z_CM, 2000, seed=7, block=4)
     assert not np.array_equal(s1.x2, s3.x2)
@@ -86,16 +87,16 @@ def test_sampling_determinism(params_b):
 @pytest.mark.parametrize("config", ["a", "b", "long", "collinear"])
 def test_sampler_matches_reference_bit_for_bit(request, bbo, config):
     # the in-place sampler makes the same draws and the same arithmetic as the
-    # plainly written reference; y1 and y2 are formed on first read, in any order.
+    # plainly written reference; x1 and x2 are formed on first read, in any order.
     # long's x_max ~ 1.8e4 lets proposals past _SQUEEZE_X through to the exact
     # test, and the collinear x_max = 0 takes several rejection rounds
     params = (SpdcParams.from_crystal(bbo, 0.4047, 0.1, 0.1, theta0=0.0)
               if config == "collinear"
               else request.getfixturevalue(f"params_{config}"))
     args = (params, Z_CM, 2 * _BLOCK + 1, MC_SEED)
-    ref = dict(zip(("x1", "y1", "x2", "y2"),
+    ref = dict(zip(("x1", "x2", "rho", "phi"),
                    reference_pairs(*args, block=3)))
-    for order in (("y1", "x1", "x2", "y2"), ("x1", "y2", "x2", "y1")):
+    for order in (("x2", "x1", "rho", "phi"), ("phi", "x1", "rho", "x2")):
         batch = sample_pairs(*args, block=3)
         for key in order:
             assert np.array_equal(getattr(batch, key), ref[key]), key
@@ -315,7 +316,7 @@ def test_batch_drawn_into_a_used_workspace_is_unchanged(params_b, ring_b):
         scan_coincidence(other, ring_b.r0, 0.5 * ring_b.delta_r, cpos)
         batch = sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=block, out=work)
         fresh = sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=block)
-        for key in ("px", "py", "rho", "phi", "x1", "y2"):
+        for key in ("px", "rho", "phi", "x1", "x2"):
             assert getattr(batch, key).tobytes() == getattr(fresh, key).tobytes(), key
 
 
@@ -345,10 +346,9 @@ def test_radial_sampler_matches_sinc2_law(bbo, length, theta0):
     # the waist, at most the domain's 1 cm, leaves the radial law as it is
     params = SpdcParams.from_crystal(bbo, 0.4047, min(length, 1.0), length,
                                      theta0=theta0)
-    batch = sample_pairs(params, 1.0, 200_000, seed=MC_SEED)  # at z = 1, x1 - x2 = kappa_x
-    kappa_sq = (batch.x1 - batch.x2) ** 2 + (batch.y1 - batch.y2) ** 2
+    batch = sample_pairs(params, 1.0, 200_000, seed=MC_SEED)  # at z = 1, rho = kappa
     x_max = 4.0 * params.sinc_scale * theta0 ** 2
-    x = params.sinc_scale * (4.0 * theta0 ** 2 - kappa_sq)
+    x = params.sinc_scale * (4.0 * theta0 ** 2 - batch.rho ** 2)
     assert np.all(x <= x_max * (1.0 + 1e-9) + 1e-9)
     total = _sinc2_cdf(x_max)
     result = kstest(x, lambda t: _sinc2_cdf(t) / total)
@@ -360,7 +360,7 @@ def test_blockwise_scans_equal_one_scan(params_b, ring_b, tmp_path):
     whole = sample_pairs(params_b, Z_CM, n, seed=MC_SEED)
     blocks = [sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=i)
               for i, m in enumerate([_BLOCK, _BLOCK, 1])]
-    for key in ("x1", "y1", "x2", "y2"):
+    for key in ("px", "rho", "phi", "x1", "x2"):
         assert np.array_equal(getattr(whole, key),
                               np.concatenate([getattr(b, key) for b in blocks]))
     centers = Z_CM * np.linspace(-0.15, 0.15, 201)
@@ -382,7 +382,7 @@ def test_blockwise_scans_equal_one_scan(params_b, ring_b, tmp_path):
 
 
 def test_radial_histogram_peaks_on_ring(params_b, ring_b, batch_b):
-    r = np.hypot(batch_b.x1, batch_b.y1)
+    r = np.hypot(batch_b.x1, pair_y(batch_b, params_b, Z_CM, MC_SEED)[0])
     hist, edges = np.histogram(r, bins=240, range=(4.0, 16.0))
     mode = 0.5 * (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1])
     assert abs(mode - ring_b.r0) < 0.2
@@ -392,7 +392,24 @@ def test_pair_anticorrelation(params_b, batch_b):
     # summed transverse momenta carry the pump-envelope spread only
     expected = Z_CM * params_b.lambda_cm / (math.pi * math.sqrt(2.0) * params_b.w_p)
     assert np.std(batch_b.x1 + batch_b.x2) == pytest.approx(expected, rel=0.03)
-    assert np.std(batch_b.y1 + batch_b.y2) == pytest.approx(expected, rel=0.03)
+
+
+@pytest.mark.parametrize("config", ["a", "b"])
+def test_azimuthal_spread_is_one_over_r(request, config):
+    # the paper's claim: the Cartesian width ratio R is the azimuthal
+    # entanglement of the spherical angles.  A photon's azimuth leaves the
+    # antipode of its partner's by p_perp/r0, so phi1 - phi2 - pi spreads by
+    # sigma_p/r0 = 1/R in the noncollinear limit.  Its Gaussian-equivalent
+    # scale IQR/1.349 is taken, not its std, which the sinc^2 tails of rho
+    # pull to 0.66-0.96 of 1/R on B over seeds 7-14 (IQR: 1.000-1.005)
+    params = request.getfixturevalue(f"params_{config}")
+    batch = sample_pairs(params, Z_CM, 400_000, seed=MC_SEED)
+    y1, y2 = pair_y(batch, params, Z_CM, MC_SEED)
+    dphi = np.arctan2(y1, batch.x1) - np.arctan2(y2, batch.x2) - math.pi
+    dphi = math.pi - np.mod(math.pi - dphi, 2.0 * math.pi)  # into (-pi, pi]
+    q1, q3 = np.percentile(dphi, [25.0, 75.0])
+    scale = (q3 - q1) / 1.349
+    assert 1.0 / scale / entanglement_ratio(params) == pytest.approx(1.0, rel=0.02)
 
 
 def _ua(values, x):
