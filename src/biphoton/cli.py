@@ -21,11 +21,9 @@ entries, which override the built-in defaults (the moderate waist-and-
 crystal parameter set: lambda_p 0.4047 um, phi0 0.5275 rad, waist and
 length 0.1 cm, z 100 cm).
 
-Exit codes: 0 success, 2 configuration error.  The model's domain is
-checked as the config, SpdcParams and the ring are built: lambda_p of at
-least 0.2 um, a waist above lambda_p/(2 pi) and at most 1 cm, a length of
-at most 100 cm, theta0 below pi/2, |k2x| below pi/lambda_p and, for
-`scan`, z from 1 cm to 1 km.  Also refused: a flag value argparse cannot
+Exit codes: 0 success, 2 configuration error.  The model's domain, stated
+in wavefunction, is checked as SpdcParams and the ring are built.  Also
+refused: a |k2x| not below pi/lambda_p, a flag value argparse cannot
 parse, a pump wavelength outside the crystal's range or at a pole of its
 Sellmeier form, a --rel-tol finer than G(u) is evaluated to, a --grid
 numpy cannot allocate, for `dispersion` a crystal with no collinear cut,
@@ -308,7 +306,7 @@ def cmd_distributions(cfg):
 
 
 def cmd_scan(cfg):
-    """Analytic and Monte-Carlo detector scans."""
+    """Monte-Carlo detector scans, compared with the single-photon curve."""
     _, params = _load_setup(cfg)
     try:
         ring = rs.ring_from_params(params, cfg.z)
@@ -317,7 +315,6 @@ def cmd_scan(cfg):
     slit = cfg.slit if cfg.slit is not None else 0.5 * ring.delta_r
     n_bins = min(cfg.grid, 241)
     positions = 0.5 * dist.default_kappa_grid(params, n_bins) * cfg.z
-    analytic = rs.scan_single(ring, positions)
 
     sigma_x = cfg.z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
@@ -339,30 +336,26 @@ def cmd_scan(cfg):
                           d2_position=float(ring.r0), slit_width=float(slit))
 
     kappas = positions / cfg.z
-    theory = dist.f_exact(2.0 * params.k_from_kappa(kappas), params)
+    theory = dist.single_particle_curve(kappas, params).y
 
     def ua(v):
         # unit area; a scan that captured no pairs stays all zero
         area = np.trapezoid(v, kappas)
         return v / area if area else v
 
-    cols = [kappas, ua(analytic.y), ua(mc.y), ua(theory)]
-    diff_am = np.abs(cols[1] - cols[3])
-    diff_mm = np.abs(cols[2] - cols[3])
+    mc_ua, theory_ua = ua(mc.y), ua(theory)
 
     out = _outdir(cfg)
     header = _header("biphoton detector scan", cfg, params, r0_cm=ring.r0,
                      delta_r_cm=ring.delta_r, slit_cm=slit)
-    analytic.write(out / "scan_single_analytic.dat", extra_header=header)
     mc.write(out / "scan_single_mc.dat", extra_header=header)
     coinc.write(out / "scan_coincidence.dat", extra_header=header)
     for scan in (mc, coinc):
         if scan.is_empty:
             print(f"warning: {scan.mode} scan captured no pairs", file=sys.stderr)
     _write_table(out / "scan_comparison.dat", header,
-                 cols + [diff_am, diff_mm],
-                 ["kappa", "analytic_ua", "mc_ua", "theory_ua",
-                  "abs_diff_analytic", "abs_diff_mc"])
+                 [kappas, mc_ua, theory_ua, np.abs(mc_ua - theory_ua)],
+                 ["kappa", "mc_ua", "theory_ua", "abs_diff_mc"])
     print(f"ring: r0 = {ring.r0:.6g} cm, delta_r = {ring.delta_r:.6g} cm")
     print(f"wrote scan tables to {out}")
     return EXIT_OK

@@ -5,18 +5,11 @@ radius r0 = z * theta0.  A detector moving along a vertical line at
 horizontal offset x sums counts over its whole travel, so the expected
 count is a line integral across the annulus; repeating for many
 offsets traces out the same curve as the y-reduction of the joint
-density.  Two independent routes to that curve are provided:
-
-* an analytic mode that integrates an idealized uniform annulus of
-  thickness delta_r = z * lam/(2 pi w_p) (the pump-waist-limited
-  correlation width mapped to the plane); its vertical-line chord
-  reproduces the inverse-square-root projection law, and
-
-* a Monte-Carlo mode that draws photon pairs from the actual pair
-  density (Gaussian summed x momentum; difference-momentum magnitude from
-  the squared-sinc radial law, uniform azimuth), maps each photon to
-  the plane via r = z * lam * k_perp / pi, and bins detections per
-  scan line.
+density.  The scan draws photon pairs from the actual pair density
+(Gaussian summed x momentum; difference-momentum magnitude from the
+squared-sinc radial law, uniform azimuth), maps each photon to the plane
+via r = z * lam * k_perp / pi, and bins detections per scan line; the
+momentum-space reduction in distributions is the curve it is compared with.
 
 Positions are in cm in the detection plane, and a scan is a Curve
 tagged xunit "cm"; x = z * kappa links it to the dimensionless momentum
@@ -53,7 +46,6 @@ __all__ = [
     "RingGeometry",
     "ScanResult",
     "ring_from_params",
-    "chord_length",
     "sample_pairs",
     "scan_single",
     "scan_coincidence",
@@ -66,11 +58,7 @@ class NoRingError(ValueError):
 
 @dataclass(frozen=True)
 class RingGeometry:
-    """Annulus in the detection plane: distance z, radius r0, thickness delta_r (cm).
-
-    From ring_from_params its radii lie between 1.6e-6 cm and 1e5 pi cm, so
-    chord_length's squares of them stay far inside the float range.
-    """
+    """Annulus in the detection plane: distance z, radius r0, thickness delta_r (cm)."""
 
     z: float
     r0: float
@@ -82,21 +70,13 @@ class RingGeometry:
         if self.delta_r >= self.r0:
             raise ValueError("ring thickness must be below its radius")
 
-    @property
-    def r_outer(self):
-        return self.r0 + 0.5 * self.delta_r
-
-    @property
-    def r_inner(self):
-        return self.r0 - 0.5 * self.delta_r
-
 
 def ring_from_params(params, z):
     """Ring radius z*theta0 and thickness z*width_coincidence*lam/pi.
 
-    Raises ValueError unless z lies in the far-field domain [_Z_MIN, _Z_MAX]
-    (1 cm to 1 km), and NoRingError unless theta0 exceeds the ring's angular
-    thickness lam/(2 pi w_p), which covers collinear parameters (theta0 = 0).
+    Raises ValueError unless z lies in the far-field domain [_Z_MIN, _Z_MAX],
+    and NoRingError unless theta0 exceeds the ring's angular thickness
+    lam/(2 pi w_p), which covers collinear parameters (theta0 = 0).
     """
     if not _Z_MIN <= z <= _Z_MAX:
         raise ValueError(f"z = {z!r} cm lies outside the far-field domain "
@@ -108,20 +88,6 @@ def ring_from_params(params, z):
                           f"ring's angular thickness {delta_r / z:.6g} rad: no "
                           "emission ring to scan")
     return RingGeometry(z=z, r0=r0, delta_r=delta_r)
-
-
-def chord_length(x, ring):
-    """Total length cut from the annulus by the vertical line at offset x (cm).
-
-    Both crossings (upper and lower arc) are counted; the line misses
-    the annulus entirely for |x| > r_outer.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # a line whose x^2 overflows misses the ring
-        x2 = x * x
-    outer = np.sqrt(np.maximum(ring.r_outer ** 2 - x2, 0.0))
-    inner = np.sqrt(np.maximum(ring.r_inner ** 2 - x2, 0.0))
-    return 2.0 * (outer - inner)
 
 
 @dataclass(frozen=True)
@@ -324,9 +290,8 @@ def sample_pairs(params, z, n, seed, block=0, *, out=None):
 class ScanResult(Curve):
     """Counts per vertical scan line, as a curve over line offsets in cm.
 
-    x holds the offsets (uniform spacing, bin centers in Monte-Carlo
-    mode); y holds expected densities in analytic mode and nonnegative
-    totals in Monte-Carlo mode.  The scan fields are written after the
+    x holds the offsets, the centers of uniform bins; y holds the
+    nonnegative count in each.  The scan fields are written after the
     curve header.
     """
 
@@ -417,25 +382,12 @@ def _histogram_x(batch, edges):
     return counts[1:-1] + np.histogram(np.concatenate(doubtful), bins=edges)[0]
 
 
-def scan_single(source, positions):
-    """Single-detector scan: expected or sampled counts per vertical line.
-
-    With a RingGeometry the result is the uniform-annulus line integral
-    (chord length scaled by the ring's uniform angular density); with a
-    PairBatch every sampled photon of every pair is histogrammed onto
-    the scan lines.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if isinstance(source, RingGeometry):
-        counts = chord_length(positions, source) / (2.0 * math.pi * source.r0)
-        return ScanResult(x=positions, y=counts, mode="single-analytic",
-                          meta={"r0_cm": repr(source.r0),
-                                "delta_r_cm": repr(source.delta_r)})
-    if isinstance(source, PairBatch):
-        counts = _histogram_x(source, _bin_edges(positions))
-        return ScanResult(x=positions, y=counts, mode="single-mc",
-                          pairs_sampled=len(source), seed=source.seed)
-    raise TypeError(f"cannot scan a {type(source).__name__}")
+def scan_single(samples, positions):
+    """Single-detector scan: every sampled photon of every pair of the
+    PairBatch samples, histogrammed onto the vertical scan lines."""
+    counts = _histogram_x(samples, _bin_edges(positions))
+    return ScanResult(x=positions, y=counts, mode="single-mc",
+                      pairs_sampled=len(samples), seed=samples.seed)
 
 
 def scan_coincidence(samples, d2_position, slit_width, positions):
@@ -447,7 +399,6 @@ def scan_coincidence(samples, d2_position, slit_width, positions):
     """
     if slit_width <= 0:
         raise ValueError("slit_width must be positive")
-    positions = np.asarray(positions, dtype=float)
     edges = _bin_edges(positions)
     half = 0.5 * slit_width
     # the pairs the squeeze (see _X32_TOL) cannot rule out; their exact x decides

@@ -34,11 +34,13 @@ __all__ = [
 ]
 
 
-# The model's domain (paraxial type-I emission of an optical pump, a waist
-# w_p >> lambda_p, a crystal at least one pump wavelength long, far-field
-# detection): lambda_p in um, w_p, L and z in cm.  There S = pi L/(8 n_o lambda)
-# < 2.0e6, every |u| = S |4 theta0^2 - kappa^2| a command forms is below 2e8,
-# and the momentum grid's 1.5 sqrt(lambda/L) below 1.5, far from the float range.
+# The model's domain, stated here alone: paraxial type-I emission of an
+# optical pump, lambda_p >= 0.2 um, from a waist lambda_p/(2 pi) < w_p <= 1 cm
+# through a crystal lambda_p <= L <= 100 cm long into a cone 0 <= theta0 < pi/2,
+# seen in the far field, 1 cm <= z <= 1 km (SpdcParams and ring_from_params
+# refuse the rest).  There S = pi L/(8 n_o lambda) < 2.0e6, every
+# |u| = S |4 theta0^2 - kappa^2| a command forms is below 2e8, and the
+# momentum grid's 1.5 sqrt(lambda/L) below 1.5, far from the float range.
 _LAMBDA_MIN, _WAIST_MAX, _LENGTH_MAX = 0.2, 1.0, 100.0
 _Z_MIN, _Z_MAX = 1.0, 1e5
 

@@ -200,6 +200,23 @@ def pair_y(batch, params, z, seed):
     return 0.5 * (py + my), 0.5 * (py - my)
 
 
+def chord_length(x, ring):
+    """Oracle of the projection law: the length the vertical line at offset x
+    (cm) cuts from a uniform annulus of radius ring.r0 and thickness
+    ring.delta_r, both crossings counted; 0 for |x| past the outer radius.
+
+    A uniformly bright ring of that thickness scanned by a line detector
+    gives the inverse-square-root law of f_approx(2 kappa), smoothed by a box
+    of width delta_r.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # a line whose x^2 overflows misses the ring
+        x2 = x * x
+    outer = np.sqrt(np.maximum((ring.r0 + 0.5 * ring.delta_r) ** 2 - x2, 0.0))
+    inner = np.sqrt(np.maximum((ring.r0 - 0.5 * ring.delta_r) ** 2 - x2, 0.0))
+    return 2.0 * (outer - inner)
+
+
 def g_fresnel(u):
     """Oracle for G(u) = 2 sqrt(2 pi) Re[e^{-i pi/4} J], J = int_0^1 (1 - s^2) e^{2ius^2} ds.
 

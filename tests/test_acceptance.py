@@ -19,10 +19,9 @@ from biphoton import (SpdcParams, collinear_cut_angle, default_kappa_grid,
                       width_coincidence, width_minus, width_single)
 from biphoton.crystal import index_extraordinary
 from biphoton.curves import Curve
-from biphoton.ringscan import chord_length
 
-from conftest import (Z_CM, argmax_x, brute_reduced, curve_mean, curve_rms,
-                      f_approx_moment_ratio, fwhm, raw_frame_reduced)
+from conftest import (Z_CM, argmax_x, brute_reduced, chord_length, curve_mean,
+                      curve_rms, f_approx_moment_ratio, fwhm, raw_frame_reduced)
 
 LAM_P = 0.4047
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)

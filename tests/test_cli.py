@@ -151,10 +151,14 @@ def test_scan_command(tmp_path):
     out = tmp_path / "s"
     assert run("scan", "--out", str(out), "--pairs", "100000",
                "--grid", "201") == 0
-    header = (out / "scan_single_analytic.dat").read_text().splitlines()[:8]
+    assert {p.name for p in out.iterdir()} == {
+        "scan_single_mc.dat", "scan_coincidence.dat", "scan_comparison.dat"}
+    header = (out / "scan_single_mc.dat").read_text().splitlines()[:9]
     assert any("r0_cm=10.0" in line for line in header)
+    lines = (out / "scan_comparison.dat").read_text().splitlines()
+    assert "# columns: kappa mc_ua theory_ua abs_diff_mc" in lines
     comparison = load_table(out / "scan_comparison.dat")
-    assert comparison.shape[1] == 6
+    assert comparison.shape[1] == 4
     assert np.all(np.isfinite(comparison))
 
 
@@ -162,32 +166,33 @@ def test_scan_command(tmp_path):
 # for 2 * 65536 + 12345 pairs of the stream that draws no y, as np.histogram
 # of the float64 positions and the plain float64 slit test write them (the
 # scans swapped for those two, the same digests); scan_comparison.dat as G(u)
-# on two bands writes its theory_ua column
+# on two bands writes its theory_ua column, in its four columns kappa mc_ua
+# theory_ua abs_diff_mc
 _SCAN_DIGESTS = {
     ("A", 1): (
         "63b56a8764bff7505638450e32b85eda30620ff2d61b2817f0902947762286f0",
         "73458e3370f2a39cd5b15dbef5400e256ff4ad158fee59a05e220c3ee80cc7fe",
-        "93527920c85d5a0fd0bb3da694698255a7781da4f646c9863fa7d3eeaa4cf165"),
+        "166352dcbf18acbbd4b4f448c5db524ba9ca62fd3b426df0ade728c0ea9e02c7"),
     ("A", 20240801): (
         "d049b38a58b71f913a6f48eb0b095e2450321f31f1447b170c390b713bbd9f65",
         "f98d608059667bd1fd67ae307c941d50100a1bdc0922d79fa397f09e9f0a4caf",
-        "dba3ee4f8ec6d4cea415b69fad8f5cfa3f5030961f270c359dafe46d789f3e18"),
+        "291f7acb621257133ff25ff7fe09abf1741361c86abba24379a0fcf5f447a1c1"),
     ("B", 1): (
         "b255e19985387c7515536cf434a19a730c363c5a6d8986ac27bb7bc60506f674",
         "a8235535dd4d9154c93ac8baf37183f0326fc461e570d5327c526c6ade11d2b1",
-        "c7dcdf1de9116b5e5808a7e55c42107e515dbcde77b720b2c12f0058438f06b3"),
+        "1f3e1b68b76ae8a19d26a4b27510855f98c97fbe6c66eac0b9dfd3434675f5db"),
     ("B", 20240801): (
         "bd66ad74db37088688ff27b4e1935de40ede2a298d3254ae5d7e15f1ed4fda67",
         "4a4ef12cbcfa60e2c5333f478cea06a79a02be0e3d5197163a8dc6d9fc80bf18",
-        "b0e08c2b9df7ce1232c0a9d4b3e3bb701f66bda0add9257b74e74213b1296254"),
+        "a0c6129925acdb45c383c0d4e5859b5dbf960ae06f135e1664c0f3a2fbe05c55"),
     ("default", 1): (
         "941cc1a220c829a99d4af1367d20ecb3b5d5dea560028ec1a7a5d28023b255b0",
         "5433197d897ebdbd1ad46017375517f2195958f81ad6b0f4a4ab33902a512c05",
-        "c66c116259c88a20b27968ff2014368ac1726719c03c3f8a5fd1e5c1261ad5f8"),
+        "e4eaf760b4b5165c25e23852db3a084d7f9384dcc8a11f33373eaf8ae0eecb6f"),
     ("default", 20240801): (
         "777418b59c28f97ac8c329dc5350f7a483397f254a90b45083fbeaec008ce37a",
         "00b680bad5fca7568b65947e2808abae738632dc60927b91442a037a6501d8c0",
-        "a804ee7e381a42607b6937ae02191349d53ad6882f8eb090c448a0fb4ea2c769"),
+        "9f3c60f07b1149d714e28f978d81c4d992e814aa09c19332cae2fe0e77683ea3"),
 }
 _SCAN_CONFIGS = {"A": ["--theta0", "0.28", "--waist", "0.5", "--length", "0.5"],
                  "B": ["--theta0", "0.1", "--waist", "0.1", "--length", "0.1"],
@@ -610,7 +615,7 @@ def test_every_table_has_one_format(tmp_path):
         assert run(command, "--out", str(out), "--grid", "101") == 0
     assert run("scan", "--out", str(out), "--grid", "101", "--pairs", "20000") == 0
     tables = sorted(out.glob("*.dat"))
-    assert len(tables) == 12
+    assert len(tables) == 11
     for path in tables:
         lines = path.read_text().splitlines()
         n_header = next(i for i, line in enumerate(lines)
@@ -724,8 +729,8 @@ def test_scan_that_captures_no_pairs_writes_zeros(tmp_path, capsys):
         "warning: coincidence scan captured no pairs\n")
     comparison = load_table(out / "scan_comparison.dat")
     assert not np.any(np.isnan(comparison))
-    assert np.all(comparison[:, 2] == 0.0)
-    np.testing.assert_array_equal(comparison[:, 5], comparison[:, 3])
+    assert np.all(comparison[:, 1] == 0.0)
+    np.testing.assert_array_equal(comparison[:, 3], comparison[:, 2])
 
 
 def test_default_config_echo(tmp_path):
@@ -787,7 +792,7 @@ def test_config_and_crystal_files_share_one_reader(tmp_path, capsys, body, line,
 def test_every_table_echoes_its_config(tmp_path):
     # one `# config:` line in every table, the same across a command's tables
     # (report writes report.txt alone)
-    tables = {"dispersion": 3, "fcurve": 2, "distributions": 3, "scan": 4}
+    tables = {"dispersion": 3, "fcurve": 2, "distributions": 3, "scan": 3}
     for command, count in tables.items():
         out = tmp_path / command
         assert run(command, "--out", str(out), "--grid", "101",
