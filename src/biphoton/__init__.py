@@ -24,7 +24,7 @@ from .wavefunction import (
     sinc,
     pump_envelope,
 )
-from .curves import Curve, read_curve
+from .curves import Curve
 from .distributions import (
     f_exact,
     f_approx,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands produce plain text tables (`#` header lines, then rows of
-numbers) that any plotting tool can consume; no rendering is built in.
-Every table carries a header echoing the fully resolved configuration
-(including the seed), so a rerun with the same arguments is
-byte-identical.
+numbers) that any plotting tool, or np.loadtxt, can read; no rendering is
+built in.  Every table has one header layout: its title, the `# config:`
+echo of every key (the seed included), the `# resolved:` values derived
+from them (in all but dispersion's tables) and a `# columns:` line naming
+its columns.  A rerun with the same arguments is byte-identical.
 
 Each config key is declared once, in _KEYS: its type, default and help
 text.  The flags (`--lambda-p` for `lambda_p`), the config-file parsing,
@@ -207,8 +208,9 @@ def _header(title, cfg, params=None, **resolved):
     return lines
 
 
-def _write_table(path, header_lines, columns, names):
-    write_table(path, [*header_lines, "columns: " + " ".join(names)], columns)
+def _columns(header, *names):
+    """The header lines of a table: header, then its column names."""
+    return [*header, "columns: " + " ".join(names)]
 
 
 def cmd_dispersion(cfg):
@@ -236,13 +238,13 @@ def cmd_dispersion(cfg):
 
     out = _outdir(cfg)
     header = _header(f"biphoton dispersion ({disp.name})", cfg)
-    _write_table(out / "index_difference.dat", header, [phis, pm.delta_n],
-                 ["phi0_rad", "delta_n"])
-    _write_table(out / "cone_angle.dat", header, [phis, pm.theta0],
-                 ["phi0_rad", "theta0_rad"])
-    _write_table(out / "cone_angle_fit.dat", header,
-                 [phis_fit, fit, exact, residual],
-                 ["phi0_rad", "fit_rad", "exact_rad", "rel_residual"])
+    write_table(out / "index_difference.dat",
+                _columns(header, "phi0_rad", "delta_n"), [phis, pm.delta_n])
+    write_table(out / "cone_angle.dat",
+                _columns(header, "phi0_rad", "theta0_rad"), [phis, pm.theta0])
+    write_table(out / "cone_angle_fit.dat",
+                _columns(header, "phi0_rad", "fit_rad", "exact_rad", "rel_residual"),
+                [phis_fit, fit, exact, residual])
     print(f"collinear cut angle: {root:.6f} rad")
     print(f"wrote 3 tables to {out}")
     return EXIT_OK
@@ -266,10 +268,10 @@ def cmd_fcurve(cfg):
             np.linspace(two_theta - 0.01, two_theta + 0.004, 801))
 
     out = _outdir(cfg)
-    header = _header("biphoton difference-momentum distribution", cfg, params)
+    header = _columns(_header("biphoton difference-momentum distribution", cfg,
+                              params), "kappa_minus", "exact", "cone_interior")
     for name, columns in tables.items():
-        _write_table(out / name, header, columns,
-                     ["kappa_minus", "exact", "cone_interior"])
+        write_table(out / name, header, columns)
     print(f"wrote difference-momentum tables to {out}")
     return EXIT_OK
 
@@ -296,9 +298,9 @@ def cmd_distributions(cfg):
 
     out = _outdir(cfg)
     header = _header("biphoton reduced distributions", cfg, params)
-    single.write(out / "single_particle.dat", extra_header=header)
-    coinc.write(out / "coincidence.dat", extra_header=header)
-    plane.write(out / "plane_restricted.dat", extra_header=header)
+    for name, curve in (("single_particle", single), ("coincidence", coinc),
+                        ("plane_restricted", plane)):
+        curve.write(out / f"{name}.dat", _columns(header, "kappa", name))
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     print(f"wrote distribution curves to {out}")
@@ -329,11 +331,6 @@ def cmd_scan(cfg):
         batch = rs.sample_pairs(params, cfg.z, m, cfg.seed, block=block, out=work)
         single += rs.scan_single(batch, positions).y.astype(np.int64)
         paired += rs.scan_coincidence(batch, ring.r0, slit, cpos).y.astype(np.int64)
-    mc = rs.ScanResult(x=positions, y=single, mode="single-mc",
-                       pairs_sampled=cfg.pairs, seed=cfg.seed)
-    coinc = rs.ScanResult(x=cpos, y=paired, mode="coincidence",
-                          pairs_sampled=cfg.pairs, seed=cfg.seed,
-                          d2_position=float(ring.r0), slit_width=float(slit))
 
     kappas = positions / cfg.z
     theory = dist.single_particle_curve(kappas, params).y
@@ -343,19 +340,20 @@ def cmd_scan(cfg):
         area = np.trapezoid(v, kappas)
         return v / area if area else v
 
-    mc_ua, theory_ua = ua(mc.y), ua(theory)
+    mc_ua, theory_ua = ua(single), ua(theory)
 
     out = _outdir(cfg)
     header = _header("biphoton detector scan", cfg, params, r0_cm=ring.r0,
                      delta_r_cm=ring.delta_r, slit_cm=slit)
-    mc.write(out / "scan_single_mc.dat", extra_header=header)
-    coinc.write(out / "scan_coincidence.dat", extra_header=header)
-    for scan in (mc, coinc):
-        if scan.is_empty:
-            print(f"warning: {scan.mode} scan captured no pairs", file=sys.stderr)
-    _write_table(out / "scan_comparison.dat", header,
-                 [kappas, mc_ua, theory_ua, np.abs(mc_ua - theory_ua)],
-                 ["kappa", "mc_ua", "theory_ua", "abs_diff_mc"])
+    for name, mode, x, counts in (("scan_single_mc", "single-mc", positions, single),
+                                  ("scan_coincidence", "coincidence", cpos, paired)):
+        rs.ScanResult(x=x, y=counts).write(out / f"{name}.dat",
+                                           _columns(header, "x_cm", "counts"))
+        if not counts.any():
+            print(f"warning: {mode} scan captured no pairs", file=sys.stderr)
+    write_table(out / "scan_comparison.dat",
+                _columns(header, "kappa", "mc_ua", "theory_ua", "abs_diff_mc"),
+                [kappas, mc_ua, theory_ua, np.abs(mc_ua - theory_ua)])
     print(f"ring: r0 = {ring.r0:.6g} cm, delta_r = {ring.delta_r:.6g} cm")
     print(f"wrote scan tables to {out}")
     return EXIT_OK

@@ -1,37 +1,27 @@
-"""Sampled 1-D distribution curves: normalization, widths, file I/O.
+"""Sampled 1-D distribution curves: normalization, widths, file output.
 
 A Curve is a strictly increasing abscissa grid plus nonnegative values.
-Abscissae are dimensionless momenta (lam*k/pi, xunit "kappa"), wave
-numbers (xunit "cm^-1") or detection-plane positions (xunit "cm"); the
-unit tag travels with the data.  write_table writes every table of the
-package: `#` header lines, then space-separated rows of `%.12e` numbers.
+write_table writes every table of the package: `#` header lines, then
+space-separated rows of `%.12e` numbers, so np.loadtxt reads every table.
 It formats fixed blocks of rows in numpy, byte-identical to Python's
 `"%.12e" % x`, and hands the few values it cannot place exactly (NaN,
-inf, three-digit exponents, near-ties) to Python's formatting.  A
-curve's header carries its unit tag, its normalization tag and a
-metadata echo.
+inf, three-digit exponents, near-ties) to Python's formatting.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["Curve", "read_curve", "write_table"]
-
-NORMALIZATIONS = ("raw", "unit-area", "unit-peak")
-XUNITS = ("kappa", "cm^-1", "cm")
+__all__ = ["Curve", "write_table"]
 
 
 @dataclass(frozen=True)
 class Curve:
     x: np.ndarray
     y: np.ndarray
-    xunit: str = "kappa"
-    normalization: str = "raw"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -44,10 +34,6 @@ class Curve:
             raise ValueError("abscissae must be strictly increasing")
         if np.any(self.y < 0) or not np.all(np.isfinite(self.y)):
             raise ValueError("values must be finite and nonnegative")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.xunit not in XUNITS:
-            raise ValueError(f"unknown xunit {self.xunit!r}")
 
     def area(self):
         """Trapezoid integral of the curve over its grid."""
@@ -68,7 +54,7 @@ class Curve:
             raise ValueError(f"unknown normalization {mode!r}")
         if scale <= 0:
             raise ValueError("cannot normalize an all-zero curve")
-        return replace(self, y=self.y / scale, normalization=mode)
+        return replace(self, y=self.y / scale)
 
     def half_area_width(self):
         """Total length of the smallest set that holds half the curve's area.
@@ -83,23 +69,16 @@ class Curve:
         order = np.argsort(-self.y, kind="stable")
         mass = (self.y * cell)[order]
         held = np.cumsum(mass)
+        if not held[-1] > 0:
+            raise ValueError("an all-zero curve has no half-area width")
         half = 0.5 * held[-1]
         last = int(np.searchsorted(held, half))
         before = held[last - 1] if last else 0.0
         return float(cell[order][:last].sum()
                      + (half - before) / mass[last] * cell[order][last])
 
-    def header_lines(self, extra=()):
-        lines = ["biphoton curve",
-                 f"xunit: {self.xunit}",
-                 f"normalization: {self.normalization}"]
-        for key in sorted(self.meta):
-            lines.append(f"meta: {key}={self.meta[key]}")
-        lines.extend(extra)
-        return lines
-
-    def write(self, path, extra_header=()):
-        write_table(path, self.header_lines(extra_header), [self.x, self.y])
+    def write(self, path, header_lines):
+        write_table(path, header_lines, [self.x, self.y])
 
 
 def write_table(path, header_lines, columns):
@@ -191,30 +170,3 @@ def _format_block(block):
         buf[slow, :-1] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
     return buf.tobytes().replace(b"\0", b"")
 
-
-def read_curve(path):
-    """Round-trip loader for Curve.write output."""
-    xunit, normalization, meta = "kappa", "raw", {}
-    xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("xunit:"):
-                    xunit = body.split(":", 1)[1].strip()
-                elif body.startswith("normalization:"):
-                    normalization = body.split(":", 1)[1].strip()
-                elif body.startswith("meta:"):
-                    kv = body.split(":", 1)[1].strip()
-                    if "=" in kv:
-                        k, _, v = kv.partition("=")
-                        meta[k.strip()] = v.strip()
-                continue
-            sx, sy = line.split()
-            xs.append(float(sx))
-            ys.append(float(sy))
-    return Curve(x=np.array(xs), y=np.array(ys), xunit=xunit,
-                 normalization=normalization, meta=meta)

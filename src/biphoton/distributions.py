@@ -254,16 +254,6 @@ def default_kappa_grid(params, n=2001):
     return np.linspace(-span, span, n)
 
 
-def _params_meta(params):
-    return {
-        "lambda_p_um": repr(params.lambda_p),
-        "w_p_cm": repr(params.w_p),
-        "L_cm": repr(params.L),
-        "theta0_rad": repr(params.theta0),
-        "n_o": repr(params.n_o),
-    }
-
-
 def single_particle_curve(kappa_grid, params):
     """Marginal momentum distribution of one photon: F(2 k1x) over the grid.
 
@@ -271,10 +261,7 @@ def single_particle_curve(kappa_grid, params):
     f_approx(2 k1x).
     """
     vals = f_exact(2.0 * params.k_from_kappa(kappa_grid), params)
-    meta = _params_meta(params)
-    meta["kind"] = "single-particle"
-    return Curve(x=np.asarray(kappa_grid, dtype=float), y=vals,
-                 xunit="kappa", normalization="raw", meta=meta)
+    return Curve(x=kappa_grid, y=vals)
 
 
 def coincidence_curve(k2x_fixed, params):
@@ -288,11 +275,7 @@ def coincidence_curve(k2x_fixed, params):
     sigma = params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
     kappa_grid = np.linspace(center - 6.0 * sigma, center + 6.0 * sigma, 501)
     vals = reduced_bipartite(params.k_from_kappa(kappa_grid), k2x_fixed, params)
-    meta = _params_meta(params)
-    meta["kind"] = "coincidence"
-    meta["k2x_cm^-1"] = repr(float(k2x_fixed))
-    return Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",
-                 meta=meta)
+    return Curve(x=kappa_grid, y=vals)
 
 
 # The in-plane curve integrates e^{-t^2} sinc^2(x(t)) over t, k2x = -k1x + t/w_p.
@@ -386,8 +369,5 @@ def plane_restricted_curve(kappa_grid, params):
             p = points[rows]
             vals[p] = (kernel(_plane_arg(k1[p], t / params.w_p, params)) @ weights
                        / params.w_p)
-    meta = _params_meta(params)
-    meta["kind"] = "plane-restricted"
-    return Curve(x=kappa_grid, y=vals, xunit="kappa", normalization="raw",
-                 meta=meta)
+    return Curve(x=kappa_grid, y=vals)
 

@@ -11,8 +11,8 @@ squared-sinc radial law, uniform azimuth), maps each photon to the plane
 via r = z * lam * k_perp / pi, and bins detections per scan line; the
 momentum-space reduction in distributions is the curve it is compared with.
 
-Positions are in cm in the detection plane, and a scan is a Curve
-tagged xunit "cm"; x = z * kappa links it to the dimensionless momentum
+Positions are in cm in the detection plane, and a scan is a Curve of
+counts over them; x = z * kappa links it to the dimensionless momentum
 axis used by the theory curves.
 Sampling is exact (rejection from the squared-sinc law, no table) and
 reproducible.  A float32 sine decides most of the rejection tests, but only
@@ -92,7 +92,7 @@ def ring_from_params(params, z):
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Sampled photon pairs in the detection plane (cm).
+    """Sampled photon pairs in the detection plane (cm), with no record of their seed.
 
     px is x1 + x2; rho, phi are the polar form of the separation r1 - r2.
     x1, x2 = (px +- rho cos phi)/2 are formed on first read; y is not drawn.
@@ -104,7 +104,6 @@ class PairBatch:
     px: np.ndarray
     rho: np.ndarray
     phi: np.ndarray
-    seed: int
     spare: np.ndarray | None = field(default=None, repr=False)
 
     _mx = cached_property(lambda self: self.rho * np.cos(self.phi))
@@ -116,7 +115,7 @@ class PairBatch:
 
     def _take(self, idx):
         """The pairs idx as a batch of their own, for their exact x."""
-        return PairBatch(self.px[idx], self.rho[idx], self.phi[idx], self.seed)
+        return PairBatch(self.px[idx], self.rho[idx], self.phi[idx])
 
     @cached_property
     def _x32(self):
@@ -283,38 +282,19 @@ def sample_pairs(params, z, n, seed, block=0, *, out=None):
         np.subtract(four_theta_sq, np.divide(r, params.sinc_scale, out=r), out=r)
         np.multiply(z, np.sqrt(np.maximum(r, 0.0, out=r), out=r), out=r)
         np.multiply(2.0 * math.pi, rng.random(out=p), out=p)
-    return PairBatch(px, rho, phi, seed, buf[3 * n:])
+    return PairBatch(px, rho, phi, buf[3 * n:])
 
 
-@dataclass(frozen=True, kw_only=True)
 class ScanResult(Curve):
     """Counts per vertical scan line, as a curve over line offsets in cm.
 
     x holds the offsets, the centers of uniform bins; y holds the
-    nonnegative count in each.  The scan fields are written after the
-    curve header.
+    nonnegative count in each.  The seed, pair count and slit that made
+    it are the run's; `scan` echoes them in its tables' header.
     """
-
-    xunit: str = "cm"
-    mode: str
-    pairs_sampled: int | None = None
-    seed: int | None = None
-    d2_position: float | None = None
-    slit_width: float | None = None
 
     # the scan name of y, read-only
     counts = property(lambda self: self.y)
-
-    @property
-    def is_empty(self):
-        return float(np.sum(self.y)) == 0.0
-
-    def header_lines(self, extra=()):
-        scan = {"mode": self.mode, "seed": self.seed,
-                "pairs_sampled": self.pairs_sampled,
-                "d2_position_cm": self.d2_position, "slit_width_cm": self.slit_width}
-        lines = [f"{key}: {value}" for key, value in scan.items() if value is not None]
-        return super().header_lines([*lines, *extra])
 
 
 def _bin_edges(positions):
@@ -385,17 +365,15 @@ def _histogram_x(batch, edges):
 def scan_single(samples, positions):
     """Single-detector scan: every sampled photon of every pair of the
     PairBatch samples, histogrammed onto the vertical scan lines."""
-    counts = _histogram_x(samples, _bin_edges(positions))
-    return ScanResult(x=positions, y=counts, mode="single-mc",
-                      pairs_sampled=len(samples), seed=samples.seed)
+    return ScanResult(x=positions, y=_histogram_x(samples, _bin_edges(positions)))
 
 
 def scan_coincidence(samples, d2_position, slit_width, positions):
     """Coincidence scan: bin one photon's line offset when its partner hits D2.
 
     D2 is an ideal vertical slit of the given width centered at
-    d2_position; either photon of a pair may trigger it.  An empty
-    result (no pair captured) is flagged, not an error.
+    d2_position; either photon of a pair may trigger it.  A scan that
+    captures no pair is all zero, not an error.
     """
     if slit_width <= 0:
         raise ValueError("slit_width must be positive")
@@ -417,7 +395,4 @@ def scan_coincidence(samples, d2_position, slit_width, positions):
     hit1 = np.abs(near.x1 - d2_position) <= half
     partner = np.concatenate([near.x1[hit2], near.x2[hit1]])
     counts, _ = np.histogram(partner, bins=edges)
-    return ScanResult(x=positions, y=counts, mode="coincidence",
-                      pairs_sampled=len(samples), seed=samples.seed,
-                      d2_position=float(d2_position),
-                      slit_width=float(slit_width))
+    return ScanResult(x=positions, y=counts)

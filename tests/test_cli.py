@@ -9,9 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from biphoton import (CrystalFileError, cli, collinear_cut_angle,
-                      default_kappa_grid, load_crystal, read_curve, sample_pairs,
-                      scan_single)
+from biphoton import (CrystalFileError, Curve, cli, collinear_cut_angle,
+                      default_kappa_grid, load_crystal, sample_pairs, scan_single)
 from biphoton.crystal import MICRON_TO_CM
 
 from conftest import argmax_x, traced_peak
@@ -23,6 +22,21 @@ def run(*argv):
 
 def load_table(path):
     return np.loadtxt(path)
+
+
+def load_curve(path):
+    return Curve(*np.loadtxt(path, unpack=True))
+
+
+def header(path):
+    """A table's `#` lines, without their `# ` prefix."""
+    with open(path, encoding="utf-8") as fh:
+        return [line[2:].rstrip("\n") for line in fh if line.startswith("#")]
+
+
+def config_echo(path):
+    """The key=value items of a table's `# config:` line."""
+    return header(path)[1].removeprefix("config: ").split()
 
 
 def test_dispersion_command(tmp_path):
@@ -110,8 +124,8 @@ def test_distributions_command(tmp_path):
     for name in ("single_particle.dat", "coincidence.dat",
                  "plane_restricted.dat", "report.txt"):
         assert (out / name).exists()
-    single = read_curve(out / "single_particle.dat")
-    assert single.normalization == "unit-area"
+    single = load_curve(out / "single_particle.dat")
+    assert "normalize='area'" in config_echo(out / "single_particle.dat")
     assert abs(single.area() - 1.0) < 1e-6
     report = (out / "report.txt").read_text()
     values = {}
@@ -135,7 +149,7 @@ def test_distributions_cone_angle_sweep(tmp_path):
         out = tmp_path / f"sweep{th}"
         assert run("distributions", "--theta0", th, "--out", str(out),
                    "--grid", "601", "--normalize", "peak") == 0
-        c = read_curve(out / "single_particle.dat")
+        c = load_curve(out / "single_particle.dat")
         shapes[th] = c
     c = shapes["0.04"]
     center = c.y[len(c.y) // 2]
@@ -167,31 +181,32 @@ def test_scan_command(tmp_path):
 # of the float64 positions and the plain float64 slit test write them (the
 # scans swapped for those two, the same digests); scan_comparison.dat as G(u)
 # on two bands writes its theory_ua column, in its four columns kappa mc_ua
-# theory_ua abs_diff_mc
+# theory_ua abs_diff_mc; each under the one header layout of title, config:,
+# resolved: and columns:
 _SCAN_DIGESTS = {
     ("A", 1): (
-        "63b56a8764bff7505638450e32b85eda30620ff2d61b2817f0902947762286f0",
-        "73458e3370f2a39cd5b15dbef5400e256ff4ad158fee59a05e220c3ee80cc7fe",
+        "894ba63d0e5118c320fc48adc02f084f05c25d45d431fc8d20dfbd9be5c2c9a7",
+        "3e1399d57127510976ce43202c9ea97cd38655c55205dfec4ae72261e42956ff",
         "166352dcbf18acbbd4b4f448c5db524ba9ca62fd3b426df0ade728c0ea9e02c7"),
     ("A", 20240801): (
-        "d049b38a58b71f913a6f48eb0b095e2450321f31f1447b170c390b713bbd9f65",
-        "f98d608059667bd1fd67ae307c941d50100a1bdc0922d79fa397f09e9f0a4caf",
+        "c09b72bd7c6bb3ff81decc760fcf8014abf3159bc578fb60b12c0fa260b2c9fb",
+        "4d111f1ae8d08a9ba8fed6a1f96c4804f970676620086b2dab5810efb6260d61",
         "291f7acb621257133ff25ff7fe09abf1741361c86abba24379a0fcf5f447a1c1"),
     ("B", 1): (
-        "b255e19985387c7515536cf434a19a730c363c5a6d8986ac27bb7bc60506f674",
-        "a8235535dd4d9154c93ac8baf37183f0326fc461e570d5327c526c6ade11d2b1",
+        "825c6ac3e221658532a30661000c6f0a71c8427a5b1eb426cc65055776c087a3",
+        "4ea19cc310fe4f5abc6b360dca5c9b2d6c9737bca3e70c34013cf2a89da899d3",
         "1f3e1b68b76ae8a19d26a4b27510855f98c97fbe6c66eac0b9dfd3434675f5db"),
     ("B", 20240801): (
-        "bd66ad74db37088688ff27b4e1935de40ede2a298d3254ae5d7e15f1ed4fda67",
-        "4a4ef12cbcfa60e2c5333f478cea06a79a02be0e3d5197163a8dc6d9fc80bf18",
+        "809c5c6c0bae79e530de56efa6cfaf87ad33277b4429ebbb8b8714033f9960eb",
+        "f55cdbbc7e81e29f68c4de62b6d0b1ba7c3723d677df4569ddcafbc1ad8279e4",
         "a0c6129925acdb45c383c0d4e5859b5dbf960ae06f135e1664c0f3a2fbe05c55"),
     ("default", 1): (
-        "941cc1a220c829a99d4af1367d20ecb3b5d5dea560028ec1a7a5d28023b255b0",
-        "5433197d897ebdbd1ad46017375517f2195958f81ad6b0f4a4ab33902a512c05",
+        "37cec6efa63c0aff8bb02202035b54ba1537dffe89585d01040344ded9bea0a7",
+        "154c99c622bc5e5791b1e64c0a69ad0d487dabe57a92bb26336fb4bb01c51176",
         "e4eaf760b4b5165c25e23852db3a084d7f9384dcc8a11f33373eaf8ae0eecb6f"),
     ("default", 20240801): (
-        "777418b59c28f97ac8c329dc5350f7a483397f254a90b45083fbeaec008ce37a",
-        "00b680bad5fca7568b65947e2808abae738632dc60927b91442a037a6501d8c0",
+        "e5e3410d89a2016feecd1f6e2cd22c0e40f378044124929f32b58694adb77824",
+        "8d280906e1623df91fbc7f0cec7c962207234deda6ec9401bec479b26897e9b2",
         "9f3c60f07b1149d714e28f978d81c4d992e814aa09c19332cae2fe0e77683ea3"),
 }
 _SCAN_CONFIGS = {"A": ["--theta0", "0.28", "--waist", "0.5", "--length", "0.5"],
@@ -342,8 +357,8 @@ def test_normalize_peak_flag(tmp_path):
     out = tmp_path / "p"
     assert run("distributions", "--out", str(out), "--grid", "301",
                "--normalize", "peak") == 0
-    c = read_curve(out / "single_particle.dat")
-    assert c.normalization == "unit-peak"
+    c = load_curve(out / "single_particle.dat")
+    assert "normalize='peak'" in config_echo(out / "single_particle.dat")
     assert c.peak() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -616,29 +631,36 @@ def test_every_table_has_one_format(tmp_path):
     assert run("scan", "--out", str(out), "--grid", "101", "--pairs", "20000") == 0
     tables = sorted(out.glob("*.dat"))
     assert len(tables) == 11
+    dispersion = {"index_difference.dat", "cone_angle.dat", "cone_angle_fit.dat"}
     for path in tables:
-        lines = path.read_text().splitlines()
-        n_header = next(i for i, line in enumerate(lines)
-                        if not line.startswith("#"))
-        assert n_header > 0, path.name
-        widths = {len(line.split()) for line in lines[n_header:]}
-        assert len(widths) == 1 and widths.pop() >= 2, path.name
+        # the title, config:, resolved: (but for dispersion) and columns:,
+        # ahead of every row
+        lines = header(path)
+        assert path.read_text().splitlines()[len(lines)][0] != "#", path.name
+        assert lines[0].startswith("biphoton ") and ":" not in lines[0], path.name
+        tags = ["config", "columns"] if path.name in dispersion else [
+            "config", "resolved", "columns"]
+        assert [line.split(": ", 1)[0] for line in lines[1:]] == tags, path.name
+        names = lines[-1].split()[1:]
+        rows = np.loadtxt(path, ndmin=2)
+        assert rows.shape[1] == len(names) >= 2, path.name
 
-    single = read_curve(out / "single_particle.dat")
-    assert single.xunit == "kappa" and single.normalization == "unit-area"
+    single = load_curve(out / "single_particle.dat")
+    assert header(out / "single_particle.dat")[-1] == "columns: kappa single_particle"
+    assert "normalize='area'" in config_echo(out / "single_particle.dat")
     assert single.area() == pytest.approx(1.0, rel=1e-9)
 
-    # the Monte-Carlo scan reads back as a curve over plane positions in cm
+    # the Monte-Carlo scan reads back as counts over plane positions in cm
     cfg = cli.resolve_config(cli.build_parser().parse_args(
         ["scan", "--grid", "101", "--pairs", "20000"]))
     _, params = cli._load_setup(cfg)
     positions = 0.5 * default_kappa_grid(params, 101) * cfg.z
     scan = scan_single(sample_pairs(params, cfg.z, cfg.pairs, cfg.seed),
                        positions)
-    back = read_curve(out / "scan_single_mc.dat")
-    assert back.xunit == "cm" == scan.xunit
-    np.testing.assert_allclose(back.x, scan.x, rtol=1e-12)
-    np.testing.assert_array_equal(back.y, scan.y)
+    back = np.loadtxt(out / "scan_single_mc.dat")
+    assert header(out / "scan_single_mc.dat")[-1] == "columns: x_cm counts"
+    np.testing.assert_allclose(back[:, 0], scan.x, rtol=1e-12)
+    np.testing.assert_array_equal(back[:, 1], scan.counts)
 
 
 def test_cone_interior_column_has_one_policy(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from biphoton import Curve, curves, read_curve
+from biphoton import Curve, curves
 
 from conftest import (argmax_x, curve_mean, curve_rms, excess_kurtosis, fwhm,
                       write_table_rows)
@@ -24,8 +24,8 @@ def test_validation():
         Curve(x=np.array([0.0, 1.0]), y=np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         Curve(x=np.array([0.0, 1.0, 2.0]), y=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Curve(x=np.array([0.0, 1.0]), y=np.array([1.0, 1.0]), normalization="bogus")
+    with pytest.raises(ValueError, match="unknown normalization"):
+        Curve(x=np.array([0.0, 1.0]), y=np.array([1.0, 1.0])).normalized("bogus")
 
 
 def test_unit_area_contract():
@@ -86,6 +86,13 @@ def test_half_area_width_two_boxes():
     assert Curve(x=x, y=y).half_area_width() == pytest.approx(1.0, rel=1e-3)
 
 
+def test_half_area_width_of_all_zero_curve_is_refused():
+    # as normalized refuses it: the curve of an empty coincidence scan is one
+    c = Curve(x=np.linspace(0.0, 1.0, 5), y=np.zeros(5))
+    with pytest.raises(ValueError, match="all-zero"):
+        c.half_area_width()
+
+
 def test_argmax_x():
     x = np.linspace(-5, 5, 101)
     c = Curve(x=x, y=np.exp(-((x - 1.3) ** 2)))
@@ -94,20 +101,15 @@ def test_argmax_x():
 
 def test_write_read_roundtrip(tmp_path):
     c = gaussian_curve(1.5, n=101, span=4.0).normalized("unit-area")
-    c = Curve(x=c.x, y=c.y, xunit="cm^-1", normalization=c.normalization,
-              meta={"lambda_p_um": "0.4047", "kind": "test"})
     path = tmp_path / "curve.dat"
-    c.write(path, extra_header=("note: roundtrip",))
-    back = read_curve(path)
-    np.testing.assert_allclose(back.x, c.x, rtol=1e-12)
-    np.testing.assert_allclose(back.y, c.y, rtol=1e-12)
-    assert back.xunit == "cm^-1"
-    assert back.normalization == "unit-area"
-    assert back.meta["lambda_p_um"] == "0.4047"
-    assert back.meta["kind"] == "test"
-    # header lines all start with '#'
+    c.write(path, ["curve", "note: roundtrip", "columns: x y"])
+    back = np.loadtxt(path)
+    np.testing.assert_allclose(back[:, 0], c.x, rtol=1e-12)
+    np.testing.assert_allclose(back[:, 1], c.y, rtol=1e-12)
+    # the header lines, each `# `-prefixed, then rows only
     text = path.read_text().splitlines()
-    assert all(line.startswith("#") for line in text[:6])
+    assert text[:3] == ["# curve", "# note: roundtrip", "# columns: x y"]
+    assert not any(line.startswith("#") for line in text[3:])
 
 
 def assert_writes_as_rows(tmp_path, columns):
