@@ -76,9 +76,6 @@ _KEYS = {
                              "every command exits 2 before writing anything"),
 }
 
-_NORM_MAP = {"raw": "raw", "area": "unit-area", "peak": "unit-peak"}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -152,7 +149,7 @@ def resolve_config(args):
         raise ConfigError("grid must hold at least 3 points")
     if cfg.pairs <= 0:
         raise ConfigError("pairs must be positive")
-    if cfg.normalize not in _NORM_MAP:
+    if cfg.normalize not in ("area", "peak", "raw"):
         raise ConfigError(f"unknown normalize mode {cfg.normalize!r}")
     return cfg
 
@@ -167,7 +164,7 @@ def _load_setup(cfg):
         raise ConfigError(f"lambda_p = {cfg.lambda_p!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return disp, params
+    return params
 
 
 def _plane_curve(cfg, grid, params):
@@ -252,7 +249,7 @@ def cmd_dispersion(cfg):
 
 def cmd_fcurve(cfg):
     """Difference-momentum distribution tables."""
-    _, params = _load_setup(cfg)
+    params = _load_setup(cfg)
 
     def columns(kap):
         # cone_interior is f_approx as it is, in every table: +inf exactly at
@@ -276,25 +273,14 @@ def cmd_fcurve(cfg):
     return EXIT_OK
 
 
-def _report_text(params, single, plane):
-    w_single, w_plane = single.half_area_width(), plane.half_area_width()
-    extra = [
-        f"single half-area width: {w_single:.6g} (kappa axis)",
-        f"plane half-area width : {w_plane:.6g} (kappa axis)",
-        f"plane/single ratio    : {w_plane / w_single:.6g}",
-    ]
-    return dist.entanglement_report(params, extra_lines=extra)
-
-
 def cmd_distributions(cfg):
     """Single, coincidence and plane-restricted curves."""
-    _, params = _load_setup(cfg)
+    params = _load_setup(cfg)
     grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
-    norm = _NORM_MAP[cfg.normalize]
-    single, coinc, plane = (curve.normalized(norm) for curve in (
+    single, coinc, plane = (curve.normalized(cfg.normalize) for curve in (
         dist.single_particle_curve(grid, params),
         dist.coincidence_curve(cfg.k2x, params), _plane_curve(cfg, grid, params)))
-    text = _report_text(params, single, plane)
+    text = dist.entanglement_report(params, single, plane)
 
     out = _outdir(cfg)
     header = _header("biphoton reduced distributions", cfg, params)
@@ -309,17 +295,17 @@ def cmd_distributions(cfg):
 
 def cmd_scan(cfg):
     """Monte-Carlo detector scans, compared with the single-photon curve."""
-    _, params = _load_setup(cfg)
+    params = _load_setup(cfg)
     try:
-        ring = rs.ring_from_params(params, cfg.z)
+        r0, delta_r = rs.ring_from_params(params, cfg.z)
     except ValueError as exc:  # a z outside the far field, or NoRingError
         raise ConfigError(str(exc)) from None
-    slit = cfg.slit if cfg.slit is not None else 0.5 * ring.delta_r
+    slit = cfg.slit if cfg.slit is not None else 0.5 * delta_r
     n_bins = min(cfg.grid, 241)
     positions = 0.5 * dist.default_kappa_grid(params, n_bins) * cfg.z
 
     sigma_x = cfg.z * params.lambda_cm / (math.pi * math.sqrt(2.0) * params.w_p)
-    cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
+    cpos = -r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
 
     single = np.zeros(positions.size, np.int64)
     paired = np.zeros(cpos.size, np.int64)
@@ -330,7 +316,7 @@ def cmd_scan(cfg):
         m = min(rs._BLOCK, cfg.pairs - start)
         batch = rs.sample_pairs(params, cfg.z, m, cfg.seed, block=block, out=work)
         single += rs.scan_single(batch, positions).y.astype(np.int64)
-        paired += rs.scan_coincidence(batch, ring.r0, slit, cpos).y.astype(np.int64)
+        paired += rs.scan_coincidence(batch, r0, slit, cpos).y.astype(np.int64)
 
     kappas = positions / cfg.z
     theory = dist.single_particle_curve(kappas, params).y
@@ -343,8 +329,8 @@ def cmd_scan(cfg):
     mc_ua, theory_ua = ua(single), ua(theory)
 
     out = _outdir(cfg)
-    header = _header("biphoton detector scan", cfg, params, r0_cm=ring.r0,
-                     delta_r_cm=ring.delta_r, slit_cm=slit)
+    header = _header("biphoton detector scan", cfg, params, r0_cm=r0,
+                     delta_r_cm=delta_r, slit_cm=slit)
     for name, mode, x, counts in (("scan_single_mc", "single-mc", positions, single),
                                   ("scan_coincidence", "coincidence", cpos, paired)):
         rs.ScanResult(x=x, y=counts).write(out / f"{name}.dat",
@@ -354,16 +340,16 @@ def cmd_scan(cfg):
     write_table(out / "scan_comparison.dat",
                 _columns(header, "kappa", "mc_ua", "theory_ua", "abs_diff_mc"),
                 [kappas, mc_ua, theory_ua, np.abs(mc_ua - theory_ua)])
-    print(f"ring: r0 = {ring.r0:.6g} cm, delta_r = {ring.delta_r:.6g} cm")
+    print(f"ring: r0 = {r0:.6g} cm, delta_r = {delta_r:.6g} cm")
     print(f"wrote scan tables to {out}")
     return EXIT_OK
 
 
 def cmd_report(cfg):
     """Widths and entanglement ratio."""
-    _, params = _load_setup(cfg)
+    params = _load_setup(cfg)
     grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
-    text = _report_text(params, *(curve.normalized("unit-area") for curve in (
+    text = dist.entanglement_report(params, *(curve.normalized() for curve in (
         dist.single_particle_curve(grid, params), _plane_curve(cfg, grid, params))))
     out = _outdir(cfg)
     (out / "report.txt").write_text(text, encoding="utf-8")

@@ -58,7 +58,6 @@ class CrystalFileError(ValueError):
 
     def __init__(self, message, path="<unknown>", line=0):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = str(path)
         self.line = line
 
 
@@ -99,19 +98,17 @@ class CrystalDispersion:
 
 @dataclass(frozen=True)
 class PhaseMatchResult:
-    """Indices and mismatch for a frequency-degenerate type-I process.
+    """Indices and cone angle for a frequency-degenerate type-I process.
 
-    delta_n = n_p - n_o(2 lambda_p); delta0 is the corresponding
-    zero-order longitudinal mismatch in cm^-1.  theta0 (the cone
-    opening angle, rad) is NaN wherever delta_n >= 0, the
-    collinear-impossible side.  n_p, delta_n, delta0 and theta0 have the
-    shape of the cut angle phi0: floats for a scalar, arrays for an array.
+    delta_n = n_p - n_o(2 lambda_p).  theta0 (the cone opening angle,
+    rad) is NaN wherever delta_n >= 0, the collinear-impossible side.
+    n_p, delta_n and theta0 have the shape of the cut angle phi0: floats
+    for a scalar, arrays for an array.
     """
 
     n_p: float | np.ndarray
     n_o_signal: float
     delta_n: float | np.ndarray
-    delta0: float | np.ndarray
     theta0: float | np.ndarray
 
 
@@ -155,15 +152,13 @@ def pump_index(disp, phi0, lambda_p):
     n_p = n_o n_e / sqrt(n_o^2 sin^2 phi0 + n_e^2 cos^2 phi0), indices
     evaluated at the pump wavelength lambda_p (um).  phi0 = 0 recovers
     n_o, phi0 = pi/2 recovers n_e.  phi0 is a number or an array, and
-    every element must lie in [0, pi/2]; lambda_p must be positive and
-    finite.
+    every element must lie in [0, pi/2]; lambda_p must lie in the
+    crystal's validity range (WavelengthRangeError).
     """
     phi = np.asarray(phi0, dtype=float)
     inside = (phi >= 0.0) & (phi <= math.pi / 2)
     if not inside.all():
         raise ValueError(f"phi0 = {phi[~inside].flat[0]} outside [0, pi/2]")
-    if not 0.0 < lambda_p < math.inf:
-        raise ValueError("lambda_p must be positive and finite")
     n_o = index_ordinary(disp, lambda_p)
     n_e = index_extraordinary(disp, lambda_p)
     s, c = np.sin(phi), np.cos(phi)
@@ -171,7 +166,7 @@ def pump_index(disp, phi0, lambda_p):
 
 
 def phase_match(disp, phi0, lambda_p):
-    """Index difference, zero-order mismatch and cone opening angle at cut angle(s) phi0.
+    """Pump index, index difference and cone opening angle at cut angle(s) phi0.
 
     The emitted (ordinary) photons live at twice the pump wavelength,
     which must also lie inside the dispersion validity range.  One call
@@ -182,11 +177,9 @@ def phase_match(disp, phi0, lambda_p):
     n_p = pump_index(disp, phi, lambda_p)
     n_o_s = index_ordinary(disp, 2.0 * lambda_p)
     delta_n = n_p - n_o_s
-    delta0 = 2.0 * math.pi / (lambda_p * MICRON_TO_CM) * delta_n
     theta0 = np.sqrt(np.where(delta_n < 0.0, -2.0 * n_o_s * delta_n, math.nan))
     return PhaseMatchResult(n_p=_like(phi, n_p), n_o_signal=n_o_s,
-                            delta_n=_like(phi, delta_n), delta0=_like(phi, delta0),
-                            theta0=_like(phi, theta0))
+                            delta_n=_like(phi, delta_n), theta0=_like(phi, theta0))
 
 
 def collinear_cut_angle(disp, lambda_p):

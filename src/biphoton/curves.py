@@ -42,13 +42,14 @@ class Curve:
     def peak(self):
         return float(self.y.max())
 
-    def normalized(self, mode="unit-area"):
-        """Return a copy rescaled to unit trapezoid area or unit peak."""
+    def normalized(self, mode="area"):
+        """Return a copy rescaled to unit trapezoid area ("area") or unit
+        peak ("peak"), or the curve itself ("raw")."""
         if mode == "raw":
             return self
-        if mode == "unit-area":
+        if mode == "area":
             scale = self.area()
-        elif mode == "unit-peak":
+        elif mode == "peak":
             scale = self.peak()
         else:
             raise ValueError(f"unknown normalization {mode!r}")

@@ -227,15 +227,19 @@ def classify_regime(params):
     return REGIME_INTERMEDIATE
 
 
-def entanglement_report(params, extra_lines=()):
-    """Widths, ratio R and regime as text lines, then extra_lines."""
+def entanglement_report(params, single, plane):
+    """Widths, ratio R and regime as text lines, then the half-area widths
+    of the single-particle and in-plane curves and their ratio."""
+    w_single, w_plane = single.half_area_width(), plane.half_area_width()
     lines = [
         f"single-photon width   : {width_single(params):.6g} cm^-1",
         f"coincidence width     : {width_coincidence(params):.6g} cm^-1",
         f"difference width      : {width_minus(params):.6g} cm^-1",
         f"width ratio R         : {entanglement_ratio(params):.6g}",
         f"broadening regime     : {classify_regime(params)}",
-        *extra_lines,
+        f"single half-area width: {w_single:.6g} (kappa axis)",
+        f"plane half-area width : {w_plane:.6g} (kappa axis)",
+        f"plane/single ratio    : {w_plane / w_single:.6g}",
     ]
     return "\n".join(lines) + "\n"
 

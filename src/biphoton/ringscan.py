@@ -26,7 +26,8 @@ so none is drawn); x1 and x2 are formed on first read.  The scans bin each
 photon, and test each pair against the D2 slit, from float32 positions
 wherever a proven bound on their error leaves no doubt, and form the
 float64 position of the rest, so every count is np.histogram's of the
-float64 positions.
+float64 positions.  A scan takes one pass over its batch, with scratch as
+long as the batch; `scan` draws and scans one block at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .wavefunction import _Z_MAX, _Z_MIN
 
 __all__ = [
     "NoRingError",
-    "RingGeometry",
     "ScanResult",
     "ring_from_params",
     "sample_pairs",
@@ -56,23 +56,8 @@ class NoRingError(ValueError):
     """No annulus in the detection plane: theta0 not above the ring's thickness."""
 
 
-@dataclass(frozen=True)
-class RingGeometry:
-    """Annulus in the detection plane: distance z, radius r0, thickness delta_r (cm)."""
-
-    z: float
-    r0: float
-    delta_r: float
-
-    def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.z, self.r0, self.delta_r)):
-            raise ValueError("z, r0 and delta_r must be positive and finite")
-        if self.delta_r >= self.r0:
-            raise ValueError("ring thickness must be below its radius")
-
-
 def ring_from_params(params, z):
-    """Ring radius z*theta0 and thickness z*width_coincidence*lam/pi.
+    """(r0, delta_r) in cm: radius z*theta0, thickness z*width_coincidence*lam/pi.
 
     Raises ValueError unless z lies in the far-field domain [_Z_MIN, _Z_MAX],
     and NoRingError unless theta0 exceeds the ring's angular thickness
@@ -87,7 +72,7 @@ def ring_from_params(params, z):
         raise NoRingError(f"theta0 = {params.theta0!r} rad is not above the "
                           f"ring's angular thickness {delta_r / z:.6g} rad: no "
                           "emission ring to scan")
-    return RingGeometry(z=z, r0=r0, delta_r=delta_r)
+    return r0, delta_r
 
 
 @dataclass(frozen=True)
@@ -97,8 +82,8 @@ class PairBatch:
     px is x1 + x2; rho, phi are the polar form of the separation r1 - r2.
     x1, x2 = (px +- rho cos phi)/2 are formed on first read; y is not drawn.
     A scan reads _x32 instead and forms x only where that leaves an edge in
-    doubt.  spare holds n + 3 min(n, _BLOCK) float64 or more: _x32's rows,
-    then the scans' scratch, so the scans of one batch run one at a time.
+    doubt.  spare holds 4n float64 or more: _x32's rows, then the scans'
+    scratch, so the scans of one batch run one at a time.
     """
 
     px: np.ndarray
@@ -128,28 +113,22 @@ class PairBatch:
             np.add(self.px, u1, out=u1, **f32)
         return u1, u2
 
-    def _squeeze_blocks(self):
-        """Per block of up to _BLOCK pairs: its start, its rows of _x32, its
-        e = 2 rho + 2 max|px| + 2^-120 in float32 (see _X32_TOL; inf wherever
-        u1 or u2 is) and scratch in spare: two float32, an int64 and two bool rows.
+    def _squeeze(self):
+        """_x32's rows, e = 2 rho + 2 max|px| + 2^-120 in float32 (see _X32_TOL;
+        inf wherever u1 or u2 is) and scratch in spare: two float32, an int64
+        and two bool rows, each as long as the batch.
         """
-        n, m = len(self), min(len(self), _BLOCK)
+        n = len(self)
         w = self.spare[n:]
-        f32 = w[m:3 * m].view(np.float32).reshape(4, m)
-        flags = f32[3].view(np.bool_).reshape(4, m)[:2]
+        f32 = w[n:3 * n].view(np.float32).reshape(4, n)
+        e = f32[0]
         with np.errstate(over="ignore", invalid="ignore"):
             p_bound = np.float32(2.0 * np.maximum(self.px.max(), -self.px.min())
                                  + 2.0 ** -120)
-        for start in range(0, n, _BLOCK):
-            sl = slice(start, start + _BLOCK)
-            c = self.px[sl].size
-            e = f32[0, :c]
-            with np.errstate(over="ignore"):
-                np.multiply(self.rho[sl], 2.0, out=e, dtype=np.float32,
-                            casting="same_kind")
-                np.add(e, p_bound, out=e)
-            yield (start, *(u[sl] for u in self._x32), e, f32[1:3, :c],
-                   w[:c].view(np.intp), flags[:, :c])
+            np.multiply(self.rho, 2.0, out=e, dtype=np.float32, casting="same_kind")
+            np.add(e, p_bound, out=e)
+        return (*self._x32, e, f32[1:3], w[:n].view(np.intp),
+                f32[3].view(np.bool_).reshape(4, n)[:2])
 
 
 # pairs per block: block i of a run is drawn from SeedSequence(seed, spawn_key=(i,))
@@ -226,10 +205,10 @@ def _sinc2_variates(rng, x_max, out, work):
 
 def _workspace_size(n):
     """float64 values sample_pairs uses for n pairs: the batch's three rows,
-    then the sampler's three work rows, which the scans' spare (see PairBatch)
-    takes over once the draw is done."""
-    m = min(n, _BLOCK)
-    return 3 * n + max(3 * (m * 4 // 3 + 64), n + 3 * m)
+    then the sampler's three work rows of k = min(n, _BLOCK) * 4 // 3 + 64,
+    which the scans' spare of 4n (see PairBatch) takes over once the draw is
+    done: 3n + max(3k, 4n)."""
+    return 3 * n + max(3 * (min(n, _BLOCK) * 4 // 3 + 64), 4 * n)
 
 
 def sample_pairs(params, z, n, seed, block=0, *, out=None):
@@ -255,6 +234,8 @@ def sample_pairs(params, z, n, seed, block=0, *, out=None):
         raise ValueError("n must be positive")
     if block < 0:
         raise ValueError("block must be >= 0")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"z = {z!r} cm must be positive and finite")
     size = _workspace_size(n)
     if out is None:
         out = np.empty(size)
@@ -332,12 +313,16 @@ def _bin_edges(positions):
 _X32_TOL = 2.0 ** -20
 
 
-def _histogram_x(batch, edges):
-    """np.histogram(x1, edges)[0] + np.histogram(x2, edges)[0], with no sort.
+def scan_single(samples, positions):
+    """Single-detector scan: every sampled photon of every pair of the
+    PairBatch samples, histogrammed onto the vertical scan lines.
 
-    A bincount of the float32 bin indices, where the squeeze (the comment
-    above _X32_TOL) leaves no doubt; np.histogram of the exact x of the rest.
+    The counts are np.histogram(x1, edges)[0] + np.histogram(x2, edges)[0],
+    with no sort: a bincount of the float32 bin indices, where the squeeze
+    (the comment above _X32_TOL) leaves no doubt; np.histogram of the exact
+    x of the rest.
     """
+    edges = _bin_edges(positions)
     n_bins = edges.size - 1
     counts = np.zeros(n_bins + 2, np.intp)
     doubtful = []
@@ -347,25 +332,19 @@ def _histogram_x(batch, edges):
         scale, shift = np.float32(0.5 / h), np.float32(0.5 - edges[0] / h)
         tol = np.float32(_X32_TOL * 0.5 / h)
         sure = np.float32(0.5 - eta - _X32_TOL * (abs(0.5 - edges[0] / h) + 1.0))
-        for start, u1, u2, g, (v, k), index, (doubt, _) in batch._squeeze_blocks():
-            np.subtract(sure, np.multiply(g, tol, out=g), out=g)
-            for u, name in ((u1, "x1"), (u2, "x2")):
-                np.add(np.multiply(u, scale, out=v), shift, out=v)
-                np.rint(v, out=k)
-                np.less(np.abs(np.subtract(v, k, out=v), out=v), g, out=doubt)
-                np.logical_not(doubt, out=doubt)
-                np.copyto(k, 0.0, where=doubt)
-                np.copyto(index, np.clip(k, 0, n_bins + 1, out=k), casting="unsafe")
-                counts += np.bincount(index, minlength=n_bins + 2)
-                rest = batch._take(start + np.flatnonzero(doubt))
-                doubtful.append(getattr(rest, name))
-    return counts[1:-1] + np.histogram(np.concatenate(doubtful), bins=edges)[0]
-
-
-def scan_single(samples, positions):
-    """Single-detector scan: every sampled photon of every pair of the
-    PairBatch samples, histogrammed onto the vertical scan lines."""
-    return ScanResult(x=positions, y=_histogram_x(samples, _bin_edges(positions)))
+        u1, u2, g, (v, k), index, (doubt, _) = samples._squeeze()
+        np.subtract(sure, np.multiply(g, tol, out=g), out=g)
+        for u, name in ((u1, "x1"), (u2, "x2")):
+            np.add(np.multiply(u, scale, out=v), shift, out=v)
+            np.rint(v, out=k)
+            np.less(np.abs(np.subtract(v, k, out=v), out=v), g, out=doubt)
+            np.logical_not(doubt, out=doubt)
+            np.copyto(k, 0.0, where=doubt)
+            np.copyto(index, np.clip(k, 0, n_bins + 1, out=k), casting="unsafe")
+            counts += np.bincount(index, minlength=n_bins + 2)
+            doubtful.append(getattr(samples._take(np.flatnonzero(doubt)), name))
+    counts = counts[1:-1] + np.histogram(np.concatenate(doubtful), bins=edges)[0]
+    return ScanResult(x=positions, y=counts)
 
 
 def scan_coincidence(samples, d2_position, slit_width, positions):
@@ -380,17 +359,15 @@ def scan_coincidence(samples, d2_position, slit_width, positions):
     edges = _bin_edges(positions)
     half = 0.5 * slit_width
     # the pairs the squeeze (see _X32_TOL) cannot rule out; their exact x decides
-    near = []
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.float32(2.0 * d2_position)
         width = np.float32(slit_width + _X32_TOL * (abs(float(d2)) + slit_width))
-        for start, u1, u2, thr, (a, _), _, (far, far2) in samples._squeeze_blocks():
-            np.add(np.multiply(thr, np.float32(_X32_TOL), out=thr), width, out=thr)
-            np.greater(np.abs(np.subtract(u1, d2, out=a), out=a), thr, out=far)
-            np.greater(np.abs(np.subtract(u2, d2, out=a), out=a), thr, out=far2)
-            np.logical_not(np.logical_and(far, far2, out=far), out=far)
-            near.append(start + np.flatnonzero(far))
-    near = samples._take(np.concatenate(near))
+        u1, u2, thr, (a, _), _, (far, far2) = samples._squeeze()
+        np.add(np.multiply(thr, np.float32(_X32_TOL), out=thr), width, out=thr)
+        np.greater(np.abs(np.subtract(u1, d2, out=a), out=a), thr, out=far)
+        np.greater(np.abs(np.subtract(u2, d2, out=a), out=a), thr, out=far2)
+        np.logical_not(np.logical_and(far, far2, out=far), out=far)
+    near = samples._take(np.flatnonzero(far))
     hit2 = np.abs(near.x2 - d2_position) <= half
     hit1 = np.abs(near.x1 - d2_position) <= half
     partner = np.concatenate([near.x1[hit2], near.x2[hit1]])

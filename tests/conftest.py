@@ -200,10 +200,10 @@ def pair_y(batch, params, z, seed):
     return 0.5 * (py + my), 0.5 * (py - my)
 
 
-def chord_length(x, ring):
+def chord_length(x, r0, delta_r):
     """Oracle of the projection law: the length the vertical line at offset x
-    (cm) cuts from a uniform annulus of radius ring.r0 and thickness
-    ring.delta_r, both crossings counted; 0 for |x| past the outer radius.
+    (cm) cuts from a uniform annulus of radius r0 and thickness delta_r, both
+    crossings counted; 0 for |x| past the outer radius.
 
     A uniformly bright ring of that thickness scanned by a line detector
     gives the inverse-square-root law of f_approx(2 kappa), smoothed by a box
@@ -212,8 +212,8 @@ def chord_length(x, ring):
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # a line whose x^2 overflows misses the ring
         x2 = x * x
-    outer = np.sqrt(np.maximum((ring.r0 + 0.5 * ring.delta_r) ** 2 - x2, 0.0))
-    inner = np.sqrt(np.maximum((ring.r0 - 0.5 * ring.delta_r) ** 2 - x2, 0.0))
+    outer = np.sqrt(np.maximum((r0 + 0.5 * delta_r) ** 2 - x2, 0.0))
+    inner = np.sqrt(np.maximum((r0 - 0.5 * delta_r) ** 2 - x2, 0.0))
     return 2.0 * (outer - inner)
 
 

@@ -218,7 +218,7 @@ def test_c10_oracle_equivalence(params_a, batch_a):
         theory = bin_average(
             lambda kap: f_exact(2.0 * float(params_a.k_from_kappa(kap)), params_a),
             edges)
-        analytic = bin_average(lambda kap: float(chord_length(Z_CM * kap, ring)),
+        analytic = bin_average(lambda kap: float(chord_length(Z_CM * kap, *ring)),
                                edges)
 
         def ua(v):
@@ -237,21 +237,21 @@ def test_c10_oracle_equivalence(params_a, batch_a):
 
 def test_c11_coincidence_scan(params_b, batch_b):
     with verdict(11, "coincidence scan position and width ratio"):
-        ring = ring_from_params(params_b, Z_CM)
+        r0, delta_r = ring_from_params(params_b, Z_CM)
 
         centers = np.linspace(-0.15, 0.15, 201)
         mc = scan_single(batch_b, Z_CM * centers)
         sigma_s = curve_rms(mc) / Z_CM * math.pi / params_b.lambda_cm
 
         sigma_x = Z_CM * params_b.lambda_cm / (math.pi * math.sqrt(2.0) * params_b.w_p)
-        cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
-        co = scan_coincidence(batch_b, ring.r0, 0.5 * ring.delta_r, cpos)
+        cpos = -r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
+        co = scan_coincidence(batch_b, r0, 0.5 * delta_r, cpos)
         assert co.counts.any()
         n_c = co.y.sum()
         centroid, rms = curve_mean(co), curve_rms(co)
         bound = 4.0 * rms / math.sqrt(n_c)
-        assert abs(centroid + ring.r0) <= bound, (
-            f"centroid at {centroid:.5f} cm, D2 at {ring.r0} cm "
+        assert abs(centroid + r0) <= bound, (
+            f"centroid at {centroid:.5f} cm, D2 at {r0} cm "
             f"(bound {bound:.5f} cm)")
 
         width_c = rms / math.sqrt(2.0) * math.pi / (Z_CM * params_b.lambda_cm)

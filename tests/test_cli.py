@@ -653,7 +653,7 @@ def test_every_table_has_one_format(tmp_path):
     # the Monte-Carlo scan reads back as counts over plane positions in cm
     cfg = cli.resolve_config(cli.build_parser().parse_args(
         ["scan", "--grid", "101", "--pairs", "20000"]))
-    _, params = cli._load_setup(cfg)
+    params = cli._load_setup(cfg)
     positions = 0.5 * default_kappa_grid(params, 101) * cfg.z
     scan = scan_single(sample_pairs(params, cfg.z, cfg.pairs, cfg.seed),
                        positions)

@@ -60,8 +60,6 @@ def test_pump_index_monotone_decreasing(bbo):
 def test_phase_match_identities(bbo):
     pm = phase_match(bbo, 0.7, LAM_P)
     assert pm.delta_n == pm.n_p - pm.n_o_signal
-    lam_cm = LAM_P * 1e-4
-    assert pm.delta0 == pytest.approx(2 * math.pi / lam_cm * pm.delta_n, rel=1e-14)
     assert not math.isnan(pm.theta0)
     assert pm.theta0 ** 2 == pytest.approx(-2 * pm.n_o_signal * pm.delta_n, rel=1e-12)
 
@@ -78,7 +76,7 @@ def test_phase_match_collinear_impossible_side(bbo):
 def test_phase_match_scalar_gives_floats(bbo):
     # _header echoes repr(theta0): a numpy scalar would change every header
     pm = phase_match(bbo, 0.5275, LAM_P)
-    for value in (pm.n_p, pm.n_o_signal, pm.delta_n, pm.delta0, pm.theta0):
+    for value in (pm.n_p, pm.n_o_signal, pm.delta_n, pm.theta0):
         assert type(value) is float
     assert type(phase_match(bbo, 0.3, LAM_P).theta0) is float
     assert type(pump_index(bbo, 0.5275, LAM_P)) is float
@@ -96,7 +94,7 @@ def test_phase_match_array_equals_scalar_calls(bbo):
             for p in phis]
     assert np.array_equal(pm.delta_n, loop)
     one = [phase_match(bbo, float(p), LAM_P) for p in phis]
-    for field in ("n_p", "delta_n", "delta0", "theta0"):
+    for field in ("n_p", "delta_n", "theta0"):
         assert np.array_equal(getattr(pm, field),
                               [getattr(r, field) for r in one], equal_nan=True), field
     assert np.array_equal(pump_index(bbo, phis, LAM_P), [r.n_p for r in one])

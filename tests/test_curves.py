@@ -29,18 +29,18 @@ def test_validation():
 
 
 def test_unit_area_contract():
-    c = gaussian_curve().normalized("unit-area")
+    c = gaussian_curve().normalized("area")
     assert abs(c.area() - 1.0) < 1e-6
     # idempotent
-    again = c.normalized("unit-area")
+    again = c.normalized("area")
     assert np.array_equal(c.y, again.y)
     # invariant under raw rescaling
-    scaled = Curve(x=c.x, y=c.y * 7.3).normalized("unit-area")
+    scaled = Curve(x=c.x, y=c.y * 7.3).normalized("area")
     np.testing.assert_allclose(scaled.y, c.y, rtol=1e-12)
 
 
 def test_unit_peak():
-    c = gaussian_curve().normalized("unit-peak")
+    c = gaussian_curve().normalized("peak")
     assert c.peak() == pytest.approx(1.0, rel=1e-14)
 
 
@@ -100,7 +100,7 @@ def test_argmax_x():
 
 
 def test_write_read_roundtrip(tmp_path):
-    c = gaussian_curve(1.5, n=101, span=4.0).normalized("unit-area")
+    c = gaussian_curve(1.5, n=101, span=4.0).normalized("area")
     path = tmp_path / "curve.dat"
     c.write(path, ["curve", "note: roundtrip", "columns: x y"])
     back = np.loadtxt(path)

@@ -225,10 +225,17 @@ def test_entanglement_report_values(params_a, params_b):
     for p in (params_a, params_b):
         assert width_minus(p) / width_coincidence(p) > 100.0
 
-    # the report prints those values, then the caller's lines
-    text = entanglement_report(params_b, extra_lines=["extra line"])
+    # the report prints those values, then the two curves' half-area widths
+    grid = default_kappa_grid(params_b, 401)
+    single = single_particle_curve(grid, params_b)
+    plane = plane_restricted_curve(grid, params_b)
+    text = entanglement_report(params_b, single, plane)
     lines = text.splitlines()
-    assert text.endswith("\n") and len(lines) == 6 and lines[-1] == "extra line"
+    assert text.endswith("\n") and len(lines) == 8
+    w_single, w_plane = single.half_area_width(), plane.half_area_width()
+    assert lines[5] == f"single half-area width: {w_single:.6g} (kappa axis)"
+    assert lines[6] == f"plane half-area width : {w_plane:.6g} (kappa axis)"
+    assert lines[7] == f"plane/single ratio    : {w_plane / w_single:.6g}"
     assert lines[3] == f"width ratio R         : {entanglement_ratio(params_b):.6g}"
     assert lines[4] == f"broadening regime     : {dist.REGIME_NONCOLLINEAR}"
 
@@ -287,10 +294,10 @@ def test_single_particle_collinear_bell():
 
 def test_curve_normalization_contract(params_b):
     grid = default_kappa_grid(params_b, 801)
-    c = single_particle_curve(grid, params_b).normalized("unit-area")
+    c = single_particle_curve(grid, params_b).normalized("area")
     assert abs(c.area() - 1.0) < 1e-6
     raw = single_particle_curve(grid, params_b)
-    rescaled = Curve(x=raw.x, y=raw.y * 11.7).normalized("unit-area")
+    rescaled = Curve(x=raw.x, y=raw.y * 11.7).normalized("area")
     np.testing.assert_allclose(rescaled.y, c.y, rtol=1e-10)
 
 

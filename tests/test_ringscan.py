@@ -9,8 +9,8 @@ from biphoton import (NoRingError, SpdcParams, cli, default_kappa_grid,
                       entanglement_ratio, f_approx, ring_from_params,
                       sample_pairs, scan_coincidence, scan_single,
                       width_coincidence)
-from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, RingGeometry,
-                                _bin_edges, _sinc2_variates, _workspace_size)
+from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, _bin_edges,
+                                _sinc2_variates, _workspace_size)
 
 from conftest import (MC_SEED, Z_CM, _reference_sinc2, chord_length, curve_mean,
                       curve_rms, pair_y, reference_pairs)
@@ -22,11 +22,12 @@ def ring_b(params_b):
 
 
 def test_ring_geometry_values(params_b, ring_b):
-    assert ring_b.r0 == pytest.approx(Z_CM * params_b.theta0, rel=1e-14)
+    r0, delta_r = ring_b
+    assert r0 == pytest.approx(Z_CM * params_b.theta0, rel=1e-14)
     expected_dr = Z_CM * width_coincidence(params_b) * params_b.lambda_cm / math.pi
-    assert ring_b.delta_r == pytest.approx(expected_dr, rel=1e-14)
-    assert ring_b.delta_r == pytest.approx(6.441001e-3, abs=1e-8)
-    assert ring_b.delta_r < ring_b.r0
+    assert delta_r == pytest.approx(expected_dr, rel=1e-14)
+    assert delta_r == pytest.approx(6.441001e-3, abs=1e-8)
+    assert delta_r < r0
 
 
 def test_ring_errors(params_b):
@@ -36,11 +37,6 @@ def test_ring_errors(params_b):
     for bad_z in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ring_from_params(params_b, bad_z)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            RingGeometry(z=Z_CM, r0=bad, delta_r=0.1)
-        with pytest.raises(ValueError):
-            RingGeometry(z=bad, r0=10.0, delta_r=0.1)
 
 
 def test_ring_too_large_for_floats(params_b, ring_b):
@@ -49,22 +45,23 @@ def test_ring_too_large_for_floats(params_b, ring_b):
     with pytest.raises(ValueError, match="z = 1e"):
         ring_from_params(params_b, 1e300)
     # a line whose x^2 overflows misses the ring, without a warning
-    assert chord_length(1e200, ring_b) == 0.0
+    assert chord_length(1e200, *ring_b) == 0.0
 
 
 def test_chord_length(ring_b):
-    r_outer = ring_b.r0 + 0.5 * ring_b.delta_r
-    assert chord_length(0.0, ring_b) == pytest.approx(2.0 * ring_b.delta_r, rel=1e-12)
-    assert chord_length(r_outer * 1.001, ring_b) == 0.0
-    assert chord_length(-r_outer * 1.5, ring_b) == 0.0
+    r0, delta_r = ring_b
+    r_outer = r0 + 0.5 * delta_r
+    assert chord_length(0.0, r0, delta_r) == pytest.approx(2.0 * delta_r, rel=1e-12)
+    assert chord_length(r_outer * 1.001, r0, delta_r) == 0.0
+    assert chord_length(-r_outer * 1.5, r0, delta_r) == 0.0
     # near the rim the crossing length grows to the sqrt(r0 * delta_r) scale
-    edge = chord_length(ring_b.r0, ring_b)
-    assert edge == pytest.approx(2.0 * math.sqrt(ring_b.r0 * ring_b.delta_r), rel=1e-3)
-    assert edge > 10.0 * chord_length(0.0, ring_b)
+    edge = chord_length(r0, r0, delta_r)
+    assert edge == pytest.approx(2.0 * math.sqrt(r0 * delta_r), rel=1e-3)
+    assert edge > 10.0 * chord_length(0.0, r0, delta_r)
     # vectorized call matches scalars
-    xs = np.array([0.0, 1.0, ring_b.r0, r_outer + 1.0])
-    np.testing.assert_allclose(chord_length(xs, ring_b),
-                               [chord_length(float(x), ring_b) for x in xs])
+    xs = np.array([0.0, 1.0, r0, r_outer + 1.0])
+    np.testing.assert_allclose(chord_length(xs, r0, delta_r),
+                               [chord_length(float(x), r0, delta_r) for x in xs])
 
 
 def test_sampling_determinism(params_b):
@@ -264,32 +261,32 @@ def test_scans_at_float32_extremes_match_np_histogram(params_b, z):
     ref = sample_pairs(params_b, z, n, seed=MC_SEED)
     # sample_pairs and the scans take any z, while ring_from_params holds z to
     # the far field: the ring at z is built directly
-    ring = RingGeometry(z=z, r0=z * params_b.theta0,
-                        delta_r=z * width_coincidence(params_b) * params_b.lambda_cm
-                        / math.pi)
+    r0 = z * params_b.theta0
+    delta_r = z * width_coincidence(params_b) * params_b.lambda_cm / math.pi
     positions = 0.5 * default_kappa_grid(params_b, 241) * z
     edges = _bin_edges(positions)
     want = np.histogram(ref.x1, bins=edges)[0] + np.histogram(ref.x2, bins=edges)[0]
     assert want.sum() > n
     assert np.array_equal(scan_single(batch, positions).counts, want)
-    half = 0.5 * ring.delta_r
-    cpos = -ring.r0 + np.linspace(-6.0, 6.0, 61) * ring.delta_r
-    hit2 = np.abs(ref.x2 - ring.r0) <= half
-    hit1 = np.abs(ref.x1 - ring.r0) <= half
+    half = 0.5 * delta_r
+    cpos = -r0 + np.linspace(-6.0, 6.0, 61) * delta_r
+    hit2 = np.abs(ref.x2 - r0) <= half
+    hit1 = np.abs(ref.x1 - r0) <= half
     want = np.histogram(np.concatenate([ref.x1[hit2], ref.x2[hit1]]),
                         bins=_bin_edges(cpos))[0]
     assert want.sum() > 0
-    got = scan_coincidence(batch, ring.r0, 2.0 * half, cpos).counts
+    got = scan_coincidence(batch, r0, 2.0 * half, cpos).counts
     assert np.array_equal(got, want)
 
 
 def test_scans_form_no_float64_positions(params_b, ring_b):
+    r0, delta_r = ring_b
     # the scans bin from the float32 rows; the float64 cosine of every pair
     # (x1 and x2) would cost more than the rest of a scan.  len() reads px
     batch = sample_pairs(params_b, Z_CM, _BLOCK + 1, seed=MC_SEED)
     scan_single(batch, Z_CM * np.linspace(-0.15, 0.15, 201))
-    scan_coincidence(batch, ring_b.r0, 0.5 * ring_b.delta_r,
-                     -ring_b.r0 + np.linspace(-0.05, 0.05, 61))
+    scan_coincidence(batch, r0, 0.5 * delta_r,
+                     -r0 + np.linspace(-0.05, 0.05, 61))
     assert len(batch) == _BLOCK + 1
     assert not {"x1", "x2", "_mx"} & batch.__dict__.keys()
 
@@ -301,18 +298,27 @@ def test_sampling_argument_validation(params_b):
         sample_pairs(params_b, Z_CM, 10, seed=1, block=-1)
 
 
+def test_sample_pairs_refuses_a_z_that_is_not_positive_and_finite(params_b):
+    # a negative z makes every rho negative, which the squeeze's bound
+    # e = 2 rho + 2 max|px| + 2^-120 does not cover
+    for z in (-100.0, -1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="z = "):
+            sample_pairs(params_b, z, 100, seed=MC_SEED)
+
+
 def test_batch_drawn_into_a_used_workspace_is_unchanged(params_b, ring_b):
+    r0, delta_r = ring_b
     # out is only scratch to the draw: after another batch and its scans
     # left their values in it, a full block, a later block and a partial
     # last block each come out as they do without out
     work = np.empty(_workspace_size(_BLOCK))
     centers = Z_CM * np.linspace(-0.15, 0.15, 201)
-    cpos = -ring_b.r0 + np.linspace(-0.05, 0.05, 61)
+    cpos = -r0 + np.linspace(-0.05, 0.05, 61)
     for m, block in [(_BLOCK, 0), (_BLOCK, 5), (1234, 7)]:
         other = sample_pairs(params_b, Z_CM, _BLOCK, seed=MC_SEED + 1,
                              block=block + 1, out=work)
         scan_single(other, centers)
-        scan_coincidence(other, ring_b.r0, 0.5 * ring_b.delta_r, cpos)
+        scan_coincidence(other, r0, 0.5 * delta_r, cpos)
         batch = sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=block, out=work)
         fresh = sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=block)
         for key in ("px", "rho", "phi", "x1", "x2"):
@@ -355,6 +361,7 @@ def test_radial_sampler_matches_sinc2_law(bbo, length, theta0):
 
 
 def test_blockwise_scans_equal_one_scan(params_b, ring_b, tmp_path):
+    r0, delta_r = ring_b
     n = 2 * _BLOCK + 1
     whole = sample_pairs(params_b, Z_CM, n, seed=MC_SEED)
     blocks = [sample_pairs(params_b, Z_CM, m, seed=MC_SEED, block=i)
@@ -363,13 +370,13 @@ def test_blockwise_scans_equal_one_scan(params_b, ring_b, tmp_path):
         assert np.array_equal(getattr(whole, key),
                               np.concatenate([getattr(b, key) for b in blocks]))
     centers = Z_CM * np.linspace(-0.15, 0.15, 201)
-    cpos = -ring_b.r0 + np.linspace(-0.05, 0.05, 61)
-    slit = 0.5 * ring_b.delta_r
+    cpos = -r0 + np.linspace(-0.05, 0.05, 61)
+    slit = 0.5 * delta_r
     single = sum(scan_single(b, centers).counts for b in blocks)
-    coinc = sum(scan_coincidence(b, ring_b.r0, slit, cpos).counts for b in blocks)
+    coinc = sum(scan_coincidence(b, r0, slit, cpos).counts for b in blocks)
     assert np.array_equal(single, scan_single(whole, centers).counts)
     assert np.array_equal(coinc,
-                          scan_coincidence(whole, ring_b.r0, slit, cpos).counts)
+                          scan_coincidence(whole, r0, slit, cpos).counts)
     assert coinc.sum() > 0
     # the scan command histograms the same n pairs, block by block
     out = tmp_path / "blocks"
@@ -382,10 +389,11 @@ def test_blockwise_scans_equal_one_scan(params_b, ring_b, tmp_path):
 
 
 def test_radial_histogram_peaks_on_ring(params_b, ring_b, batch_b):
+    r0, _ = ring_b
     r = np.hypot(batch_b.x1, pair_y(batch_b, params_b, Z_CM, MC_SEED)[0])
     hist, edges = np.histogram(r, bins=240, range=(4.0, 16.0))
     mode = 0.5 * (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1])
-    assert abs(mode - ring_b.r0) < 0.2
+    assert abs(mode - r0) < 0.2
 
 
 def test_pair_anticorrelation(params_b, batch_b):
@@ -418,7 +426,7 @@ def _ua(values, x):
 
 def test_analytic_scan_matches_projection_law(params_b, ring_b):
     kappas = np.linspace(-0.15, 0.15, 801)
-    a = _ua(chord_length(Z_CM * kappas, ring_b), kappas)
+    a = _ua(chord_length(Z_CM * kappas, *ring_b), kappas)
     t = _ua(f_approx(2.0 * params_b.k_from_kappa(kappas), params_b), kappas)
     mask = np.abs(np.abs(kappas) - params_b.theta0) > 0.002
     sup = np.max(np.abs(a - t)[mask])
@@ -430,7 +438,7 @@ def test_mc_scan_within_poisson_bands(params_b, ring_b, batch_b):
     edges = np.linspace(-0.15, 0.15, nb + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     mc = scan_single(batch_b, Z_CM * centers)
-    analytic = chord_length(Z_CM * centers, ring_b)
+    analytic = chord_length(Z_CM * centers, *ring_b)
     assert np.all(mc.counts >= 0.0)
     # compare where the idealized annulus and the sampled law coincide
     interior = np.abs(centers) <= params_b.theta0 - 0.025
@@ -452,7 +460,7 @@ def test_mc_scan_symmetric_under_negation(params_b, batch_b):
 
 def test_mc_error_shrinks_as_sqrt_n(params_b, ring_b):
     centers = np.linspace(-0.15, 0.15, 201)
-    analytic = chord_length(Z_CM * centers, ring_b)
+    analytic = chord_length(Z_CM * centers, *ring_b)
     interior = np.abs(centers) <= params_b.theta0 - 0.025
     a_int = analytic[interior] / analytic[interior].sum()
 
@@ -471,26 +479,28 @@ def test_mc_error_shrinks_as_sqrt_n(params_b, ring_b):
 
 
 def test_coincidence_scan(params_b, ring_b, batch_b):
+    r0, delta_r = ring_b
     sigma_x = Z_CM * params_b.lambda_cm / (math.pi * math.sqrt(2.0) * params_b.w_p)
-    positions = -ring_b.r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
-    scan = scan_coincidence(batch_b, ring_b.r0, 0.5 * ring_b.delta_r, positions)
+    positions = -r0 + np.linspace(-6.0, 6.0, 61) * sigma_x
+    scan = scan_coincidence(batch_b, r0, 0.5 * delta_r, positions)
     assert scan.counts.any()
     # the centroid sits on -r0 within four standard errors of the histogram
     centroid, rms = curve_mean(scan), curve_rms(scan)
-    assert abs(centroid + ring_b.r0) <= 4.0 * rms / math.sqrt(scan.y.sum())
+    assert abs(centroid + r0) <= 4.0 * rms / math.sqrt(scan.y.sum())
     # measured width in the reciprocal-waist convention, 10% at this pair count
     width_k = rms / math.sqrt(2.0) * math.pi / (Z_CM * params_b.lambda_cm)
     assert abs(width_k / width_coincidence(params_b) - 1.0) < 0.10
 
 
 def test_coincidence_empty_is_flagged(params_b, ring_b, batch_b):
+    r0, delta_r = ring_b
     positions = np.linspace(-11.0, -9.0, 21)
-    scan = scan_coincidence(batch_b, ring_b.r0 + 5.0, 0.5 * ring_b.delta_r,
+    scan = scan_coincidence(batch_b, r0 + 5.0, 0.5 * delta_r,
                             positions)
     assert not scan.counts.any()
     assert np.all(scan.counts == 0.0)
     with pytest.raises(ValueError):
-        scan_coincidence(batch_b, ring_b.r0, 0.0, positions)
+        scan_coincidence(batch_b, r0, 0.0, positions)
 
 
 def test_scan_input_validation(batch_b):
