@@ -3,7 +3,7 @@
 A Curve is a strictly increasing abscissa grid plus nonnegative values.
 write_table writes every table of the package: `#` header lines, then
 space-separated rows of `%.12e` numbers, so np.loadtxt reads every table.
-It formats fixed blocks of rows in numpy, byte-identical to Python's
+It formats blocks of 1024 rows in numpy, byte-identical to Python's
 `"%.12e" % x`, and hands the few values it cannot place exactly (NaN,
 inf, three-digit exponents, near-ties) to Python's formatting.
 """
@@ -111,8 +111,10 @@ def write_table(path, header_lines, columns):
 # package's tables lie within 1e-10 <= |x| < 1e5; a wider range would cost
 # parsing more literals, 0.5 ms for |e| <= 280.  Each value fills a 21-byte
 # slot: up to 20 characters, zero-padded, then a space or newline; dropping
-# the zero bytes leaves the rows.
-_BLOCK_ROWS = 2048
+# the zero bytes leaves the rows.  No value's bytes depend on its block; of
+# 256 to 2048 rows, 1024 formats a 2001 x 3 table fastest, 0.9 ms with 0.48 MB
+# of scratch against 1.1 ms and 0.93 MB at 2048 (best of 200, 2 vCPUs).
+_BLOCK_ROWS = 1024
 _E_MAX = 100      # |floor(log10|x|)| for 1e-99 <= |x| < 1e99, with log10's error
 _SLOT = 21
 

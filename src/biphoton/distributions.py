@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .curves import Curve
 from .wavefunction import pump_envelope, sinc
@@ -106,14 +105,33 @@ REGIME_FACTOR = 3.0
 _SERIES_SWITCH = 16.0
 _SERIES_TERMS = 30
 _G_REL_ERR = 1e-12
-_S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(56)
-_S_NODES, _S_WEIGHTS = 0.5 * (_S_NODES + 1.0), 0.5 * _S_WEIGHTS
+# numpy's leggauss(56) on [-1, 1] as round-trip literals, so that import loads no
+# numpy.polynomial and starts no LAPACK (a test pins them bit for bit): the 28
+# positive (node, weight) pairs, mirrored as leggauss symmetrizes, mapped to [0, 1].
+_S_NODES, _S_WEIGHTS = np.array([
+    0.02779703528727544, 0.05557974630651438, 0.08330518682243537, 0.0554079525032451,
+    0.13855584681037625, 0.05506489590176235, 0.19337823863527526, 0.05455163687088942,
+    0.24760290943433721, 0.05386976186571443, 0.3010622538672207, 0.053021378524010704,
+    0.3535910321749545, 0.05200910915174136, 0.40502688092709127, 0.050836082617798435,
+    0.4552108148784596, 0.04950592468304754, 0.5039877183843817, 0.04802274679360021,
+    0.5512068248555346, 0.046391133373001874, 0.5967221827706634, 0.04461612765269215,
+    0.6403931068070069, 0.04270321608466702, 0.6820846126944704, 0.040658311384744704,
+    0.7216678344501881, 0.03848773425924778, 0.7590204227051289, 0.0361981938723151,
+    0.7940269228938664, 0.03379676711561189, 0.8265791321428817, 0.03129087674731017,
+    0.8565764337627486, 0.02868826847382286, 0.8839261083278276, 0.025996987058392027,
+    0.9085436204206555, 0.023225351562565253, 0.9303528802474963, 0.020381929882402214,
+    0.9492864795619627, 0.017475512911400717, 0.9652859019054901, 0.014515089278021987,
+    0.9783017091402564, 0.01150982434038326, 0.9882937155401615, 0.008469063163307663,
+    0.9952312260810697, 0.005402522246015044, 0.9990943438014656, 0.002323855375774208,
+]).reshape(28, 2).T
+_S_NODES = 0.5 * (np.concatenate([-_S_NODES[::-1], _S_NODES]) + 1.0)
+_S_WEIGHTS = 0.5 * np.concatenate([_S_WEIGHTS[::-1], _S_WEIGHTS])
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 # the series as I = P(w^2) + i w Q(w^2), w = 1/(2v): a_k i^k for even k
-# and a_k i^(k-1) for odd k, the coefficients of P and Q in rising order
+# and a_k i^(k-1) for odd k, the coefficients of P and Q highest power first
 _SERIES_A = [(-1) ** (k + k // 2) * math.comb(2 * k, k) * math.factorial(k + 1) / 4 ** k
              for k in range(_SERIES_TERMS)]
-_SERIES_P, _SERIES_Q = _SERIES_A[0::2], _SERIES_A[1::2]
+_SERIES_P, _SERIES_Q = _SERIES_A[0::2][::-1], _SERIES_A[1::2][::-1]
 
 # The quadrature kernels work on _ROWS grid points at a time, so their
 # node matrices (_ROWS x 56 complex at most, 230 kB) stay in cache and
@@ -160,7 +178,7 @@ def _g_far(u):
     # I(v) by its series, Horner's rule in w^2 for P and Q
     w = 0.5 / v
     x = w * w
-    series = polyval(x, _SERIES_P) + 1j * (w * polyval(x, _SERIES_Q))
+    series = np.polyval(_SERIES_P, x) + 1j * (w * np.polyval(_SERIES_Q, x))
     # endpoint term, v = |u|: E(v) = e^{2iv}/(8 v^2) I(v);
     # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
     end = np.exp(2j * v) / (8.0 * v * v) * series

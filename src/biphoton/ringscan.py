@@ -354,7 +354,7 @@ def scan_coincidence(samples, d2_position, slit_width, positions):
     d2_position; either photon of a pair may trigger it.  A scan that
     captures no pair is all zero, not an error.
     """
-    if slit_width <= 0:
+    if not slit_width > 0:
         raise ValueError("slit_width must be positive")
     edges = _bin_edges(positions)
     half = 0.5 * slit_width

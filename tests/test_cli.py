@@ -340,6 +340,36 @@ def test_curve_memory_grows_by_columns_only(tmp_path, command):
     assert peaks[1] <= peaks[0] + 8 * 8 * (50001 - 2001), peaks
 
 
+_MODULES_LOADED = """
+import contextlib, io, json, sys
+from biphoton import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            sys.exit(f"{argv} failed")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_commands_load_no_numpy_polynomial(tmp_path):
+    # G's rule is a table of literals and its series uses np.polyval, so no
+    # command loads numpy.polynomial (0.7 MB) or starts LAPACK through
+    # leggauss's eigenvalue solve (1.3 MB); a fresh interpreter, because the
+    # tests' own oracles import numpy.polynomial here
+    argvs = [[command, "--grid", "201", "--out", str(tmp_path / command)]
+             for command in ("fcurve", "distributions", "report")]
+    argvs.append(["scan", "--pairs", "1000", "--grid", "201",
+                  "--out", str(tmp_path / "scan")])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_LOADED, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300, check=True)
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    assert "biphoton.ringscan" in modules
+    assert "numpy.polynomial" not in modules
+
+
 def test_report_command_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("waist = 0.3\nseed = 99\n# comment\n")

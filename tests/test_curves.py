@@ -159,8 +159,11 @@ def test_write_table_matches_row_writer_on_edge_values(tmp_path):
     assert_writes_as_rows(tmp_path, [values, values[::-1], np.roll(values, 7)])
 
 
-@pytest.mark.parametrize("rows", [1, curves._BLOCK_ROWS - 1, curves._BLOCK_ROWS,
-                                  curves._BLOCK_ROWS + 1, 3 * curves._BLOCK_ROWS + 5])
+# one row, the seams after one and after two full blocks, and tables of
+# several blocks that end in a partial one
+@pytest.mark.parametrize("rows", [1] + [k * curves._BLOCK_ROWS + d for k in (1, 2)
+                                        for d in (-1, 0, 1)]
+                         + [k * curves._BLOCK_ROWS + 5 for k in (3, 6)])
 def test_write_table_block_seams(tmp_path, rows):
     rng = np.random.default_rng(rows)
     values = _adversarial_values()

@@ -155,6 +155,34 @@ def test_g_series_remainder_bound_meets_stated_accuracy():
     assert bound < dist._G_REL_ERR * dist._g_of_u(-v)
 
 
+def test_s_rule_is_leggauss_56():
+    # the near band's rule is written out as literals; they must be numpy's
+    # leggauss(56), mapped to [0, 1], bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(56)
+    assert np.array_equal(dist._S_NODES, 0.5 * (nodes + 1.0))
+    assert np.array_equal(dist._S_WEIGHTS, 0.5 * weights)
+
+
+def test_g_far_series_is_numpy_polynomial_polyval_bit_for_bit():
+    # np.polyval on the coefficients highest power first runs the Horner
+    # recurrence of numpy.polynomial's polyval on them in rising order
+    from numpy.polynomial.polynomial import polyval
+    v = np.concatenate([[16.0], np.logspace(np.log10(16.0), np.log10(2e8), 997),
+                        [2e8]])
+    u = np.concatenate([v, -v])
+    w = 0.5 / v
+    x = w * w
+    a = dist._SERIES_A
+    series = np.concatenate([polyval(x, a[0::2]) + 1j * (w * polyval(x, a[1::2]))] * 2)
+    end = np.exp(2j * np.abs(u)) / (8.0 * u * u) * series
+    positive = u > 0.0
+    stationary = np.where(positive, math.pi / np.sqrt(np.abs(u)),
+                          0.25 * math.pi / np.abs(u) ** 1.5)
+    turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
+    expected = stationary - 2.0 * dist._ROOT_2PI * (turn * end).real
+    assert np.array_equal(dist._g_far(u), expected)
+
+
 _V = dist._SERIES_SWITCH
 _G_ORACLE_POINTS = [0.0, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0, 15.5, -15.5,
                     # the top of the Gauss-Legendre band, where it is least accurate

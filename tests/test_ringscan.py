@@ -499,8 +499,11 @@ def test_coincidence_empty_is_flagged(params_b, ring_b, batch_b):
                             positions)
     assert not scan.counts.any()
     assert np.all(scan.counts == 0.0)
-    with pytest.raises(ValueError):
-        scan_coincidence(batch_b, r0, 0.0, positions)
+    # a NaN slit compares false with everything, so it would capture no pair
+    # and pass for an empty scan
+    for slit in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="slit_width"):
+            scan_coincidence(batch_b, r0, slit, positions)
 
 
 def test_scan_input_validation(batch_b):
