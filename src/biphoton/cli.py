@@ -28,8 +28,9 @@ refused: a |k2x| not below pi/lambda_p, a flag value argparse cannot
 parse, a pump wavelength outside the crystal's range or at a pole of its
 Sellmeier form, a --rel-tol finer than G(u) is evaluated to, a --grid
 numpy cannot allocate, for `dispersion` a crystal with no collinear cut,
-for `distributions` and `report` a cone edge that needs more in-plane
-nodes than one chunk holds, for `scan` a cone no wider than its ring's
+for `distributions` and `report` a crystal so long or a pump waist so
+narrow that the in-plane kernel would need more than 254 copies of its
+near rule at a point, for `scan` a cone no wider than its ring's
 thickness, and an --out that cannot be made a directory.  Each command
 computes all it writes before it makes the output directory, so every
 refusal comes before any output.
@@ -38,6 +39,7 @@ refusal comes before any output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -168,7 +170,7 @@ def _load_setup(cfg):
 
 
 def _plane_curve(cfg, grid, params):
-    """The in-plane curve; a cone edge finer than its rule can resolve exits 2."""
+    """The in-plane curve; a point past its kernel's reach exits 2."""
     try:
         return dist.plane_restricted_curve(grid, params)
     except ValueError as exc:
@@ -393,6 +395,7 @@ def _signed_values(argv):
     return out
 
 
+@functools.cache   # one parser per process: main runs once per command
 def build_parser():
     parser = _Parser(
         prog="biphoton",

@@ -31,14 +31,17 @@ the model's domain reaches.  That accuracy is stated, not requested: no
 function here takes a tolerance, and the command line compares a
 requested --rel-tol with it once.
 
-The quadrature kernels (the Gauss-Legendre band of G(u) and the
-in-plane curve's trapezoid rule) fill a preallocated result at most
-_ROWS grid points at a time.  Their node matrices are then a fixed few
-hundred kB, whatever the grid size, and memory grows only with the
-output columns.  The series band has no node matrix and goes
-_SERIES_ROWS points at a time.  Every point's nodes, arithmetic and
-reduction order are those of an unchunked evaluation, so f_exact
-is bitwise the same wherever the chunks split.
+The in-plane curve is one kernel K0(u0; a, b), stated above its function,
+on two bands like G's: a fixed Gauss-Legendre rule near the cone edge and
+the endpoint expansions in i/(2 u0) elsewhere.  The quadrature kernels
+(G's and K0's Gauss-Legendre bands, K0's Gauss-Laguerre rule) fill a
+preallocated result at most _ROWS grid points at a time, in cache: their
+node matrices stay a fixed few hundred kB, and memory grows only with the
+output columns.  The series bands have no node matrix and go _SERIES_ROWS
+points at a time, which spreads numpy's per-call overhead.  Every point's
+nodes, arithmetic and reduction order are those of an unchunked
+evaluation, so f_exact and the in-plane curve are bitwise the same
+wherever the chunks split.
 
 Because the gain is large, sinc^2 acts nearly like a delta function of
 its argument, giving the closed-form cone-interior approximation
@@ -56,12 +59,13 @@ convention, is a factor sqrt(2) below it.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .curves import Curve
-from .wavefunction import pump_envelope, sinc
+from .wavefunction import pump_envelope
 
 __all__ = [
     "f_exact",
@@ -133,12 +137,6 @@ _SERIES_A = [(-1) ** (k + k // 2) * math.comb(2 * k, k) * math.factorial(k + 1) 
              for k in range(_SERIES_TERMS)]
 _SERIES_P, _SERIES_Q = _SERIES_A[0::2][::-1], _SERIES_A[1::2][::-1]
 
-# The quadrature kernels work on _ROWS grid points at a time, so their
-# node matrices (_ROWS x 56 complex at most, 230 kB) stay in cache and
-# memory does not grow with the grid.  The series band of G has no node
-# matrix; it takes _SERIES_ROWS points at a time, which spreads numpy's
-# per-call overhead over more points.  Each point's arithmetic does not
-# depend on the chunk it falls in.
 _ROWS = 256
 _SERIES_ROWS = 16 * _ROWS
 
@@ -300,96 +298,132 @@ def coincidence_curve(k2x_fixed, params):
     return Curve(x=kappa_grid, y=vals)
 
 
-# The in-plane curve integrates e^{-t^2} sinc^2(x(t)) over t, k2x = -k1x + t/w_p.
-# Along the pump Gaussian the sinc argument is the parabola
-#     x(t) = u0 + a t - b t^2,  u0 = S (4 theta0^2 - 4 kappa1^2),
-#     a = 4 S beta kappa1,  b = S beta^2,  beta = lam/(pi w_p),
-# with zeros at t+- = 2 (kappa1 -+ theta0)/beta.  On |t| <= _PLANE_T, where
-# all but e^{-42} of the Gaussian lies, its slope |a - 2bt| is between
-# |a| - 2b _PLANE_T and |a| + 2b _PLANE_T.  Every grid point takes a uniform
-# trapezoid rule on [-_PLANE_T, _PLANE_T], on one of two integrands:
-#   1. slope at least _PLANE_SLOW and both zeros past _PLANE_FAR: 1/(2 x^2),
-#      the mean of sinc^2 = (1 - cos 2x)/(2 x^2), on _PLANE_FAR_NODES nodes;
-#      the term dropped is of order e^{-a^2};
-#   2. the rest: sinc^2 on ceil(1.5 arches) + 32 nodes, arches = 2 _PLANE_T x
-#      the largest slope / pi, rounded up to a multiple of 16 so that a grid
-#      forms few node groups.
-# Both integrands are analytic on the interval, so the error falls
-# geometrically once the step resolves the arches (Trefethen & Weideman,
-# SIAM Review 56, 2014).  On 32 configurations, theta0 = 0.1 and 0.28, L
-# from 0.1 to 11 cm and w_p from 0.003 to 0.5 cm, the worst error measured
-# is 1.2e-12 of the curve's peak; _PLANE_PEAK_ERR keeps a margin above
-# that.  A chunk holds at most _PLANE_NODES nodes; a point that needs more
-# is refused.
-_PLANE_T = 6.5
-_PLANE_SLOW = 6.0
-_PLANE_FAR = 11.0
-_PLANE_FAR_NODES = 64
-_PLANE_NODES = 64 * _ROWS
-_PLANE_PEAK_ERR = 1e-10
+# In-plane curve: e^{-t^2} sinc^2(u0 + a t - b t^2) over t, k2x = -k1x + t/w_p, with
+#     u0 = S (4 theta0^2 - 4 kappa1^2),  a = 4 S beta kappa1,  b = S beta^2,
+# beta = lam/(pi w_p).  As sinc^2(x) = 2 Re int_0^1 (1 - s) e^{2ixs} ds,
+# w_p plane = 2 sqrt(pi) Re K0, with
+#     K0 = int_0^1 (1 - s) h(s) e^{2iu0 s} ds,  h = A^{-1/2} e^{-a^2 s^2/A},  A = 1 + 2ibs.
+# Each grid point takes one of two bands, as G's do.
+#   Near band, |u0| < max(_K0_MID_A a, _K0_MID_B b, _K0_MID_U): G's 56-node rule on
+#   each half of [0, s_max], s_max = min(1, T/sqrt(a^2 - 4 b^2 T^2)), T = _K0_T, past
+#   which |h| < e^{-T^2}.  A^{-1/2} branches at s = i/(2b), so one copy of the rule
+#   holds while b s_max <= _K0_NEAR_B; past that, [0, s_max] is split into
+#   ceil(b s_max/_K0_NEAR_B) equal parts, each with its own copy.
+#   Far band: the endpoint expansions in i/(2 u0), as in _g_far.  Along s = e + ixt,
+#   x = 1/(2 u0), end e is h(e) q^2 J0(g q, r q^2), with g = 2bx/A, r = (ax)^2/A^3
+#   (A at e), q = 1/(1 + 2i a^2 x e (1 + ibe)/A^2) and
+#       J0(g, r) = int_0^inf t e^{-t} (1 - gt)^{-1/2} e^{r t^2/(1 - gt)} dt,
+#   so Re K0 = x^2 Re[J0(2bx, (ax)^2) - e^{2iu0} (end 1)], end 1 kept where
+#   |h(1)| > e^{-_K0_END}.  J0 is laggauss(10), exact to order 18 in t; from
+#   |u0| >= max(_K0_FAR_A a, _K0_FAR_B b) on (|g| < 1.1e-5, |r| < 2.9e-5) it is its
+#   series' terms C_ij g^i r^j, C_ij = (j + 1/2)_i (i + 2j + 1)!/(i! j!), i <= 2 and
+#   i + 2j <= 6, the rest under 3e-14.
+# Worst error against composite Gauss-Legendre (a to 1000, b to 203, every switch):
+# 6e-14 of the peak.  A point that needs more than _K0_COPIES copies (b s_max > 203,
+# 28448 nodes) is refused.
+_K0_T = 6.0
+_K0_END = 40.0
+_K0_NEAR_B = 0.8
+_K0_COPIES = 254
+_K0_MID_A = 10.0
+_K0_MID_B = 100.0
+_K0_MID_U = 0.25
+_K0_FAR_A = 100.0
+_K0_FAR_B = 1e5
+_K0_PEAK_ERR = 1e-12
+_LAG_NODES, _LAG_WEIGHTS = np.array([   # numpy's laggauss(10), pinned bit for bit
+    0.1377934705404926, 0.3084411157650173, 0.729454549503171, 0.4011199291552761,
+    1.8083429017403159, 0.2180682876118096, 3.4014336978548996, 0.062087456098677773,
+    5.552496140063804, 0.0095015169751811, 8.330152746764497, 0.0007530083885875384,
+    11.843785837900066, 2.8259233495995642e-05, 16.279257831378104, 4.249313984962698e-07,
+    21.99658581198076, 1.839564823979633e-09, 29.92069701227389, 9.91182721960906e-13,
+]).reshape(10, 2).T
+_NEAR_NODES = 0.5 * np.concatenate([_S_NODES, 1.0 + _S_NODES])
+_NEAR_WEIGHTS = 0.5 * np.concatenate([_S_WEIGHTS, _S_WEIGHTS])
 
 
-def _plane_arg(k1, t, params):
-    """Sinc argument at k2x = -k1x + t, rows k1 by columns t (both in cm^-1)."""
-    kap = params.kappa(2.0 * k1[:, None] - t[None, :])
-    return params.sinc_scale * (4.0 * params.theta0 ** 2 - kap * kap)
+_NEAR_NODES = 0.5 * np.concatenate([_S_NODES, 1.0 + _S_NODES])
+_NEAR_WEIGHTS = 0.5 * np.concatenate([_S_WEIGHTS, _S_WEIGHTS])
 
 
-def _sinc2(x):
-    s = sinc(x)
-    s *= s
-    return s
+def _j0_rule(g, r):
+    d = 1.0 - g[:, None] * _LAG_NODES
+    return np.sum(np.exp(r[:, None] * _LAG_NODES ** 2 / d) / np.sqrt(d)
+                  * (_LAG_NODES * _LAG_WEIGHTS), axis=1)
 
 
-def _sinc2_mean(x):
-    """1/(2 x^2), the mean of sinc^2(x) over its arches."""
-    return 0.5 / (x * x)
+def _j0_series(g, r):
+    return (1.0 + g * (1.0 + 2.25 * g) + r * (6.0 + g * (36.0 + 225.0 * g)
+            + r * (60.0 + g * (900.0 + 11025.0 * g) + 840.0 * r)))
+
+
+def _k0_far(u0, a, b, j0):
+    x = 0.5 / u0
+    total = j0(2.0 * b * x, (a * x) ** 2)
+    end = np.flatnonzero(a * a < _K0_END * (1.0 + 4.0 * b * b))
+    x1, a2, inv = x[end], a[end] ** 2, 1.0 / (1.0 + 2j * b)   # 1/A at s = 1
+    q = 1.0 / (1.0 + (2j * (1.0 + 1j * b) * inv * inv) * (a2 * x1))
+    e1 = q * q * j0((2.0 * b * inv) * (x1 * q), (a2 * inv ** 3) * (x1 * q) ** 2)
+    log_h = 0.5 * cmath.log(inv)   # Re[e^{2iu0} h(1) e1] by modulus and phase
+    phase = 2.0 * u0[end] - a2 * inv.imag + log_h.imag
+    total[end] -= np.exp(log_h.real - a2 * inv.real) * (
+        np.cos(phase) * e1.real - np.sin(phase) * e1.imag)
+    return x * x * total
+
+
+def _k0_span(a, b):
+    """s_max = min(1, T/sqrt(a^2 - 4 b^2 T^2)), past which |h| < e^{-T^2}."""
+    return _K0_T / np.sqrt(np.maximum(a * a - 4.0 * (b * _K0_T) ** 2, _K0_T ** 2))
+
+
+def _k0_band(u0, a, b):
+    """Each point's copies of the near rule, ceil(b s_max/_K0_NEAR_B) >= 1, or 0
+    on the far band by laggauss and -1 by the series."""
+    band = _k0_span(a, b) * (b / _K0_NEAR_B)
+    np.maximum(np.ceil(band, out=band), 1.0, out=band)
+    for k_a, k_b, far in ((_K0_MID_A, _K0_MID_B, 0.0), (_K0_FAR_A, _K0_FAR_B, -1.0)):
+        band[np.abs(u0) >= np.maximum(k_a * a, max(k_b * b, _K0_MID_U))] = far
+    return band
+
+
+def _k0_near(u0, a, b, copies):
+    s_max = _k0_span(a, b)
+    s = s_max[:, None] * ((np.arange(copies)[:, None] + _NEAR_NODES).ravel() / copies)
+    big_a = 1.0 + 2j * b * s
+    f = np.exp(2j * u0[:, None] * s - (a[:, None] * s) ** 2 / big_a) / np.sqrt(big_a)
+    return s_max / copies * np.sum((1.0 - s) * f.real * np.tile(_NEAR_WEIGHTS, copies),
+                                   axis=1)
 
 
 def plane_restricted_curve(kappa_grid, params):
     """Distribution obtained when only in-plane photons are counted.
 
-    integral dk2x |psi(k1x, k2x, 0, 0)|^2 over a 1-D grid, in t with
-    k2x = -k1x + t/w_p, by a trapezoid rule on one of two integrands per
-    point (see the comment above), to _PLANE_PEAK_ERR (1e-10) of the
-    curve's peak.  A cone edge that needs more than _PLANE_NODES nodes
-    raises ValueError.
-
-    In-plane restriction skips the y reduction entirely, so the curve is
-    concentrated in two islands at kappa = +-theta0, each about
-    2.78/(8 S theta0) wide at half height: the set holding half its area
-    is drastically smaller than the single-photon marginal's.  Its rms
-    width is not smaller than the marginal's (it is ~theta0, set by the
-    island separation).
+    integral dk2x |psi(k1x, k2x, 0, 0)|^2 on a 1-D grid, 2 sqrt(pi) Re K0/w_p
+    above, to _K0_PEAK_ERR (1e-12) of the peak.  A point whose near band needs
+    more than _K0_COPIES copies of its rule raises ValueError.  The curve is
+    two islands at kappa = +-theta0, each about 2.78/(8 S theta0) wide at half
+    height: its half-area set is far smaller than the single-photon
+    marginal's, its rms width (~theta0, the island separation) is not.
     """
     kappa_grid = np.asarray(kappa_grid, dtype=float)
-    k1 = params.k_from_kappa(kappa_grid)
     beta = params.lambda_cm / (math.pi * params.w_p)
-    a = np.abs(4.0 * params.sinc_scale * beta * kappa_grid)
-    bend = 2.0 * params.sinc_scale * beta * beta * _PLANE_T
-    far = ((a - bend >= _PLANE_SLOW)
-           & (2.0 * np.abs(np.abs(kappa_grid) - params.theta0) > _PLANE_FAR * beta))
-    # each point's node group j >= 1, of 16 j + 32 nodes; 0 in the far band
-    group = np.ceil((a + bend) * (3.0 * _PLANE_T / (16.0 * math.pi)))
-    group[far] = 0.0
-    most = 16.0 * group.max(initial=0.0) + 32.0
-    if not most <= _PLANE_NODES:
+    b = params.sinc_scale * beta * beta
+    u0 = params.sinc_scale * (4.0 * params.theta0 ** 2 - 4.0 * kappa_grid * kappa_grid)
+    per_kappa = 4.0 * params.sinc_scale * beta   # a = per_kappa |kappa1|, by chunk
+    band = _k0_band(u0, per_kappa * np.abs(kappa_grid), b)
+    most = band.max(initial=0.0)
+    if most > _K0_COPIES:
         raise ValueError(
-            f"the in-plane rule needs up to {most:.3g} nodes per "
-            f"point at the cone edge, past {_PLANE_NODES}: the crystal is too "
-            "long or the pump waist too narrow")
-
-    group = group.astype(np.intp)
-    vals = np.empty(k1.shape)
-    for j in np.flatnonzero(np.bincount(group)).tolist():
-        kernel, m = (_sinc2, 16 * j + 32) if j else (_sinc2_mean, _PLANE_FAR_NODES)
-        t = np.linspace(-_PLANE_T, _PLANE_T, m)
-        weights = np.exp(-t * t) * (t[1] - t[0])
-        weights[[0, -1]] *= 0.5
-        points = np.flatnonzero(group == j)
-        for rows in _row_slices(points.size, min(_ROWS, _PLANE_NODES // m)):
+            f"the in-plane kernel needs up to {most:.0f} copies of its near rule "
+            f"at a point, past {_K0_COPIES}: the crystal is too long or the pump "
+            "waist too narrow")
+    vals = np.empty(u0.shape)
+    for m in range(-1, int(most) + 1):
+        points = np.flatnonzero(band == m)
+        size = _SERIES_ROWS if m < 0 else max(_ROWS // max(m, 1), 1)
+        for rows in _row_slices(points.size, size):
             p = points[rows]
-            vals[p] = (kernel(_plane_arg(k1[p], t / params.w_p, params)) @ weights
-                       / params.w_p)
-    return Curve(x=kappa_grid, y=vals)
-
+            a = per_kappa * np.abs(kappa_grid[p])
+            vals[p] = (_k0_near(u0[p], a, b, m) if m > 0 else
+                       _k0_far(u0[p], a, b, _j0_series if m else _j0_rule))
+    return Curve(x=kappa_grid, y=vals * (2.0 * math.sqrt(math.pi) / params.w_p))

@@ -482,8 +482,10 @@ def plane_sigma(kappa1, params, resolution=1):
         w_p plane = 2 sqrt(pi) Re int_0^1 (1 - s) A^{-1/2} e^{2iu0 s - a^2 s^2/A} ds,
 
     A = 1 + 2ibs: one smooth integral over [0, 1], with no sinc^2 arches in
-    t.  Composite 20-node Gauss-Legendre, with resolution x (64 + |u0|/4)
-    panels so that each holds at most 4/pi turns of e^{2iu0 s}, well
+    t.  Composite 20-node Gauss-Legendre, with resolution x
+    (64 + (|u0| + |a|)/4 + 4b) panels so that each holds at most 4/pi turns
+    of e^{2iu0 s}, spans at most 4 widths 1/|a| of the Gaussian and at most
+    half the distance 1/(2b) from s = 0 to A^{-1/2}'s branch point, well
     inside what 20 nodes resolve; callers compare two resolutions to bound
     the error.
     """
@@ -494,7 +496,8 @@ def plane_sigma(kappa1, params, resolution=1):
     for k in np.atleast_1d(np.asarray(kappa1, dtype=float)):
         u0 = scale * (4.0 * params.theta0 ** 2 - 4.0 * k * k)
         a = 4.0 * scale * beta * k
-        edges = np.linspace(0.0, 1.0, resolution * (64 + math.ceil(abs(u0) / 4.0)) + 1)
+        panels = 64 + math.ceil((abs(u0) + abs(a)) / 4.0 + 4.0 * b)
+        edges = np.linspace(0.0, 1.0, resolution * panels + 1)
         half = 0.5 * np.diff(edges)[:, None]
         s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL20_NODES).ravel()
         w = (half * _GL20_WEIGHTS).ravel()

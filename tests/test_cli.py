@@ -1,6 +1,7 @@
 import compileall
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -472,6 +473,41 @@ def test_theta0_zero_distributions_ok(tmp_path):
     assert "collinear" in (out / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("setup", [
+    ("--length", "100", "--waist", "0.001"),
+    ("--length", "100", "--waist", "0.001", "--theta0", "0.05"),
+    ("--waist", "0.0003")])
+def test_long_crystal_narrow_waist_writes_the_in_plane_curve(tmp_path, capsys, setup):
+    # L = 1 m and w_p = 10 um, at the CLI's cut or 0.05 rad from the axis,
+    # and w_p = 3 um at L = 1 mm, where b = S beta^2 > 0.8
+    # splits the in-plane kernel's near rule: every column finite, every
+    # curve nonnegative, and the report's plane lines finite
+    for command in ("distributions", "report"):
+        out = tmp_path / command
+        assert run(command, *setup, "--grid", "401", "--out", str(out)) == 0
+        for path in out.glob("*.dat"):
+            columns = load_table(path)
+            assert np.all(np.isfinite(columns)) and np.all(columns[:, 1] >= 0.0), path
+        plane = [line for line in (out / "report.txt").read_text().splitlines()
+                 if line.startswith("plane")]
+        assert len(plane) == 2
+        assert all(math.isfinite(float(line.split(":")[1].split()[0])) for line in plane)
+    assert capsys.readouterr().err == ""
+
+
+def test_parser_is_built_once_and_survives_a_refusal(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a line argparse refuses leaves the one parser as it was
+    assert run("report", "--grid", "abc") == 2
+    assert run("report", "--bogus", "1") == 2
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert run("report", "--waist", "0.2", "--grid", "301", "--out", str(out)) == 0
+    assert "coincidence width     : 2.5 cm^-1" in (out / "report.txt").read_text()
+    args = cli.build_parser().parse_args(["fcurve", "--length", "0.5"])
+    assert (args.command, args.length, args.waist) == ("fcurve", 0.5, None)
+
+
 @pytest.mark.parametrize("argv", [
     ("fcurve", "--theta0", "nan"),
     ("fcurve", "--theta0", "inf"),
@@ -512,10 +548,10 @@ def test_theta0_zero_distributions_ok(tmp_path):
     # a crystal past 100 cm with a waist below lambda_p/(2 pi)
     ("distributions", "--length", "1e303", "--waist", "1e-5"),
     ("report", "--length", "1e303", "--waist", "1e-5"),
-    # a cone edge with ~4e4 sinc^2 arches across the pump: more in-plane
-    # nodes than one chunk holds
-    ("distributions", "--length", "100", "--waist", "0.001"),
-    ("report", "--length", "100", "--waist", "0.001"),
+    # b = S beta^2 = 269: near the axis the in-plane kernel needs 337 copies
+    # of its near rule, past 254
+    ("distributions", "--length", "100", "--waist", "0.0006"),
+    ("report", "--length", "100", "--waist", "0.0006"),
     # a waist wider than the model's 1 cm
     ("scan", "--waist", "1e10", "--pairs", "1000"),
     ("scan", "--waist", "1e200", "--pairs", "1000"),

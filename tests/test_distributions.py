@@ -118,8 +118,9 @@ def test_plane_restricted_curve_does_not_depend_on_row_chunks(params_long, n,
     grid = default_kappa_grid(params_long, n)
     chunked = plane_restricted_curve(grid, params_long).y
     monkeypatch.setattr(dist, "_ROWS", 1)
+    monkeypatch.setattr(dist, "_SERIES_ROWS", 1)
     by_row = plane_restricted_curve(grid, params_long).y
-    assert np.max(np.abs(chunked - by_row)) <= 1e-15 * chunked.max()
+    assert np.array_equal(chunked, by_row)
 
 
 def test_f_exact_shapes_pass_through(params_long):
@@ -389,29 +390,34 @@ def test_plane_restricted_curve_on_reference_configs(bbo, cut):
 
 
 def _plane_coefficients(p):
-    """beta, a/kappa1 = 4 S beta and the bend 2 b T of the in-plane parabola."""
+    """beta, a/kappa1 = 4 S beta and b = S beta^2 of the in-plane parabola."""
     beta = p.lambda_cm / (math.pi * p.w_p)
-    return (beta, 4.0 * p.sinc_scale * beta,
-            2.0 * p.sinc_scale * beta * beta * dist._PLANE_T)
+    return beta, 4.0 * p.sinc_scale * beta, p.sinc_scale * beta * beta
 
 
 def _check_plane_against_sigma_oracle(p, kappas, local_tol=None):
     """The library against the sigma oracle, which two resolutions must agree on.
 
-    Within _PLANE_PEAK_ERR of the peak; with local_tol, also within
+    Within _K0_PEAK_ERR of the peak; with local_tol, also within
     local_tol of each value, which the oracle must meet to a tenth.
     """
     coarse, fine = plane_sigma(kappas, p), plane_sigma(kappas, p, resolution=2)
     peak = plane_sigma(p.theta0, p)[0]   # the island's height, at its middle
     assert np.max(np.abs(coarse - fine)) <= 1e-13 * peak
     err = np.abs(plane_restricted_curve(kappas, p).y - fine)
-    assert err.max() <= dist._PLANE_PEAK_ERR * peak, (
+    assert err.max() <= dist._K0_PEAK_ERR * peak, (
         f"{err.max() / peak:.2e} of the peak at kappa = {kappas[err.argmax()]!r}")
     if local_tol is not None:
         assert np.max(np.abs(coarse - fine) / fine) <= 0.1 * local_tol
         local = err / fine
         assert local.max() <= local_tol, (
             f"{local.max():.2e} of the value at kappa = {kappas[local.argmax()]!r}")
+
+
+def _slope_switch(theta0, beta, k):
+    """The kappa1 on each side of the island where |u0| = k a."""
+    root = math.sqrt(k * k * beta * beta + 4.0 * theta0 * theta0)
+    return [0.5 * (root - k * beta), 0.5 * (root + k * beta)]
 
 
 @pytest.mark.parametrize("w_p", [0.05, 0.01])
@@ -430,52 +436,183 @@ def test_plane_restricted_curve_long_crystal_against_sigma_oracle(bbo, w_p):
 
 
 def test_plane_restricted_curve_across_band_switches(bbo):
-    # L = 10 cm, w_p = 0.05 cm.  With theta0 = 0.28 the slope bounds
-    # |a| -+ 2bT cross _PLANE_SLOW (the far band starts where the lower one
-    # does) far from both zeros of the sinc argument, and the zero switch
-    # min|t+-| = _PLANE_FAR lies where |a| ~ 17.  The node count steps by 16
-    # where 1.5 arches, 3 _PLANE_T (|a| + 2bT)/pi, crosses a multiple of 16:
-    # at |a| ~ 2.5 and 5.1, both below the far band
+    # L = 10 cm, w_p = 0.05 cm, theta0 = 0.28.  Each side of the island, |u0|
+    # crosses _K0_MID_A a (near band to the Gauss-Laguerre far band) and
+    # _K0_FAR_A a (to the series), far above _K0_MID_B b and _K0_MID_U; nearer
+    # the axis, where u0 ~ 1.8e4, a^2 crosses _K0_END (1 + 4 b^2), where the
+    # s = 1 end starts to count
     p = SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=0.28)
-    beta, per_kappa, bend = _plane_coefficients(p)
-    slope_switches = [(dist._PLANE_SLOW - bend) / per_kappa,
-                      (dist._PLANE_SLOW + bend) / per_kappa]
-    zero_switches = [p.theta0 + side * 0.5 * dist._PLANE_FAR * beta
-                     for side in (-1.0, 1.0)]
-    group_switches = [(16.0 * math.pi * j / (3.0 * dist._PLANE_T) - bend) / per_kappa
-                      for j in (1, 2)]
+    beta, per_kappa, b = _plane_coefficients(p)
+    end = math.sqrt(dist._K0_END * (1.0 + 4.0 * b * b)) / per_kappa
+    slopes = [(k_a, k_b, kappa) for k_a, k_b in ((dist._K0_MID_A, dist._K0_MID_B),
+                                                 (dist._K0_FAR_A, dist._K0_FAR_B))
+              for kappa in _slope_switch(p.theta0, beta, k_a)]
     sides = np.array([1.0 - 1e-9, 1.0 + 1e-9])
-    kappas = np.sort(np.outer(slope_switches + zero_switches + group_switches,
-                              sides).ravel())
-    for switch in group_switches:
-        groups = np.ceil(3.0 * dist._PLANE_T * (per_kappa * switch * sides + bend)
-                         / (16.0 * math.pi))
-        assert groups[1] == groups[0] + 1.0
+    for k_a, k_b, kappa in slopes:
+        u0 = 4.0 * p.sinc_scale * np.abs(p.theta0 ** 2 - (kappa * sides) ** 2)
+        beyond = u0 >= k_a * per_kappa * kappa * sides
+        assert beyond[0] != beyond[1]
+        assert k_a * per_kappa * kappa > max(k_b * b, dist._K0_MID_U)
+    assert (per_kappa * end * sides[0]) ** 2 < dist._K0_END * (1.0 + 4.0 * b * b)
+    assert (per_kappa * end * sides[1]) ** 2 > dist._K0_END * (1.0 + 4.0 * b * b)
+    kappas = np.sort(np.outer([kappa for *_, kappa in slopes] + [end], sides).ravel())
     _check_plane_against_sigma_oracle(p, kappas)
 
 
-@pytest.mark.parametrize("slope", [4.0, "below", "above"])
+@pytest.mark.parametrize("cone, k_a, k_b", [(5.3, dist._K0_MID_A, dist._K0_MID_B),
+                                             (160.0, dist._K0_FAR_A, dist._K0_FAR_B)],
+                         ids=["far", "series"])
+def test_plane_restricted_curve_across_bend_switches(bbo, cone, k_a, k_b):
+    # L = 10 cm, w_p = 44 um: b = S beta^2 = 0.5.  With theta0 = 5.3 beta,
+    # |u0| crosses _K0_MID_B b (near band to far band) inside the island,
+    # where _K0_MID_A a is below it; with theta0 = 160 beta, |u0| crosses
+    # _K0_FAR_B b (to the series) on both sides, where _K0_FAR_A a is below it
+    beta, per_kappa, b = _plane_coefficients(
+        SpdcParams.from_crystal(bbo, 0.4047, 0.0044, 10.0, theta0=0.0))
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.0044, 10.0, theta0=cone * beta)
+    switches = [math.sqrt(p.theta0 ** 2 + side * 0.25 * k_b * beta * beta)
+                for side in (-1.0, 1.0)]
+    switches = [kappa for kappa in switches if k_a * per_kappa * kappa < k_b * b]
+    assert len(switches) == (1 if k_b == dist._K0_MID_B else 2)
+    sides = np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    for kappa in switches:
+        u0 = 4.0 * p.sinc_scale * np.abs(p.theta0 ** 2 - (kappa * sides) ** 2)
+        beyond = u0 >= k_b * b
+        assert beyond[0] != beyond[1]
+    kappas = np.sort(np.outer(switches, sides).ravel())
+    _check_plane_against_sigma_oracle(p, kappas)
+
+
+@pytest.mark.parametrize("slope", [4.0, "below", "above", "end"])
 def test_plane_restricted_curve_island_across_band_switches(bbo, slope):
-    # the island at kappa1 = theta0 where |a| is 4 or where a slope bound
-    # |a| -+ 2bT is _PLANE_SLOW (the far band's switch for the lower one),
-    # out to 8 pump drifts each side, past both zero switches: every value
-    # there is at least 3e-5 of the peak, and the oracle holds 1e-11 of it.
-    # Taking sinc^2's mean from |a| = 3 on costs 7e-7 of the value here
-    beta, per_kappa, bend = _plane_coefficients(
+    # the island at kappa1 = theta0 where a is 4, just below or above the near
+    # band's window switch a^2 = T^2 (1 + 4 b^2), or at the s = 1 end's switch
+    # a^2 = _K0_END (1 + 4 b^2), out to 16 pump drifts each side: the near band
+    # and the Gauss-Laguerre far band, every value at least 3e-5 of the peak,
+    # the oracle to 1e-11 of it
+    beta, per_kappa, b = _plane_coefficients(
         SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=0.28))
-    a = {"below": dist._PLANE_SLOW - bend, "above": dist._PLANE_SLOW + bend}
-    p = SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0,
-                                theta0=a.get(slope, slope) / per_kappa)
+    window = dist._K0_T * math.sqrt(1.0 + 4.0 * b * b)
+    a = {"below": window * (1.0 - 1e-9), "above": window * (1.0 + 1e-9),
+         "end": math.sqrt(dist._K0_END * (1.0 + 4.0 * b * b))}.get(slope, slope)
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.05, 10.0, theta0=a / per_kappa)
     kappas = p.theta0 + np.linspace(-16.0, 16.0, 129) * beta
     _check_plane_against_sigma_oracle(p, kappas, local_tol=1e-9)
 
 
+@pytest.mark.parametrize("cut", [{"theta0": 0.28}, {"phi0": 0.5275}])
+def test_plane_restricted_curve_long_crystal_narrow_waist(bbo, cut):
+    # L = 1 m, w_p = 10 um: b = S beta^2 = 97 and a ~ 8400 (theta0 0.28) or
+    # 3000 (the CLI's cut) at the island, which the near band takes on
+    # [0, T/sqrt(a^2 - 4 b^2 T^2)]
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.001, 100.0, **cut)
+    beta, _, _ = _plane_coefficients(p)
+    half = 2.0 * beta + 2.0 * math.pi / (4.0 * p.sinc_scale * p.theta0)
+    _check_plane_against_sigma_oracle(
+        p, np.linspace(p.theta0 - half, p.theta0 + half, 41))
+
+
+def _near_copies(p, kappas):
+    """Copies of the near rule the kernel takes at each kappa1, by its stated rule."""
+    _, per_kappa, b = _plane_coefficients(p)
+    a = per_kappa * np.abs(kappas)
+    s_max = dist._K0_T / np.sqrt(np.maximum(a * a - 4.0 * (b * dist._K0_T) ** 2,
+                                            dist._K0_T ** 2))
+    return np.maximum(np.ceil(s_max * (b / dist._K0_NEAR_B)), 1.0)
+
+
+@pytest.mark.parametrize("length, w_p, theta0", [
+    (0.1, 0.0003, 0.1), (0.1, 0.0003, 0.0), (1.0, 0.001, 0.05), (10.0, 0.003, 0.0),
+    (100.0, 0.0007, 0.0)])
+def test_plane_restricted_curve_on_split_near_rules(bbo, length, w_p, theta0,
+                                                    monkeypatch):
+    # b = S beta^2 from 0.97 to 198 with the cone within 5 beta of the axis:
+    # near-band points with b s_max past _K0_NEAR_B split [0, s_max] into up
+    # to 248 copies of the rule.  The curve meets the oracle, the same for
+    # any chunk size
+    p = SpdcParams.from_crystal(bbo, 0.4047, w_p, length, theta0=theta0)
+    kappas = default_kappa_grid(p, 41)
+    assert _near_copies(p, kappas).max() > 1.0
+    _check_plane_against_sigma_oracle(p, kappas)
+    chunked = plane_restricted_curve(kappas, p).y
+    monkeypatch.setattr(dist, "_ROWS", 1)
+    assert np.array_equal(plane_restricted_curve(kappas, p).y, chunked)
+
+
+def test_plane_restricted_curve_across_copy_switches(bbo):
+    # L = 10 cm, w_p = 22 um: b = 2.0, and the island at theta0 = 3.35 beta
+    # spans the switches b s_max = 2 _K0_NEAR_B (3 copies to 2) and
+    # _K0_NEAR_B (2 to 1), a = b sqrt(4 T^2 + (T/(k _K0_NEAR_B))^2)
+    beta, per_kappa, b = _plane_coefficients(
+        SpdcParams.from_crystal(bbo, 0.4047, 0.0022, 10.0, theta0=0.0))
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.0022, 10.0, theta0=3.35 * beta)
+    sides = np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    switches = [b * math.hypot(2.0 * dist._K0_T, dist._K0_T / (k * dist._K0_NEAR_B))
+                / per_kappa for k in (2, 1)]
+    for k, kappa in zip((2, 1), switches):
+        assert list(_near_copies(p, kappa * sides)) == [k + 1.0, k]
+    kappas = np.sort(np.concatenate([np.outer(switches, sides).ravel(),
+                                     p.theta0 + np.linspace(-2.0, 2.0, 9) * beta]))
+    _check_plane_against_sigma_oracle(p, kappas)
+
+
 def test_plane_restricted_curve_refuses_an_unresolvable_edge(bbo):
-    # L = 1 m, w_p = 10 um: about 4e4 sinc^2 arches across the pump at the
-    # cone edge, past what one chunk of trapezoid nodes holds
-    p = SpdcParams.from_crystal(bbo, 0.4047, 0.001, 100.0, theta0=0.28)
+    # L = 1 m, theta0 = 0: at kappa1 = 0 the near band takes ceil(b/_K0_NEAR_B)
+    # copies of its rule.  The narrowest waist that needs at most _K0_COPIES
+    # (b just under 203.2) is computed; just past it, the point is refused
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.001, 100.0, theta0=0.0)
+    _, _, b = _plane_coefficients(p)
+    edge = 0.001 * math.sqrt(b / (dist._K0_COPIES * dist._K0_NEAR_B))
+    fits = SpdcParams.from_crystal(bbo, 0.4047, edge * (1.0 + 1e-9), 100.0, theta0=0.0)
+    assert _near_copies(fits, np.array([0.0]))[0] == dist._K0_COPIES
+    _check_plane_against_sigma_oracle(fits, np.array([0.0, 1e-3, 3e-3]))
+    p = SpdcParams.from_crystal(bbo, 0.4047, edge * (1.0 - 1e-9), 100.0, theta0=0.0)
     with pytest.raises(ValueError, match="too long or the pump waist too narrow"):
-        plane_restricted_curve(np.array([p.theta0]), p)
+        plane_restricted_curve(np.array([0.0]), p)
+
+
+def test_k0_without_slope_or_bend_is_sinc2():
+    # a = b = 0: 2 sqrt(pi) Re K0 = sqrt(pi) sinc^2(u0), on the near band
+    # (|u0| < _K0_MID_U) and on the far band, by the rule and by the series
+    near = np.linspace(-1.0, 1.0, 101) * dist._K0_MID_U * (1.0 - 1e-9)
+    v = np.concatenate([[dist._K0_MID_U], np.logspace(np.log10(dist._K0_MID_U), 8.3, 199)])
+    far = np.concatenate([v, -v])
+    for u0, kernel in (
+            (near, lambda u, a, b: dist._k0_near(u, a, b, 1)),
+            (far, lambda u, a, b: dist._k0_far(u, a, b, dist._j0_rule)),
+            (far, lambda u, a, b: dist._k0_far(u, a, b, dist._j0_series))):
+        want = 0.5 * (np.sin(u0) / np.where(u0 == 0.0, 1.0, u0)) ** 2
+        want[u0 == 0.0] = 0.5
+        # within 1e-14 of the peak, 1/2 at u0 = 0
+        assert np.max(np.abs(kernel(u0, np.zeros_like(u0), 0.0) - want)) <= 0.5e-14
+
+
+def test_laguerre_rule_is_laggauss_10():
+    # the far band's rule is written out as literals; they must be numpy's
+    # laggauss(10), bit for bit
+    nodes, weights = np.polynomial.laguerre.laggauss(10)
+    assert np.array_equal(dist._LAG_NODES, nodes)
+    assert np.array_equal(dist._LAG_WEIGHTS, weights)
+
+
+def test_j0_series_meets_the_rule_where_it_is_used():
+    # its terms are C_ij g^i r^j, C_ij = (j + 1/2)_i (i + 2j + 1)!/(i! j!),
+    # for i <= 2 and i + 2j <= 6
+    def c(i, j):
+        return math.prod(j + 0.5 + k for k in range(i)) * math.factorial(i + 2 * j + 1) / (
+            math.factorial(i) * math.factorial(j))
+    terms = sum(c(i, j) * 1e-3 ** i * 1e-4 ** j
+                for j in range(4) for i in range(min(2, 6 - 2 * j) + 1))
+    assert dist._j0_series(1e-3, 1e-4) == pytest.approx(terms, rel=1e-15)
+    # the series takes J0 where |g| <= 1/_K0_FAR_B and |r| <= 1/(4 _K0_FAR_A^2)
+    # at s = 0, real, and at s = 1 turned and scaled by q and 1/A, complex,
+    # with |q| <= 1.07 there
+    g_max, r_max = 1.0 / dist._K0_FAR_B, 0.25 / dist._K0_FAR_A ** 2
+    g, r = np.meshgrid(np.linspace(-g_max, g_max, 21), np.linspace(0.0, r_max, 21))
+    g, r = g.ravel(), r.ravel()
+    for turn in (1.0, 1.1 * np.exp(0.3j), 1.1 * np.exp(-2.0j)):
+        gt, rt = g * turn, r * turn * turn
+        assert np.max(np.abs(dist._j0_series(gt, rt) - dist._j0_rule(gt, rt))) <= 3e-14
 
 
 def test_reduction_not_equivalent_to_slicing(params_b):
