@@ -8,11 +8,14 @@ from them (in all but dispersion's tables) and a `# columns:` line naming
 its columns.  A rerun with the same arguments is byte-identical.
 
 Each config key is declared once, in _KEYS: its type, default and help
-text.  The flags (`--lambda-p` for `lambda_p`), the config-file parsing,
-the `# config:` echo and the resolved configuration (an
-argparse.Namespace) all come from that table, so every key is a flag of
-every command and a config-file key of every command.  Config files and
-crystal files are read by one reader, crystal.read_keys.
+text.  The flags (`--lambda-p` for `lambda_p`), the command-line and
+config-file parsing, the `# config:` echo and the resolved configuration
+(a types.SimpleNamespace) all come from that table, so every key is a
+flag and a config-file key of every command.  Config files and crystal
+files are read by one reader, crystal.read_keys.  A command line is one
+command and flags in any order; a flag, in full or as a unique prefix
+(`--k2` for `--k2x`), takes `--flag=VALUE` or else the next token,
+whatever it starts with (`--k2x -1e4`); the last of a repeated flag wins.
 
 `dispersion` phase-matches and fits each grid of cut angles in one array
 call, so --grid grows its memory only by its float columns.
@@ -24,22 +27,21 @@ length 0.1 cm, z 100 cm).
 
 Exit codes: 0 success, 2 configuration error.  The model's domain, stated
 in wavefunction, is checked as SpdcParams and the ring are built.  Also
-refused: a |k2x| not below pi/lambda_p, a flag value argparse cannot
-parse, a pump wavelength outside the crystal's range or at a pole of its
-Sellmeier form, a --rel-tol finer than G(u) is evaluated to, a --grid
-numpy cannot allocate, for `dispersion` a crystal with no collinear cut,
-for `distributions` and `report` a crystal so long or a pump waist so
-narrow that the in-plane kernel would need more than 254 copies of its
-near rule at a point, for `scan` a cone no wider than its ring's
-thickness, and an --out that cannot be made a directory.  Each command
-computes all it writes before it makes the output directory, so every
-refusal comes before any output.
+refused: an unknown or ambiguous flag, a flag with no value or a value
+its key's type cannot parse, a missing, unknown or second command, a
+|k2x| not below pi/lambda_p, a pump wavelength outside the crystal's
+range or at a pole of its Sellmeier form, a --rel-tol finer than G(u) is
+evaluated to, a --grid numpy cannot allocate, for `dispersion` a crystal
+with no collinear cut, for `distributions` and `report` a crystal so long
+or a pump waist so narrow that the in-plane kernel would need more than
+254 copies of its near rule at a point, for `scan` a cone no wider than
+its ring's thickness, and an --out that cannot be made a directory.  Each
+command computes all it writes before it makes the output directory, so
+every refusal comes before any output.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
 
@@ -51,6 +53,7 @@ from . import ringscan as rs
 from .curves import write_table
 from .wavefunction import SpdcParams
 from pathlib import Path
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,6 +80,12 @@ _KEYS = {
                              "accuracy of its closed-form evaluation (1e-12) "
                              "every command exits 2 before writing anything"),
 }
+
+# flag: (key, type, help), --config first and then every key's own flag
+_FLAGS = {"--config": ("config", str, "key = value config file"),
+          **{"--" + key.replace("_", "-"): (key, kind, text)
+             for key, (kind, _, text) in _KEYS.items()}}
+
 
 class ConfigError(ValueError):
     pass
@@ -127,7 +136,7 @@ def resolve_config(args):
     if values["theta0"] is not None:
         # an explicit cone angle overrides the built-in default cut angle
         values["phi0"] = None
-    cfg = argparse.Namespace(**values)
+    cfg = SimpleNamespace(**values)
     for name, (kind, _, _) in _KEYS.items():
         value = getattr(cfg, name)
         if kind is float and value is not None and not math.isfinite(value):
@@ -364,54 +373,46 @@ COMMANDS = {"dispersion": cmd_dispersion, "fcurve": cmd_fcurve,
             "report": cmd_report}
 
 
-class _Parser(argparse.ArgumentParser):
-    """A malformed command line is a configuration error, not SystemExit."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def _signed_values(argv):
-    """argv with `--key VALUE` as `--key=VALUE` wherever VALUE is a signed number.
-
-    argparse reads -10000 and -0.5 after a flag as its value but takes
-    -1e4, -inf and -nan for options; every token float() accepts after a
-    _KEYS flag, or after a prefix that argparse reads as one, is that
-    flag's value.
-    """
-    flags = {"--" + key.replace("_", "-") for key in _KEYS}
-    out = []
-    for token in argv:
-        if out and token.startswith("-") and (
-                out[-1] in flags or sum(f.startswith(out[-1]) for f in flags) == 1):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + token
-                continue
-        out.append(token)
-    return out
-
-
-@functools.cache   # one parser per process: main runs once per command
-def build_parser():
-    parser = _Parser(
-        prog="biphoton",
-        description="Momentum distributions of noncollinear degenerate photon pairs")
-    parser.add_argument("command", choices=COMMANDS, help=" ".join(
-        f"{name}: {func.__doc__}" for name, func in COMMANDS.items()))
-    parser.add_argument("--config", help="key = value config file")
-    for key, (kind, _, text) in _KEYS.items():
-        parser.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
-    return parser
+def parse_args(argv):
+    """argv's command and the value of --config and of every _KEYS flag, None
+    where not given; -h or --help prints the usage and exits 0."""
+    args = {"config": None, **dict.fromkeys(_KEYS)}
+    commands = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print("usage: biphoton [-h] COMMAND [--flag VALUE | --flag=VALUE ...]",
+                  "A unique prefix of a flag will do.", "",
+                  *(f"  {name:<18}{func.__doc__}" for name, func in COMMANDS.items()),
+                  *(f"  {flag + ' ' + kind.__name__.upper():<18}{text}"
+                    for flag, (_, kind, text) in _FLAGS.items()), sep="\n")
+            raise SystemExit(EXIT_OK)
+        if not token.startswith("-"):
+            commands.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        flags = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(flags) != 1:
+            raise ConfigError(f"ambiguous flag {name}: {', '.join(flags)}" if flags
+                              else f"unknown flag {name}")
+        key, kind, _ = _FLAGS[flags[0]]
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise ConfigError(f"argument {flags[0]}: expected one argument")
+        try:
+            args[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"argument {flags[0]}: invalid {kind.__name__} "
+                              f"value: {value!r}") from None
+    if len(commands) != 1 or commands[0] not in COMMANDS:
+        raise ConfigError(f"give one command of {', '.join(COMMANDS)}; got "
+                          + (" ".join(map(repr, commands)) or "none"))
+    return SimpleNamespace(command=commands[0], **args)
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(
-            _signed_values(sys.argv[1:] if argv is None else argv))
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return COMMANDS[args.command](resolve_config(args))
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

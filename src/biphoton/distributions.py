@@ -342,10 +342,6 @@ _NEAR_NODES = 0.5 * np.concatenate([_S_NODES, 1.0 + _S_NODES])
 _NEAR_WEIGHTS = 0.5 * np.concatenate([_S_WEIGHTS, _S_WEIGHTS])
 
 
-_NEAR_NODES = 0.5 * np.concatenate([_S_NODES, 1.0 + _S_NODES])
-_NEAR_WEIGHTS = 0.5 * np.concatenate([_S_WEIGHTS, _S_WEIGHTS])
-
-
 def _j0_rule(g, r):
     d = 1.0 - g[:, None] * _LAG_NODES
     return np.sum(np.exp(r[:, None] * _LAG_NODES ** 2 / d) / np.sqrt(d)

@@ -369,6 +369,9 @@ def test_commands_load_no_numpy_polynomial(tmp_path):
     modules = json.loads(proc.stdout.splitlines()[-1])
     assert "biphoton.ringscan" in modules
     assert "numpy.polynomial" not in modules
+    # the command line is parsed from _KEYS alone: no argparse, and so no
+    # gettext or the locale module its first message lookup imports
+    assert not {"argparse", "gettext", "locale"} & set(modules)
 
 
 def test_report_command_and_precedence(tmp_path, capsys):
@@ -495,16 +498,15 @@ def test_long_crystal_narrow_waist_writes_the_in_plane_curve(tmp_path, capsys, s
     assert capsys.readouterr().err == ""
 
 
-def test_parser_is_built_once_and_survives_a_refusal(tmp_path, capsys):
-    assert cli.build_parser() is cli.build_parser()
-    # a line argparse refuses leaves the one parser as it was
+def test_parser_survives_a_refusal(tmp_path, capsys):
+    # a refused line leaves nothing behind for the next one
     assert run("report", "--grid", "abc") == 2
     assert run("report", "--bogus", "1") == 2
     capsys.readouterr()
     out = tmp_path / "r"
     assert run("report", "--waist", "0.2", "--grid", "301", "--out", str(out)) == 0
     assert "coincidence width     : 2.5 cm^-1" in (out / "report.txt").read_text()
-    args = cli.build_parser().parse_args(["fcurve", "--length", "0.5"])
+    args = cli.parse_args(["fcurve", "--length", "0.5"])
     assert (args.command, args.length, args.waist) == ("fcurve", 0.5, None)
 
 
@@ -586,7 +588,7 @@ def test_rejects_bad_input(tmp_path, capsys, argv):
     (("distributions", "--k2x", "-nan"), "k2x must be finite"),
 ])
 def test_signed_flag_values_reach_their_checks(tmp_path, capsys, argv, message):
-    # argparse alone takes -1e-3, -inf and -nan for options, not values
+    # a flag's value is the next token, whatever it starts with
     assert run(*argv, "--out", str(tmp_path / "x"), "--grid", "11") == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err, err
@@ -594,7 +596,7 @@ def test_signed_flag_values_reach_their_checks(tmp_path, capsys, argv, message):
 
 
 def test_signed_exponent_value_is_the_flags_value(tmp_path):
-    # --k2 is a prefix that argparse reads as --k2x
+    # --k2 is a unique prefix of --k2x
     runs = (("a", ["--k2x", "-1e4"]), ("b", ["--k2x=-1e4"]), ("c", ["--k2", "-1e4"]))
     for out, argv in runs:
         assert run("distributions", *argv, "--out", str(tmp_path / out),
@@ -605,6 +607,37 @@ def test_signed_exponent_value_is_the_flags_value(tmp_path):
         for out in ("a", "c"):
             assert ((tmp_path / out / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), (out, name)
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    # a unique prefix, and a signed exponent after its =
+    (("distributions", "--k2=-1e4", "--grid", "201"), 0, "k2x=-10000.0"),
+    # the command after its flags
+    (("--grid", "11", "fcurve"), 0, "grid=11"),
+    (("fcurve", "--s", "1"), 2, "ambiguous flag --s: --seed, --slit"),
+    (("fcurve", "--bogus", "1"), 2, "unknown flag --bogus"),
+    (("fcurve", "--grid"), 2, "argument --grid: expected one argument"),
+    ((), 2, "got none"),
+    (("bogus",), 2, "got 'bogus'"),
+    (("fcurve", "report"), 2, "got 'fcurve' 'report'"),
+    (("fcurve", "--grid", "11", "-h"), 0, "usage: biphoton"),
+])
+def test_command_line_grammar(tmp_path, capsys, argv, code, text):
+    out = tmp_path / "x"
+    try:
+        status = run("--out", str(out), *argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == code
+    if code == 2:
+        assert captured.err.startswith("configuration error: "), captured.err
+        assert text in captured.err, captured.err
+        assert not out.exists()
+    elif argv[-1] == "-h":
+        assert captured.out.startswith(text) and not out.exists()
+    else:
+        assert text in config_echo(next(out.glob("*.dat")))
 
 
 @pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions",
@@ -717,7 +750,7 @@ def test_every_table_has_one_format(tmp_path):
     assert single.area() == pytest.approx(1.0, rel=1e-9)
 
     # the Monte-Carlo scan reads back as counts over plane positions in cm
-    cfg = cli.resolve_config(cli.build_parser().parse_args(
+    cfg = cli.resolve_config(cli.parse_args(
         ["scan", "--grid", "101", "--pairs", "20000"]))
     params = cli._load_setup(cfg)
     positions = 0.5 * default_kappa_grid(params, 101) * cfg.z
@@ -838,7 +871,7 @@ def test_every_command_takes_every_key_as_a_flag(tmp_path):
              for arg in ("--" + key.replace("_", "-"),
                          str(default if default is not None else kind(1)))]
     for command in cli.COMMANDS:
-        args = cli.build_parser().parse_args([command, *flags])
+        args = cli.parse_args([command, *flags])
         assert args.command == command
         assert all(getattr(args, key) is not None for key in cli._KEYS), command
 

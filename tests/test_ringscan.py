@@ -558,7 +558,7 @@ def test_scan_result_io(tmp_path, params_b, ring_b):
     centers = np.linspace(-0.15, 0.15, 101)
     scan = scan_single(batch, Z_CM * centers)
     path = tmp_path / "scan.dat"
-    cfg = cli.resolve_config(cli.build_parser().parse_args(
+    cfg = cli.resolve_config(cli.parse_args(
         ["scan", "--seed", str(MC_SEED), "--pairs", "50000"]))
     header = cli._columns(cli._header("biphoton detector scan", cfg), "x_cm", "counts")
     scan.write(path, header)
