@@ -1,10 +1,10 @@
 """Momentum-space structure of noncollinear degenerate photon pairs.
 
 Subpackages map onto the pipeline: `crystal` (dispersion and phase
-matching), `wavefunction` (pair parameters and the amplitude's factors),
-`distributions` (y-reduced curves, widths, entanglement ratio),
-`ringscan` (the detection-plane scan simulator) and `cli` (the
-command-line front end).
+matching), `wavefunction` (pair parameters and the pump envelope),
+`distributions` (y-reduced curves and the entanglement report, whose
+lines hold the widths and the ratio R), `ringscan` (the detection-plane
+scan simulator) and `cli` (the command-line front end).
 """
 
 from .crystal import (
@@ -21,18 +21,12 @@ from .crystal import (
 )
 from .wavefunction import (
     SpdcParams,
-    sinc,
     pump_envelope,
 )
 from .curves import Curve
 from .distributions import (
     f_exact,
     f_approx,
-    width_minus,
-    width_single,
-    width_coincidence,
-    entanglement_ratio,
-    classify_regime,
     entanglement_report,
     reduced_bipartite,
     default_kappa_grid,

@@ -47,14 +47,6 @@ Because the gain is large, sinc^2 acts nearly like a delta function of
 its argument, giving the closed-form cone-interior approximation
 f_approx = 8 n_o lam / (L sqrt(4 theta0^2 - kappa^2)) with integrable
 inverse-square-root singularities at kappa = +-2 theta0.
-
-Widths follow the conventions used for the closed-form results: the
-difference-momentum width is sqrt(2) pi theta0 / lam, the single-photon
-width is half of it, and the conditional (coincidence) width is
-1/(2 w_p); their ratio R = sqrt(2) pi theta0 w_p / lam quantifies the
-entanglement.  The Gaussian conditional curve's plain standard deviation
-is 1/(sqrt(2) w_p): the quoted 1/(2 w_p), the reciprocal-waist
-convention, is a factor sqrt(2) below it.
 """
 
 from __future__ import annotations
@@ -70,28 +62,13 @@ from .wavefunction import pump_envelope
 __all__ = [
     "f_exact",
     "f_approx",
-    "width_minus",
-    "width_single",
-    "width_coincidence",
-    "entanglement_ratio",
-    "classify_regime",
     "entanglement_report",
     "reduced_bipartite",
     "default_kappa_grid",
     "single_particle_curve",
     "coincidence_curve",
     "plane_restricted_curve",
-    "REGIME_NONCOLLINEAR",
-    "REGIME_INTERMEDIATE",
-    "REGIME_COLLINEAR",
 ]
-
-REGIME_NONCOLLINEAR = "noncollinear-broadened"
-REGIME_INTERMEDIATE = "intermediate"
-REGIME_COLLINEAR = "collinear"
-
-# Regime thresholds: theta0 vs sqrt(lam/L) with a symmetric factor 3.
-REGIME_FACTOR = 3.0
 
 # G(u) takes one of two branches by |u|:
 #   |u| < _SERIES_SWITCH: Gauss-Legendre in s, _S_NODES nodes;
@@ -213,46 +190,36 @@ def f_approx(k_minus_x, params):
     return np.where(c < 0.0, 0.0, value)[()]
 
 
-def width_minus(params):
-    """Width of the difference-momentum distribution, sqrt(2) pi theta0/lam, cm^-1."""
-    return math.sqrt(2.0) * math.pi * params.theta0 / params.lambda_cm
-
-
-def width_single(params):
-    """Single-photon momentum width, half the difference width, cm^-1."""
-    return 0.5 * width_minus(params)
-
-
-def width_coincidence(params):
-    """Conditional (coincidence) width 1/(2 w_p), cm^-1 (reciprocal-waist convention)."""
-    return 0.5 / params.w_p
-
-
-def entanglement_ratio(params):
-    """R = single width / coincidence width = sqrt(2) pi theta0 w_p / lam."""
-    return math.sqrt(2.0) * math.pi * params.theta0 * params.w_p / params.lambda_cm
-
-
-def classify_regime(params):
-    """Compare theta0 against sqrt(lam/L) with a symmetric margin factor."""
-    crystal_scale = math.sqrt(params.lambda_cm / params.L)
-    if params.theta0 > REGIME_FACTOR * crystal_scale:
-        return REGIME_NONCOLLINEAR
-    if params.theta0 < crystal_scale / REGIME_FACTOR:
-        return REGIME_COLLINEAR
-    return REGIME_INTERMEDIATE
-
-
 def entanglement_report(params, single, plane):
     """Widths, ratio R and regime as text lines, then the half-area widths
-    of the single-particle and in-plane curves and their ratio."""
+    of the single-particle and in-plane curves and their ratio.
+
+    Widths follow the conventions used for the closed-form results: the
+    difference-momentum width is sqrt(2) pi theta0 / lam, the single-photon
+    width is half of it, and the conditional (coincidence) width is
+    1/(2 w_p); their ratio R = sqrt(2) pi theta0 w_p / lam quantifies the
+    entanglement.  The Gaussian conditional curve's plain standard deviation
+    is 1/(sqrt(2) w_p): the quoted 1/(2 w_p), the reciprocal-waist
+    convention, is a factor sqrt(2) below it.  The regime compares theta0
+    with sqrt(lam/L) by a symmetric factor 3: noncollinear-broadened above
+    three times it, collinear below a third of it, intermediate between.
+    """
+    w_minus = math.sqrt(2.0) * math.pi * params.theta0 / params.lambda_cm
+    ratio = math.sqrt(2.0) * math.pi * params.theta0 * params.w_p / params.lambda_cm
+    crystal_scale = math.sqrt(params.lambda_cm / params.L)
+    if params.theta0 > 3.0 * crystal_scale:
+        regime = "noncollinear-broadened"
+    elif params.theta0 < crystal_scale / 3.0:
+        regime = "collinear"
+    else:
+        regime = "intermediate"
     w_single, w_plane = single.half_area_width(), plane.half_area_width()
     lines = [
-        f"single-photon width   : {width_single(params):.6g} cm^-1",
-        f"coincidence width     : {width_coincidence(params):.6g} cm^-1",
-        f"difference width      : {width_minus(params):.6g} cm^-1",
-        f"width ratio R         : {entanglement_ratio(params):.6g}",
-        f"broadening regime     : {classify_regime(params)}",
+        f"single-photon width   : {0.5 * w_minus:.6g} cm^-1",
+        f"coincidence width     : {0.5 / params.w_p:.6g} cm^-1",
+        f"difference width      : {w_minus:.6g} cm^-1",
+        f"width ratio R         : {ratio:.6g}",
+        f"broadening regime     : {regime}",
         f"single half-area width: {w_single:.6g} (kappa axis)",
         f"plane half-area width : {w_plane:.6g} (kappa axis)",
         f"plane/single ratio    : {w_plane / w_single:.6g}",

@@ -39,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .curves import Curve
-from .distributions import width_coincidence
 from .wavefunction import _Z_MAX, _Z_MIN
 
 __all__ = [
@@ -57,7 +56,7 @@ class NoRingError(ValueError):
 
 
 def ring_from_params(params, z):
-    """(r0, delta_r) in cm: radius z*theta0, thickness z*width_coincidence*lam/pi.
+    """(r0, delta_r) in cm: radius z*theta0, thickness z*lam/(2 pi w_p).
 
     Raises ValueError unless z lies in the far-field domain [_Z_MIN, _Z_MAX],
     and NoRingError unless theta0 exceeds the ring's angular thickness
@@ -67,7 +66,7 @@ def ring_from_params(params, z):
         raise ValueError(f"z = {z!r} cm lies outside the far-field domain "
                          f"[{_Z_MIN}, {_Z_MAX}] cm")
     r0 = z * params.theta0
-    delta_r = z * width_coincidence(params) * params.lambda_cm / math.pi
+    delta_r = z * (0.5 / params.w_p) * params.lambda_cm / math.pi
     if not r0 > delta_r:
         raise NoRingError(f"theta0 = {params.theta0!r} rad is not above the "
                           f"ring's angular thickness {delta_r / z:.6g} rad: no "

@@ -1,4 +1,4 @@
-"""Pair parameters and the factors of the transverse-momentum pair amplitude.
+"""Pair parameters and the pump factor of the transverse-momentum pair amplitude.
 
 The model is degenerate type-I emission.  The two photons are described
 by the four Cartesian transverse wave-vector components (k1x, k2x, k1y,
@@ -13,9 +13,9 @@ magnitude of the difference components:
 with kappa = lam * k / pi the dimensionless momentum (lam converted to
 cm once, here).  Constant prefactors are dropped; normalization is
 applied only at the curve level.  The package never evaluates psi
-itself: distributions reduces it (with the two factors here) and
-ringscan samples it exactly.  The tests evaluate the 4-D amplitude as an
-independent oracle of those reductions.
+itself: distributions reduces it (with the one factor here,
+pump_envelope) and ringscan samples it exactly.  The tests evaluate the
+4-D amplitude as an independent oracle of those reductions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .crystal import MICRON_TO_CM, index_ordinary, phase_match
 
 __all__ = [
     "SpdcParams",
-    "sinc",
     "pump_envelope",
 ]
 
@@ -43,24 +42,6 @@ __all__ = [
 # momentum grid's 1.5 sqrt(lambda/L) below 1.5, far from the float range.
 _LAMBDA_MIN, _WAIST_MAX, _LENGTH_MAX = 0.2, 1.0, 100.0
 _Z_MIN, _Z_MAX = 1.0, 1e5
-
-
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1 exactly and sinc(+-inf) = 0, its limit;
-    accurate for |x| up to ~1e8.
-
-    Bit for bit np.sinc(np.clip(x, -1e300, 1e300) / np.pi), with np.sinc's
-    steps (times pi, eps for 0, sin over its argument) done in place on one
-    copy of x.
-    """
-    y = np.array(x, dtype=float)
-    np.clip(y, -1e300, 1e300, out=y)
-    y /= np.pi
-    y *= np.pi
-    y[y == 0.0] = np.finfo(float).eps
-    s = np.sin(y)
-    s /= y
-    return s[()]
 
 
 @dataclass(frozen=True)

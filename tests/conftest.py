@@ -10,6 +10,7 @@ sampling a million pairs is the most expensive fixture.
 import gc
 import math
 import tracemalloc
+from collections import namedtuple
 
 import mpmath
 import numpy as np
@@ -17,8 +18,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from biphoton import (SpdcParams, f_approx, index_ordinary, load_crystal,
-                      sample_pairs)
+from biphoton import (SpdcParams, default_kappa_grid, entanglement_report,
+                      f_approx, index_ordinary, load_crystal,
+                      plane_restricted_curve, sample_pairs,
+                      single_particle_curve)
 from biphoton.crystal import index_extraordinary
 
 MC_SEED = 20240801
@@ -215,6 +218,51 @@ def chord_length(x, r0, delta_r):
     outer = np.sqrt(np.maximum((r0 + 0.5 * delta_r) ** 2 - x2, 0.0))
     inner = np.sqrt(np.maximum((r0 - 0.5 * delta_r) ** 2 - x2, 0.0))
     return 2.0 * (outer - inner)
+
+
+ClosedForms = namedtuple("ClosedForms", "single coincidence minus ratio regime")
+_HEAD_LABELS = ("single-photon width", "coincidence width", "difference width",
+                "width ratio R", "broadening regime")
+
+
+def closed_forms(params):
+    """Oracle for the report's five closed-form lines, in their order.
+
+    The widths in cm^-1: single-photon, half the difference width;
+    coincidence, 1/(2 w_p); difference, sqrt(2) pi theta0/lam.  Then
+    R = sqrt(2) pi theta0 w_p/lam and the regime, theta0 against
+    3 sqrt(lam/L) and sqrt(lam/L)/3.
+    """
+    lam = params.lambda_p * 1e-4
+    minus = math.sqrt(2.0) * math.pi * params.theta0 / lam
+    ratio = math.sqrt(2.0) * math.pi * params.theta0 * params.w_p / lam
+    scale = math.sqrt(lam / params.L)
+    if params.theta0 > 3.0 * scale:
+        regime = "noncollinear-broadened"
+    elif params.theta0 < scale / 3.0:
+        regime = "collinear"
+    else:
+        regime = "intermediate"
+    return ClosedForms(0.5 * minus, 0.5 / params.w_p, minus, ratio, regime)
+
+
+def report_head(params):
+    """The report's first five lines as printed, checked against
+    closed_forms: each label, each number to 1e-5 relative (the report
+    prints six digits) and the regime exactly.  Returns them as a
+    ClosedForms."""
+    grid = default_kappa_grid(params, 201)
+    text = entanglement_report(params, single_particle_curve(grid, params),
+                               plane_restricted_curve(grid, params))
+    labels, printed = zip(*(line.split(":", 1) for line in text.splitlines()[:5]))
+    assert [label.rstrip() for label in labels] == list(_HEAD_LABELS)
+    printed = [value.split()[0] for value in printed]
+    head = ClosedForms(*map(float, printed[:4]), printed[4])
+    want = closed_forms(params)
+    for value, expected in zip(head[:4], want[:4]):
+        assert value == pytest.approx(expected, rel=1e-5, abs=0.0)
+    assert head.regime == want.regime
+    return head
 
 
 def g_fresnel(u):
@@ -448,7 +496,7 @@ def f_exact_panels(k_minus_x, params, rel_tol=1e-10):
 
 
 def sinc_np(x):
-    """Oracle for wavefunction.sinc and psi's sinc: numpy's sinc of the clipped argument."""
+    """Oracle for psi's sinc: numpy's sinc of the clipped argument."""
     return np.sinc(np.clip(x, -1e300, 1e300) / np.pi)
 
 

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from biphoton import (SpdcParams, collinear_cut_angle, default_kappa_grid,
-                      f_approx, f_exact, entanglement_ratio, opening_angle_fit,
-                      phase_match, index_ordinary, plane_restricted_curve,
-                      reduced_bipartite, ring_from_params, sample_pairs,
-                      scan_coincidence, scan_single, single_particle_curve,
-                      width_coincidence, width_minus, width_single)
+                      f_approx, f_exact, opening_angle_fit, phase_match,
+                      index_ordinary, plane_restricted_curve, reduced_bipartite,
+                      ring_from_params, sample_pairs, scan_coincidence,
+                      scan_single, single_particle_curve)
 from biphoton.crystal import index_extraordinary
 from biphoton.curves import Curve
 
-from conftest import (Z_CM, argmax_x, brute_reduced, chord_length, curve_mean,
-                      curve_rms, f_approx_moment_ratio, fwhm, raw_frame_reduced)
+from conftest import (Z_CM, argmax_x, brute_reduced, chord_length,
+                      closed_forms, curve_mean, curve_rms, f_approx_moment_ratio,
+                      fwhm, raw_frame_reduced, report_head)
 
 LAM_P = 0.4047
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -73,19 +73,21 @@ def test_c03_cone_angles(bbo):
 
 def test_c04_widths_and_ratio_strong_set(params_a):
     with verdict(4, "widths and ratio, strong set"):
-        dm = width_minus(params_a)
+        head = report_head(params_a)
+        dm = head.minus
         assert abs(dm / 30739.0 - 1.0) <= 1e-3, f"difference width {dm}"
-        assert width_coincidence(params_a) == 1.0
-        r = entanglement_ratio(params_a)
+        assert head.coincidence == 1.0
+        r = head.ratio
         assert 1.50e4 <= r <= 1.56e4, f"ratio {r}"
 
 
 def test_c05_widths_and_ratio_moderate_set(params_b):
     with verdict(5, "widths and ratio, moderate set"):
-        ds = width_single(params_b)
+        head = report_head(params_b)
+        ds = head.single
         assert abs(ds / 5489.0 - 1.0) <= 1e-3, f"single width {ds}"
-        assert width_coincidence(params_b) == 5.0
-        r = entanglement_ratio(params_b)
+        assert head.coincidence == 5.0
+        r = head.ratio
         assert abs(r - 1099.0) <= 2.0, f"ratio {r}"
 
 
@@ -260,9 +262,9 @@ def test_c11_coincidence_scan(params_b, batch_b):
         # estimator bias of the finite window, taken from the exact curve
         theory = single_particle_curve(centers, params_b)
         sys_bias = abs(curve_rms(theory) * math.pi / params_b.lambda_cm
-                       / width_single(params_b) - 1.0)
+                       / closed_forms(params_b).single - 1.0)
         tol = 3.0 / math.sqrt(2.0 * n_c) + sys_bias
-        r = entanglement_ratio(params_b)
+        r = closed_forms(params_b).ratio
         assert abs(r_hat / r - 1.0) <= tol, (
             f"measured ratio {r_hat:.1f} vs {r:.1f} "
             f"(tol {tol:.2%}, {n_c:.0f} coincidences)")

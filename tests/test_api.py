@@ -14,15 +14,14 @@ from biphoton import cli
 PUBLIC_NAMES = [
     "CrystalDispersion", "CrystalFileError", "Curve",
     "NoCollinearRootError", "NoRingError", "SpdcParams",
-    "WavelengthRangeError", "classify_regime", "coincidence_curve",
-    "collinear_cut_angle", "crystal", "curves", "default_kappa_grid",
-    "distributions", "entanglement_ratio", "entanglement_report",
-    "f_approx", "f_exact", "index_ordinary", "load_crystal",
-    "opening_angle_fit", "phase_match", "plane_restricted_curve",
-    "pump_envelope", "pump_index", "reduced_bipartite",
-    "ring_from_params", "ringscan", "sample_pairs", "scan_coincidence",
-    "scan_single", "sinc", "single_particle_curve", "wavefunction",
-    "width_coincidence", "width_minus", "width_single",
+    "WavelengthRangeError", "coincidence_curve", "collinear_cut_angle",
+    "crystal", "curves", "default_kappa_grid", "distributions",
+    "entanglement_report", "f_approx", "f_exact", "index_ordinary",
+    "load_crystal", "opening_angle_fit", "phase_match",
+    "plane_restricted_curve", "pump_envelope", "pump_index",
+    "reduced_bipartite", "ring_from_params", "ringscan", "sample_pairs",
+    "scan_coincidence", "scan_single", "single_particle_curve",
+    "wavefunction",
 ]
 
 _LIST_NAMES = ("import biphoton; print(' '.join(sorted("
@@ -37,7 +36,7 @@ def test_public_names_are_pinned():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 31
 
 
 def _public_callables():
@@ -63,7 +62,7 @@ def test_no_public_callable_takes_rel_tol():
         for retired in ("rel_tol", "exact", "azimuth_origin"):
             assert retired not in params, (name, retired)
         checked += 1
-    assert checked == 36
+    assert checked == 30
 
 
 def test_all_lists_resolve_and_hold_the_package_names():

@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from biphoton import (Curve, SpdcParams, classify_regime,
-                      coincidence_curve, default_kappa_grid, entanglement_ratio,
-                      entanglement_report, f_approx, f_exact,
-                      plane_restricted_curve, reduced_bipartite,
-                      single_particle_curve, width_coincidence, width_minus,
-                      width_single)
+from biphoton import (Curve, SpdcParams, coincidence_curve,
+                      default_kappa_grid, entanglement_report, f_approx,
+                      f_exact, plane_restricted_curve, reduced_bipartite,
+                      single_particle_curve)
 from biphoton import distributions as dist
 
-from conftest import (argmax_x, curve_rms, density4, excess_kurtosis,
-                      f_approx_moment_ratio, f_exact_panels, f_exact_simpson,
-                      fwhm, g_fresnel, plane_gh64, plane_sigma,
-                      raw_frame_reduced, traced_peak)
+from conftest import (argmax_x, closed_forms, curve_rms, density4,
+                      excess_kurtosis, f_approx_moment_ratio, f_exact_panels,
+                      f_exact_simpson, fwhm, g_fresnel, plane_gh64, plane_sigma,
+                      raw_frame_reduced, report_head, traced_peak)
 
 
 def test_f_exact_is_even(params_a):
@@ -223,36 +221,39 @@ def test_f_approx_second_moment(params_a):
 
 
 def test_width_formulas(params_a, params_b):
-    assert width_minus(params_a) == pytest.approx(30739.0, rel=1e-3)
-    assert width_single(params_b) == pytest.approx(5489.0, rel=1e-3)
+    head_a, head_b = report_head(params_a), report_head(params_b)
+    assert head_a.minus == pytest.approx(30739.0, rel=1e-3)
+    assert head_b.single == pytest.approx(5489.0, rel=1e-3)
     p0 = SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=0.0, n_o=1.66109)
-    assert width_minus(p0) == 0.0
-    assert width_coincidence(params_a) == 1.0
-    assert width_coincidence(params_b) == 5.0
+    assert report_head(p0).minus == 0.0
+    assert head_a.coincidence == 1.0
+    assert head_b.coincidence == 5.0
     doubled = SpdcParams(lambda_p=0.4047, w_p=0.2, L=0.1, theta0=0.1, n_o=1.66109)
-    assert width_coincidence(doubled) == 0.5 * width_coincidence(params_b)
+    assert report_head(doubled).coincidence == 0.5 * head_b.coincidence
 
 
 def test_entanglement_report_values(params_a, params_b):
-    ratio_a = entanglement_ratio(params_a)
-    assert 1.50e4 <= ratio_a <= 1.56e4
-    assert classify_regime(params_a) == dist.REGIME_NONCOLLINEAR
-    assert width_single(params_a) == pytest.approx(0.5 * width_minus(params_a),
-                                                   rel=1e-14)
-    assert ratio_a == pytest.approx(
-        width_single(params_a) / width_coincidence(params_a), rel=1e-14)
+    head_a = report_head(params_a)
+    assert 1.50e4 <= head_a.ratio <= 1.56e4
+    assert head_a.regime == "noncollinear-broadened"
+    # the oracle writes R on its own: it is the single over the coincidence width
+    forms_a = closed_forms(params_a)
+    assert forms_a.single == pytest.approx(0.5 * forms_a.minus, rel=1e-14)
+    assert forms_a.ratio == pytest.approx(
+        forms_a.single / forms_a.coincidence, rel=1e-14)
 
-    assert abs(entanglement_ratio(params_b) - 1099.0) <= 2.0
-    assert classify_regime(params_b) == dist.REGIME_NONCOLLINEAR
+    head_b = report_head(params_b)
+    assert abs(head_b.ratio - 1099.0) <= 2.0
+    assert head_b.regime == "noncollinear-broadened"
 
     mid = SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=0.02, n_o=1.66109)
-    assert classify_regime(mid) == dist.REGIME_INTERMEDIATE
+    assert report_head(mid).regime == "intermediate"
     flat = SpdcParams(lambda_p=0.4047, w_p=0.1, L=0.1, theta0=0.0, n_o=1.66109)
-    assert classify_regime(flat) == dist.REGIME_COLLINEAR
+    assert report_head(flat).regime == "collinear"
 
     # width hierarchy in the cone-broadened regime
-    for p in (params_a, params_b):
-        assert width_minus(p) / width_coincidence(p) > 100.0
+    for head in (head_a, head_b):
+        assert head.minus / head.coincidence > 100.0
 
     # the report prints those values, then the two curves' half-area widths
     grid = default_kappa_grid(params_b, 401)
@@ -265,8 +266,22 @@ def test_entanglement_report_values(params_a, params_b):
     assert lines[5] == f"single half-area width: {w_single:.6g} (kappa axis)"
     assert lines[6] == f"plane half-area width : {w_plane:.6g} (kappa axis)"
     assert lines[7] == f"plane/single ratio    : {w_plane / w_single:.6g}"
-    assert lines[3] == f"width ratio R         : {entanglement_ratio(params_b):.6g}"
-    assert lines[4] == f"broadening regime     : {dist.REGIME_NONCOLLINEAR}"
+    assert lines[3] == f"width ratio R         : {closed_forms(params_b).ratio:.6g}"
+    assert lines[4] == "broadening regime     : noncollinear-broadened"
+
+
+@pytest.mark.parametrize("factor, side, regime", [
+    (3.0, 1.0 + 1e-9, "noncollinear-broadened"),
+    (3.0, 1.0 - 1e-9, "intermediate"),
+    (1.0 / 3.0, 1.0 + 1e-9, "intermediate"),
+    (1.0 / 3.0, 1.0 - 1e-9, "collinear"),
+])
+def test_regime_line_at_its_thresholds(factor, side, regime):
+    # theta0 a relative 1e-9 to either side of 3 sqrt(lam/L) and sqrt(lam/L)/3
+    lam, length = 0.4047e-4, 0.1
+    theta0 = factor * math.sqrt(lam / length) * side
+    p = SpdcParams(lambda_p=0.4047, w_p=0.1, L=length, theta0=theta0, n_o=1.66109)
+    assert report_head(p).regime == regime
 
 
 def test_reduced_bipartite_symmetries(params_b):
@@ -310,7 +325,7 @@ def test_single_particle_rms_width(params_b):
     grid = np.linspace(-1.25 * params_b.theta0, 1.25 * params_b.theta0, 1201)
     c = single_particle_curve(grid, params_b)
     sigma = curve_rms(c) * math.pi / params_b.lambda_cm
-    assert abs(sigma / width_single(params_b) - 1.0) < 1e-2
+    assert abs(sigma / closed_forms(params_b).single - 1.0) < 1e-2
 
 
 def test_single_particle_collinear_bell():
@@ -337,7 +352,7 @@ def test_coincidence_curve_properties(params_b):
                                          abs=float(c.x[1] - c.x[0]))
     # the rms width over sqrt(2) is the reciprocal-waist width, here in cm^-1
     meas = curve_rms(c) / math.sqrt(2.0) * math.pi / params_b.lambda_cm
-    assert abs(meas / width_coincidence(params_b) - 1.0) < 1e-2
+    assert abs(meas / closed_forms(params_b).coincidence - 1.0) < 1e-2
     assert abs(excess_kurtosis(c)) < 0.05
 
 

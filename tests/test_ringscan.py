@@ -6,14 +6,14 @@ from scipy.special import sici
 from scipy.stats import kstest
 
 from biphoton import (NoRingError, SpdcParams, cli, default_kappa_grid,
-                      entanglement_ratio, f_approx, ring_from_params,
-                      sample_pairs, scan_coincidence, scan_single,
-                      width_coincidence)
+                      f_approx, ring_from_params, sample_pairs,
+                      scan_coincidence, scan_single)
 from biphoton.ringscan import (_BLOCK, _SQUEEZE_TOL, _SQUEEZE_X, _bin_edges,
                                 _sinc2_variates, _workspace_size)
 
-from conftest import (MC_SEED, Z_CM, _reference_sinc2, chord_length, curve_mean,
-                      curve_rms, pair_y, reference_pairs)
+from conftest import (MC_SEED, Z_CM, _reference_sinc2, chord_length,
+                      closed_forms, curve_mean, curve_rms, pair_y,
+                      reference_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,8 @@ def ring_b(params_b):
 def test_ring_geometry_values(params_b, ring_b):
     r0, delta_r = ring_b
     assert r0 == pytest.approx(Z_CM * params_b.theta0, rel=1e-14)
-    expected_dr = Z_CM * width_coincidence(params_b) * params_b.lambda_cm / math.pi
+    expected_dr = (Z_CM * closed_forms(params_b).coincidence * params_b.lambda_cm
+                   / math.pi)
     assert delta_r == pytest.approx(expected_dr, rel=1e-14)
     assert delta_r == pytest.approx(6.441001e-3, abs=1e-8)
     assert delta_r < r0
@@ -262,7 +263,7 @@ def test_scans_at_float32_extremes_match_np_histogram(params_b, z):
     # sample_pairs and the scans take any z, while ring_from_params holds z to
     # the far field: the ring at z is built directly
     r0 = z * params_b.theta0
-    delta_r = z * width_coincidence(params_b) * params_b.lambda_cm / math.pi
+    delta_r = z * closed_forms(params_b).coincidence * params_b.lambda_cm / math.pi
     positions = 0.5 * default_kappa_grid(params_b, 241) * z
     edges = _bin_edges(positions)
     want = np.histogram(ref.x1, bins=edges)[0] + np.histogram(ref.x2, bins=edges)[0]
@@ -417,7 +418,7 @@ def test_azimuthal_spread_is_one_over_r(request, config):
     dphi = math.pi - np.mod(math.pi - dphi, 2.0 * math.pi)  # into (-pi, pi]
     q1, q3 = np.percentile(dphi, [25.0, 75.0])
     scale = (q3 - q1) / 1.349
-    assert 1.0 / scale / entanglement_ratio(params) == pytest.approx(1.0, rel=0.02)
+    assert 1.0 / scale / closed_forms(params).ratio == pytest.approx(1.0, rel=0.02)
 
 
 def _ua(values, x):
@@ -489,7 +490,7 @@ def test_coincidence_scan(params_b, ring_b, batch_b):
     assert abs(centroid + r0) <= 4.0 * rms / math.sqrt(scan.y.sum())
     # measured width in the reciprocal-waist convention, 10% at this pair count
     width_k = rms / math.sqrt(2.0) * math.pi / (Z_CM * params_b.lambda_cm)
-    assert abs(width_k / width_coincidence(params_b) - 1.0) < 0.10
+    assert abs(width_k / closed_forms(params_b).coincidence - 1.0) < 0.10
 
 
 def test_coincidence_empty_is_flagged(params_b, ring_b, batch_b):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biphoton import SpdcParams, pump_envelope, sinc
+from biphoton import SpdcParams, pump_envelope
 
-from conftest import density4, mismatch_arg, psi, sinc_np
+from conftest import density4, mismatch_arg, psi
 
 finite_k = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
 
@@ -14,36 +14,6 @@ finite_k = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
 @pytest.fixture(scope="module")
 def params():
     return SpdcParams(lambda_p=0.4047, w_p=0.5, L=0.5, theta0=0.28, n_o=1.66109)
-
-
-def test_sinc_at_zero_and_huge_arguments():
-    assert sinc(0.0) == 1.0
-    big = sinc(1e8)
-    assert np.isfinite(big) and abs(big) < 1e-7
-
-
-_SINC_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -3.5, 1e8, 1e300,
-               1e301, -1e301, math.inf, -math.inf, math.nan]
-
-
-@pytest.mark.parametrize("x", [
-    *_SINC_EDGES, 0, 7, -12, np.float64(2.5), np.array(0.0), np.array(-1e301),
-    np.array(_SINC_EDGES), np.array([0, 3, -5]), [[0.5, 0.0], [math.inf, 2.0]],
-    np.linspace(-1e4, 1e4, 100_001), np.geomspace(1e-320, 1e308, 3001),
-])
-def test_sinc_is_numpys_sinc_bit_for_bit(x):
-    # the in-place steps against numpy's own, on the same clipped argument
-    fast, slow = sinc(x), sinc_np(x)
-    assert type(fast) is type(slow)
-    assert np.shape(fast) == np.shape(slow)
-    assert np.array_equal(fast, slow, equal_nan=True)
-    assert np.array_equal(np.signbit(fast), np.signbit(slow))
-
-
-def test_sinc_leaves_its_argument_alone():
-    x = np.array([0.0, 1e301, 2.0])
-    sinc(x)
-    assert np.array_equal(x, [0.0, 1e301, 2.0])
 
 
 def test_pump_envelope_reference_points(params):
