@@ -14,7 +14,6 @@ from .crystal import (
     NoCollinearRootError,
     load_crystal,
     index_ordinary,
-    pump_index,
     phase_match,
     collinear_cut_angle,
     opening_angle_fit,

@@ -31,7 +31,7 @@ refused: an unknown or ambiguous flag, a flag with no value or a value
 its key's type cannot parse, a missing, unknown or second command, a
 |k2x| not below pi/lambda_p, a pump wavelength outside the crystal's
 range or at a pole of its Sellmeier form, a --rel-tol finer than G(u) is
-evaluated to, a --grid numpy cannot allocate, for `dispersion` a crystal
+evaluated to, a --grid too big to allocate, for `dispersion` a crystal
 with no collinear cut, for `distributions` and `report` a crystal so long
 or a pump waist so narrow that the in-plane kernel would need more than
 254 copies of its near rule at a point, for `scan` a cone no wider than
@@ -198,10 +198,10 @@ def _outdir(cfg):
 
 
 def _grid(cfg, make):
-    """make(cfg.grid), the command's grid; a size numpy cannot allocate exits 2."""
+    """make(cfg.grid), the command's grid; a size numpy refuses exits 2."""
     try:
         return make(cfg.grid)
-    except (MemoryError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"grid = {cfg.grid}: {exc}") from None
 
 
@@ -238,8 +238,8 @@ def cmd_dispersion(cfg):
               > cr.index_ordinary(disp, cfg.lambda_p) else max(root, 1.2))
     phis, phis_fit = _grid(cfg, lambda n: (np.linspace(0.0, 1.2, n),
                                            np.linspace(root, toward, n)))
-    pm = cr.phase_match(disp, phis, cfg.lambda_p)
-    exact = cr.phase_match(disp, phis_fit, cfg.lambda_p).theta0
+    delta_n, theta0 = cr.phase_match(disp, phis, cfg.lambda_p)
+    _, exact = cr.phase_match(disp, phis_fit, cfg.lambda_p)
     fit = cr.opening_angle_fit(disp, phis_fit, cfg.lambda_p)
     # at the cut both angles vanish: the residual's limit there is 0
     residual = np.divide(fit - exact, exact, out=np.zeros_like(fit), where=fit > 0)
@@ -247,9 +247,9 @@ def cmd_dispersion(cfg):
     out = _outdir(cfg)
     header = _header(f"biphoton dispersion ({disp.name})", cfg)
     write_table(out / "index_difference.dat",
-                _columns(header, "phi0_rad", "delta_n"), [phis, pm.delta_n])
+                _columns(header, "phi0_rad", "delta_n"), [phis, delta_n])
     write_table(out / "cone_angle.dat",
-                _columns(header, "phi0_rad", "theta0_rad"), [phis, pm.theta0])
+                _columns(header, "phi0_rad", "theta0_rad"), [phis, theta0])
     write_table(out / "cone_angle_fit.dat",
                 _columns(header, "phi0_rad", "fit_rad", "exact_rad", "rel_residual"),
                 [phis_fit, fit, exact, residual])
@@ -413,7 +413,12 @@ def parse_args(argv):
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return COMMANDS[args.command](resolve_config(args))
+        cfg = resolve_config(args)
+        try:
+            return COMMANDS[args.command](cfg)
+        except MemoryError as exc:
+            # --grid sizes every array; --pairs runs in constant memory
+            raise ConfigError(f"grid = {cfg.grid}: {exc}") from None
     except (ConfigError, cr.CrystalFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,14 +34,12 @@ import numpy as np
 
 __all__ = [
     "CrystalDispersion",
-    "PhaseMatchResult",
     "CrystalFileError",
     "WavelengthRangeError",
     "NoCollinearRootError",
     "load_crystal",
     "index_ordinary",
     "index_extraordinary",
-    "pump_index",
     "phase_match",
     "collinear_cut_angle",
     "opening_angle_fit",
@@ -96,22 +94,6 @@ class CrystalDispersion:
                              "0 < min < max")
 
 
-@dataclass(frozen=True)
-class PhaseMatchResult:
-    """Indices and cone angle for a frequency-degenerate type-I process.
-
-    delta_n = n_p - n_o(2 lambda_p).  theta0 (the cone opening angle,
-    rad) is NaN wherever delta_n >= 0, the collinear-impossible side.
-    n_p, delta_n and theta0 have the shape of the cut angle phi0: floats
-    for a scalar, arrays for an array.
-    """
-
-    n_p: float | np.ndarray
-    n_o_signal: float
-    delta_n: float | np.ndarray
-    theta0: float | np.ndarray
-
-
 def _sellmeier(coeffs, lam):
     a, b, c, d = coeffs
     lam2 = lam * lam
@@ -146,14 +128,16 @@ def index_extraordinary(disp, lam):
     return _sellmeier(disp.sellmeier_e, lam)
 
 
-def pump_index(disp, phi0, lambda_p):
-    """Effective pump index for an extraordinary pump tilted by phi0 from the optical axis.
+def phase_match(disp, phi0, lambda_p):
+    """(delta_n, theta0), the index difference and cone angle at cut angle(s) phi0.
 
-    n_p = n_o n_e / sqrt(n_o^2 sin^2 phi0 + n_e^2 cos^2 phi0), indices
-    evaluated at the pump wavelength lambda_p (um).  phi0 = 0 recovers
-    n_o, phi0 = pi/2 recovers n_e.  phi0 is a number or an array, and
-    every element must lie in [0, pi/2]; lambda_p must lie in the
-    crystal's validity range (WavelengthRangeError).
+    The extraordinary pump, tilted by phi0 from the optical axis, has the
+    index n_p = n_o n_e / sqrt(n_o^2 sin^2 phi0 + n_e^2 cos^2 phi0) at
+    lambda_p (um): n_o at phi0 = 0, n_e at pi/2.  With N = n_o(2 lambda_p),
+    delta_n = n_p - N and theta0 = sqrt(-2 N delta_n), NaN wherever
+    delta_n >= 0; both take phi0's shape, floats for a number.  A wavelength
+    outside the crystal's range raises WavelengthRangeError, and one element
+    of phi0 outside [0, pi/2] (or NaN) ValueError for the whole call.
     """
     phi = np.asarray(phi0, dtype=float)
     inside = (phi >= 0.0) & (phi <= math.pi / 2)
@@ -162,24 +146,11 @@ def pump_index(disp, phi0, lambda_p):
     n_o = index_ordinary(disp, lambda_p)
     n_e = index_extraordinary(disp, lambda_p)
     s, c = np.sin(phi), np.cos(phi)
-    return _like(phi, n_o * n_e / np.sqrt(n_o * n_o * s * s + n_e * n_e * c * c))
-
-
-def phase_match(disp, phi0, lambda_p):
-    """Pump index, index difference and cone opening angle at cut angle(s) phi0.
-
-    The emitted (ordinary) photons live at twice the pump wavelength,
-    which must also lie inside the dispersion validity range.  One call
-    takes a whole array of cut angles; as in pump_index, one element
-    outside [0, pi/2] (or NaN) raises ValueError for the whole call.
-    """
-    phi = np.asarray(phi0, dtype=float)
-    n_p = pump_index(disp, phi, lambda_p)
-    n_o_s = index_ordinary(disp, 2.0 * lambda_p)
-    delta_n = n_p - n_o_s
-    theta0 = np.sqrt(np.where(delta_n < 0.0, -2.0 * n_o_s * delta_n, math.nan))
-    return PhaseMatchResult(n_p=_like(phi, n_p), n_o_signal=n_o_s,
-                            delta_n=_like(phi, delta_n), theta0=_like(phi, theta0))
+    n_p = n_o * n_e / np.sqrt(n_o * n_o * s * s + n_e * n_e * c * c)
+    big_n = index_ordinary(disp, 2.0 * lambda_p)
+    delta_n = n_p - big_n
+    theta0 = np.sqrt(np.where(delta_n < 0.0, -2.0 * big_n * delta_n, math.nan))
+    return _like(phi, delta_n), _like(phi, theta0)
 
 
 def collinear_cut_angle(disp, lambda_p):
@@ -210,7 +181,7 @@ def opening_angle_fit(disp, phi0, lambda_p):
 
     Near the collinear cut phi_c, delta_n is linear in phi0 - phi_c, so
     theta0^2 = -2 N delta_n gives C^2 = -2 N dn_p/dphi at phi_c, with
-    N = n_o(2 lambda_p) = n_p(phi_c) and, from pump_index's closed form,
+    N = n_o(2 lambda_p) = n_p(phi_c) and, from phase_match's n_p,
     dn_p/dphi = -n_p^3 (n_o^2 - n_e^2) sin phi cos phi / (n_o n_e)^2.
     The cone opens where C^2 (phi0 - phi_c) >= 0, and there the law is
     |C| sqrt|phi0 - phi_c|.  phi0 is a number or an array; an element

@@ -105,20 +105,18 @@ class SpdcParams:
         """Build params from a dispersion set plus either a cut angle or an explicit cone angle.
 
         Exactly one of phi0 / theta0 must be given.  With phi0 the cone
-        angle comes from phase matching (a cut on the collinear-impossible
-        side raises ValueError); with theta0 only the signal index is
-        taken from the crystal data.
+        angle comes from phase_match (a cut on the collinear-impossible
+        side raises ValueError); either way the signal index n_o is
+        read from the crystal data at 2 lambda_p.
         """
         if (phi0 is None) == (theta0 is None):
             raise ValueError("provide exactly one of phi0 / theta0")
         if theta0 is None:
-            pm = phase_match(disp, phi0, lambda_p)
-            if math.isnan(pm.theta0):
+            delta_n, theta0 = phase_match(disp, phi0, lambda_p)
+            if math.isnan(theta0):
                 raise ValueError(
                     f"no emission cone at phi0 = {phi0} (index difference "
-                    f"{pm.delta_n:+.3e} >= 0)")
-            return cls(lambda_p=lambda_p, w_p=w_p, L=L, theta0=pm.theta0,
-                       n_o=pm.n_o_signal)
+                    f"{delta_n:+.3e} >= 0)")
         n_o = index_ordinary(disp, 2.0 * lambda_p)
         return cls(lambda_p=lambda_p, w_p=w_p, L=L, theta0=theta0, n_o=n_o)
 

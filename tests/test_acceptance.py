@@ -58,15 +58,15 @@ def test_c02_collinear_root_and_fit(bbo):
         root = collinear_cut_angle(bbo, LAM_P)
         assert abs(root - 0.5008) <= 1e-3, f"root {root}"
         for phi in np.linspace(0.51, 0.9, 79):
-            exact = phase_match(bbo, phi, LAM_P).theta0
+            _, exact = phase_match(bbo, phi, LAM_P)
             rel = abs(opening_angle_fit(bbo, phi, LAM_P) - exact) / exact
             assert rel < 0.05, f"fit deviation {rel:.4f} at phi0={phi:.3f}"
 
 
 def test_c03_cone_angles(bbo):
     with verdict(3, "cone opening angles"):
-        t07 = phase_match(bbo, 0.7, LAM_P).theta0
-        t0527 = phase_match(bbo, 0.5275, LAM_P).theta0
+        _, t07 = phase_match(bbo, 0.7, LAM_P)
+        _, t0527 = phase_match(bbo, 0.5275, LAM_P)
         assert abs(t07 - 0.28) <= 5e-3, f"theta0(0.7) = {t07}"
         assert abs(t0527 - 0.100) <= 5e-3, f"theta0(0.5275) = {t0527}"
 

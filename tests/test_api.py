@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "crystal", "curves", "default_kappa_grid", "distributions",
     "entanglement_report", "f_approx", "f_exact", "index_ordinary",
     "load_crystal", "opening_angle_fit", "phase_match",
-    "plane_restricted_curve", "pump_envelope", "pump_index",
+    "plane_restricted_curve", "pump_envelope",
     "reduced_bipartite", "ring_from_params", "ringscan", "sample_pairs",
     "scan_coincidence", "scan_single", "single_particle_curve",
     "wavefunction",
@@ -36,7 +36,7 @@ def test_public_names_are_pinned():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30
 
 
 def _public_callables():
@@ -62,7 +62,7 @@ def test_no_public_callable_takes_rel_tol():
         for retired in ("rel_tol", "exact", "azimuth_origin"):
             assert retired not in params, (name, retired)
         checked += 1
-    assert checked == 30
+    assert checked == 29
 
 
 def test_all_lists_resolve_and_hold_the_package_names():

@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from biphoton import (CrystalFileError, Curve, cli, collinear_cut_angle,
-                      default_kappa_grid, load_crystal, sample_pairs, scan_single)
+from biphoton import (CrystalFileError, Curve, SpdcParams, cli, collinear_cut_angle,
+                      default_kappa_grid, load_crystal, sample_pairs, scan_single,
+                      single_particle_curve)
+from biphoton import crystal as cr, distributions as dist
 from biphoton.crystal import MICRON_TO_CM
 
 from conftest import argmax_x, traced_peak
@@ -387,13 +389,20 @@ def test_report_command_and_precedence(tmp_path, capsys):
     assert "width ratio" in captured.out
 
 
-def test_normalize_peak_flag(tmp_path):
-    out = tmp_path / "p"
-    assert run("distributions", "--out", str(out), "--grid", "301",
-               "--normalize", "peak") == 0
-    c = load_curve(out / "single_particle.dat")
-    assert "normalize='peak'" in config_echo(out / "single_particle.dat")
-    assert c.peak() == pytest.approx(1.0, rel=1e-12)
+def test_normalize_peak_flag(tmp_path, bbo):
+    # peak gives a unit maximum; raw, the curve as computed, to the table's digits
+    params = SpdcParams.from_crystal(bbo, 0.4047, 0.1, 0.1, phi0=0.5275)
+    raw = single_particle_curve(default_kappa_grid(params, 301), params).y
+    for mode in ("peak", "raw"):
+        out = tmp_path / mode
+        assert run("distributions", "--out", str(out), "--grid", "301",
+                   "--normalize", mode) == 0
+        c = load_curve(out / "single_particle.dat")
+        assert f"normalize={mode!r}" in config_echo(out / "single_particle.dat")
+        if mode == "peak":
+            assert c.peak() == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert [f"{v:.12e}" for v in c.y] == [f"{v:.12e}" for v in raw]
 
 
 def test_config_errors(tmp_path, capsys):
@@ -401,13 +410,24 @@ def test_config_errors(tmp_path, capsys):
     assert run("report", "--crystal", str(tmp_path / "missing.crystal")) == 2
     # malformed crystal file reports the line
     bad = tmp_path / "bad.crystal"
-    bad.write_text("name = X\nsellmeier_o = oops\n")
+    bad.write_text("name = X\nsellmeier_o = oops\n"
+                   "sellmeier_e = 2.3730 0.0128 0.0156 0.0044\n"
+                   "valid_range = 0.22 1.06\n")
     assert run("report", "--crystal", str(bad)) == 2
-    assert ":2:" in capsys.readouterr().err
+    assert f"{bad}:2: non-numeric value in sellmeier_o" in capsys.readouterr().err
     # malformed config file
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("nonsense\n")
     assert run("report", "--config", str(cfg)) == 2
+    # a config value its key's type cannot parse
+    cfg.write_text("seed = 7\ngrid = abc\n")
+    capsys.readouterr()
+    assert run("report", "--config", str(cfg)) == 2
+    assert f"{cfg}:2: config key 'grid': cannot parse 'abc'" in capsys.readouterr().err
+    # a grid too small to hold an interval and its midpoint
+    assert run("fcurve", "--grid", "2", "--out", str(tmp_path / "g")) == 2
+    assert "grid must hold at least 3 points" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
     # both cone-angle routes given
     cfg2 = tmp_path / "conflict.cfg"
     cfg2.write_text("theta0 = 0.1\n")
@@ -524,6 +544,7 @@ def test_parser_survives_a_refusal(tmp_path, capsys):
     ("distributions", "--normalize", "bogus"),
     ("fcurve", "--grid", "abc"),
     ("scan", "--seed", "1.5"),
+    ("scan", "--pairs", "0"),
     # a cone opens by less than a right angle
     ("report", "--theta0", "1e200"),
     ("fcurve", "--theta0", "1e200"),
@@ -659,6 +680,22 @@ def test_unallocatable_grid_is_a_config_error(tmp_path, capsys, command, grid):
     assert run(command, "--grid", grid, "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: grid = {grid}: "), err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("fcurve", dist, "f_exact"), ("distributions", dist, "f_exact"),
+    ("dispersion", cr, "phase_match")])
+def test_grid_too_big_for_its_arrays_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                       command, module, name):
+    # the grid itself allocates; an array sized by it later does not
+    def unallocatable(*args):
+        raise MemoryError("Unable to allocate 153. MiB")
+
+    monkeypatch.setattr(module, name, unallocatable)
+    assert run(command, "--grid", "11", "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid = 11: Unable to allocate"), err
     assert not (tmp_path / "x").exists()
 
 

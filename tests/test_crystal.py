@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from biphoton import (CrystalDispersion, CrystalFileError,
                       NoCollinearRootError, WavelengthRangeError,
                       collinear_cut_angle, index_ordinary, load_crystal,
-                      opening_angle_fit, phase_match, pump_index)
+                      opening_angle_fit, phase_match)
 from biphoton.crystal import index_extraordinary
 
 from conftest import collinear_cut_brentq
@@ -46,76 +46,78 @@ def test_out_of_range_wavelength(bbo):
 
 
 def test_pump_index_limits(bbo):
+    # the pump index is delta_n + N, N = n_o(2 lambda_p): n_o along the axis,
+    # n_e across it
     n_o = index_ordinary(bbo, LAM_P)
     n_e = index_extraordinary(bbo, LAM_P)
-    assert pump_index(bbo, 0.0, LAM_P) == pytest.approx(n_o, rel=1e-14)
-    assert pump_index(bbo, math.pi / 2, LAM_P) == pytest.approx(n_e, rel=1e-14)
+    big_n = index_ordinary(bbo, 2 * LAM_P)
+    assert phase_match(bbo, 0.0, LAM_P)[0] + big_n == pytest.approx(n_o, rel=1e-14)
+    assert (phase_match(bbo, math.pi / 2, LAM_P)[0] + big_n
+            == pytest.approx(n_e, rel=1e-14))
 
 
 def test_pump_index_monotone_decreasing(bbo):
+    # delta_n = n_p - N is exact (Sterbenz), so n_p's order is delta_n's
     phis = np.linspace(0.0, math.pi / 2, 200)
-    assert np.all(np.diff(pump_index(bbo, phis, LAM_P)) < 0.0)
+    delta_n, _ = phase_match(bbo, phis, LAM_P)
+    assert np.all(np.diff(delta_n) < 0.0)
 
 
 def test_phase_match_identities(bbo):
-    pm = phase_match(bbo, 0.7, LAM_P)
-    assert pm.delta_n == pm.n_p - pm.n_o_signal
-    assert not math.isnan(pm.theta0)
-    assert pm.theta0 ** 2 == pytest.approx(-2 * pm.n_o_signal * pm.delta_n, rel=1e-12)
+    delta_n, theta0 = phase_match(bbo, 0.7, LAM_P)
+    big_n = index_ordinary(bbo, 2 * LAM_P)
+    assert not math.isnan(theta0)
+    assert theta0 ** 2 == pytest.approx(-2 * big_n * delta_n, rel=1e-12)
 
 
 def test_phase_match_collinear_impossible_side(bbo):
-    pm = phase_match(bbo, 0.3, LAM_P)
-    assert pm.delta_n > 0
-    assert math.isnan(pm.theta0)
+    delta_n, theta0 = phase_match(bbo, 0.3, LAM_P)
+    assert delta_n > 0
+    assert math.isnan(theta0)
     # one convention for arrays: NaN wherever delta_n >= 0
-    pm = phase_match(bbo, np.array([0.3, 0.7]), LAM_P)
-    assert math.isnan(pm.theta0[0]) and pm.theta0[1] > 0.0
+    _, theta0 = phase_match(bbo, np.array([0.3, 0.7]), LAM_P)
+    assert math.isnan(theta0[0]) and theta0[1] > 0.0
 
 
 def test_phase_match_scalar_gives_floats(bbo):
     # _header echoes repr(theta0): a numpy scalar would change every header
-    pm = phase_match(bbo, 0.5275, LAM_P)
-    for value in (pm.n_p, pm.n_o_signal, pm.delta_n, pm.theta0):
-        assert type(value) is float
-    assert type(phase_match(bbo, 0.3, LAM_P).theta0) is float
-    assert type(pump_index(bbo, 0.5275, LAM_P)) is float
+    for phi in (0.5275, 0.3):
+        assert [type(value) for value in phase_match(bbo, phi, LAM_P)] == [float, float]
     assert type(opening_angle_fit(bbo, 0.7, LAM_P)) is float
 
 
 def test_phase_match_array_equals_scalar_calls(bbo):
     phis = np.concatenate([np.linspace(0.0, math.pi / 2, 1001), [0.5008, 0.5275, 0.7]])
-    pm = phase_match(bbo, phis, LAM_P)
+    delta_n, theta0 = phase_match(bbo, phis, LAM_P)
     # the per-angle arithmetic in math, as the loop over cut angles had it
     n_o, n_e = index_ordinary(bbo, LAM_P), index_extraordinary(bbo, LAM_P)
     big_n = index_ordinary(bbo, 2 * LAM_P)
     loop = [n_o * n_e / math.sqrt(n_o * n_o * math.sin(p) * math.sin(p)
                                   + n_e * n_e * math.cos(p) * math.cos(p)) - big_n
             for p in phis]
-    assert np.array_equal(pm.delta_n, loop)
-    one = [phase_match(bbo, float(p), LAM_P) for p in phis]
-    for field in ("n_p", "delta_n", "theta0"):
-        assert np.array_equal(getattr(pm, field),
-                              [getattr(r, field) for r in one], equal_nan=True), field
-    assert np.array_equal(pump_index(bbo, phis, LAM_P), [r.n_p for r in one])
+    assert np.array_equal(delta_n, loop)
+    one = np.array([phase_match(bbo, float(p), LAM_P) for p in phis])
+    assert np.array_equal(delta_n, one[:, 0])
+    assert np.array_equal(theta0, one[:, 1], equal_nan=True)
     fit_phis = phis[phis >= collinear_cut_angle(bbo, LAM_P)]
     assert np.array_equal(opening_angle_fit(bbo, fit_phis, LAM_P),
                           [opening_angle_fit(bbo, float(p), LAM_P) for p in fit_phis])
     # shapes pass through
-    assert phase_match(bbo, phis.reshape(-1, 4), LAM_P).delta_n.shape == (251, 4)
+    delta_n, theta0 = phase_match(bbo, phis.reshape(-1, 4), LAM_P)
+    assert delta_n.shape == theta0.shape == (251, 4)
 
 
 def test_cone_angle_reference_points(bbo):
-    assert phase_match(bbo, 0.7, LAM_P).theta0 == pytest.approx(0.28, abs=5e-3)
-    assert phase_match(bbo, 0.5275, LAM_P).theta0 == pytest.approx(0.100, abs=5e-3)
+    assert phase_match(bbo, 0.7, LAM_P)[1] == pytest.approx(0.28, abs=5e-3)
+    assert phase_match(bbo, 0.5275, LAM_P)[1] == pytest.approx(0.100, abs=5e-3)
 
 
 def test_collinear_cut_angle(bbo):
     root = collinear_cut_angle(bbo, LAM_P)
     assert abs(root - 0.5008) < 1e-3
-    assert abs(phase_match(bbo, root, LAM_P).delta_n) < 1e-10
+    assert abs(phase_match(bbo, root, LAM_P)[0]) < 1e-10
     # independent root finder as cross-check
-    ref = brentq(lambda p: phase_match(bbo, p, LAM_P).delta_n,
+    ref = brentq(lambda p: phase_match(bbo, p, LAM_P)[0],
                  0.3, 0.8, xtol=1e-14)
     assert root == pytest.approx(ref, abs=1e-10)
 
@@ -125,7 +127,7 @@ def test_collinear_cut_angle_closed_form(bbo, lambda_p):
     # the closed form against a root finder on the index difference
     root = collinear_cut_angle(bbo, lambda_p)
     assert abs(root - collinear_cut_brentq(bbo, lambda_p)) <= 1e-12
-    assert abs(phase_match(bbo, root, lambda_p).delta_n) <= 1e-15
+    assert abs(phase_match(bbo, root, lambda_p)[0]) <= 1e-15
 
 
 def _toy(sellmeier_o, sellmeier_e):
@@ -150,9 +152,9 @@ def test_collinear_cut_angle_no_sign_change(bbo):
 def _law_scale(disp, lambda_p, h=1e-6):
     """C of theta0 = C sqrt(phi0 - phi_c), from a central difference of delta_n."""
     cut = collinear_cut_angle(disp, lambda_p)
-    dn = phase_match(disp, np.array([cut - h, cut + h]), lambda_p)
-    slope = (dn.delta_n[1] - dn.delta_n[0]) / (2.0 * h)
-    return math.sqrt(-2.0 * dn.n_o_signal * slope), cut
+    delta_n, _ = phase_match(disp, np.array([cut - h, cut + h]), lambda_p)
+    slope = (delta_n[1] - delta_n[0]) / (2.0 * h)
+    return math.sqrt(-2.0 * index_ordinary(disp, 2.0 * lambda_p) * slope), cut
 
 
 def test_opening_angle_fit_values(bbo):
@@ -178,7 +180,7 @@ def test_opening_angle_law_is_the_limit_at_the_cut(bbo, lambda_p):
     cut = collinear_cut_angle(bbo, lambda_p)
     steps = np.array([1e-3, 1e-4, 1e-5])
     rel = (opening_angle_fit(bbo, cut + steps, lambda_p)
-           / phase_match(bbo, cut + steps, lambda_p).theta0 - 1.0)
+           / phase_match(bbo, cut + steps, lambda_p)[1] - 1.0)
     slope = rel / steps
     assert np.all(np.abs(slope) < 0.5)
     assert np.ptp(slope) < 0.01 * np.abs(slope).max()
@@ -191,7 +193,7 @@ def test_opening_angle_law_below_the_cut_of_a_positive_crystal():
     cut = collinear_cut_angle(toy, LAM_P)
     steps = np.array([1e-3, 1e-4, 1e-5])
     rel = (opening_angle_fit(toy, cut - steps, LAM_P)
-           / phase_match(toy, cut - steps, LAM_P).theta0 - 1.0)
+           / phase_match(toy, cut - steps, LAM_P)[1] - 1.0)
     slope = rel / steps
     assert np.all(np.abs(slope) < 0.5)
     assert np.ptp(slope) < 0.01 * np.abs(slope).max()
@@ -203,7 +205,7 @@ def test_opening_angle_law_below_the_cut_of_a_positive_crystal():
 
 def test_fit_tracks_exact_cone_angle(bbo):
     for phi in np.linspace(0.51, 0.9, 79):
-        exact = phase_match(bbo, phi, LAM_P).theta0
+        _, exact = phase_match(bbo, phi, LAM_P)
         assert abs(opening_angle_fit(bbo, phi, LAM_P) - exact) / exact < 0.05
 
 
@@ -233,8 +235,6 @@ _BBO_LINES = ("name = X\nsellmeier_o = 2.7405 0.0184 0.0179 0.0155\n"
 
 @pytest.mark.parametrize("body,bad_line", [
     ("name = X\njunk line\n", 2),
-    ("name = X\nsellmeier_o = 2.5 abc 0.01 0.01\n", 2),
-    ("name = X\nsellmeier_o = 2.5 0.02 0.01\n", 2),
     ("name = X\nwhatever = 1\n", 2),
     ("name = X\nname = Y\n", 2),
     # numbers that parse but are not finite
@@ -249,6 +249,20 @@ def test_malformed_crystal_file(tmp_path, body, bad_line):
         load_crystal(path)
     assert err.value.line == bad_line
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("body, message", [
+    (_BBO_LINES.replace("0.0184", "abc"), "non-numeric value in sellmeier_o"),
+    (_BBO_LINES.replace(" 0.0155", ""), "sellmeier_o needs 4 finite numbers"),
+], ids=["non-numeric", "three-numbers"])
+def test_malformed_crystal_number(tmp_path, body, message):
+    # every key is present, so the number's own check refuses the file
+    path = tmp_path / "bad.crystal"
+    path.write_text(body)
+    with pytest.raises(CrystalFileError) as err:
+        load_crystal(path)
+    assert err.value.line == 2
+    assert str(err.value).startswith(f"{path}:2: {message}")
 
 
 def test_missing_keys_and_missing_file(tmp_path):

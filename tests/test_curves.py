@@ -15,9 +15,11 @@ def gaussian_curve(sigma=2.0, n=4001, span=10.0):
     return Curve(x=x, y=np.exp(-0.5 * (x / sigma) ** 2))
 
 
-def test_validation():
+def test_validation(tmp_path):
     with pytest.raises(ValueError):
         Curve(x=np.array([0.0, 0.0, 1.0]), y=np.zeros(3))
+    with pytest.raises(ValueError, match="at least two samples"):
+        Curve(x=np.array([0.0]), y=np.array([1.0]))
     with pytest.raises(ValueError):
         Curve(x=np.array([0.0, 1.0]), y=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
@@ -26,6 +28,13 @@ def test_validation():
         Curve(x=np.array([0.0, 1.0, 2.0]), y=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="unknown normalization"):
         Curve(x=np.array([0.0, 1.0]), y=np.array([1.0, 1.0])).normalized("bogus")
+    for mode in ("area", "peak"):
+        with pytest.raises(ValueError, match="all-zero"):
+            Curve(x=np.array([0.0, 1.0]), y=np.zeros(2)).normalized(mode)
+    # unequal columns are refused before the file is opened
+    with pytest.raises(ValueError, match="equal length"):
+        curves.write_table(tmp_path / "t.dat", [], [np.zeros(3), np.zeros(2)])
+    assert not (tmp_path / "t.dat").exists()
 
 
 def test_unit_area_contract():
