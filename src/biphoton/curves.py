@@ -3,9 +3,11 @@
 A Curve is a strictly increasing abscissa grid plus nonnegative values.
 write_table writes every table of the package: `#` header lines, then
 space-separated rows of `%.12e` numbers, so np.loadtxt reads every table.
-It formats blocks of 1024 rows in numpy, byte-identical to Python's
-`"%.12e" % x`, and hands the few values it cannot place exactly (NaN,
-inf, three-digit exponents, near-ties) to Python's formatting.
+It formats blocks of 1024 rows in numpy, five uint32 words a value
+gathered from tables, byte-identical to Python's `"%.12e" % x`, and hands
+the few values the words cannot hold exactly (finite nonzero |x| outside
+[1e-99, 1e99), misses of log10, values within 0.0025 of a rounding tie)
+to Python's `%`.
 """
 
 from __future__ import annotations
@@ -97,79 +99,76 @@ def write_table(path, header_lines, columns):
         fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
         for start in range(0, rows, _BLOCK_ROWS):
             fh.write(_format_block(np.stack(
-                [column[start:start + _BLOCK_ROWS] for column in columns], axis=1)))
+                [column[start:start + _BLOCK_ROWS] for column in columns], axis=1)) + b"\n")
 
 
-# Block formatting.  A finite x with 1e-99 <= |x| < 1e99 and decimal
-# exponent e = floor(log10|x|) has the 13-digit mantissa s = |x| * 10**(12 - e),
-# taken with a correctly rounded power of ten: two roundings, so s is within
-# 2**-52 * 1e13 < 2.3e-3 of the exact product.  Where 1e12 + 1 <= s < 1e13 - 1
-# and s is more than 0.005 from a half-integer, rint(s) is therefore the
-# mantissa "%.12e" prints, and e its two-digit exponent.  Zeros are written
-# directly; every other value (NaN, inf, three-digit exponents, near-ties and
-# misses of log10 by one, about 1 in 100) is formatted by Python.  The
-# package's tables lie within 1e-10 <= |x| < 1e5; a wider range would cost
-# parsing more literals, 0.5 ms for |e| <= 280.  Each value fills a 21-byte
-# slot: up to 20 characters, zero-padded, then a space or newline; dropping
-# the zero bytes leaves the rows.  No value's bytes depend on its block; of
-# 256 to 2048 rows, 1024 formats a 2001 x 3 table fastest, 0.9 ms with 0.48 MB
-# of scratch against 1.1 ms and 0.93 MB at 2048 (best of 200, 2 vCPUs).
+# Block formatting.  A value fills five uint32 words gathered from _tables(),
+# first character in the low byte: [separator, sign or NUL, lead digit, "."],
+# three of four digits and "e+dd".  The separator is " ", "\n" at each later
+# row's start and NUL at the block's; dropping NULs leaves the rows.  A finite
+# x with 1e-99 <= |x| < 1e99 and e = floor(log10|x|) has the 13-digit mantissa
+# s = |x| * 10**(12 - e), taken with a correctly rounded power of ten: two
+# roundings, so s is within (2**-52 + 2**-106) * 1e13 < 2.2205e-3 of the exact
+# product.  Where 1e12 + 1 <= s < 1e13 - 1 and s is more than _TIE_BAND = 0.0025
+# from a half-integer, the product is on the same side of it, so rint(s) is the
+# mantissa "%.12e" prints and e its exponent.  Zeros, NaN and +-inf come from
+# the tables too; the rest (near-ties, misses of log10, three-digit exponents:
+# about 1 in 250) hold "%.12e" and go through Python's %, exact at any length.
+# The package's tables lie within 1e-10 <= |x| < 1e5; a wider range would cost
+# parsing more literals, 0.3 ms for |e| <= 280.  No value's bytes depend on its
+# block; fcurve's first 1024 x 3 block takes 0.16 ms with 0.43 MB of scratch
+# (best of 2000, 2 vCPUs); 512-row blocks halve the scratch but are no faster.
 _BLOCK_ROWS = 1024
 _E_MAX = 100      # |floor(log10|x|)| for 1e-99 <= |x| < 1e99, with log10's error
-_SLOT = 21
+_TIE_BAND = 0.0025
 
 
 @functools.cache
 def _tables():
-    """10**(12 - e) parsed from literals, and the ASCII words "0000" to "9999"
-    and "e+00" to "e-99" as uint32, each indexed by its value, e offset by
-    _E_MAX."""
+    """10**(12 - e) from literals; as uint32 words "0000" to "9999", "e+00" to
+    "e-99" at e + _E_MAX (NUL at e = +-100), the heads "d." and "-d." at d and
+    10 + d, and the whole slots of "%.12e", "nan", "inf" and "-inf"."""
     pow10 = np.array([float(f"1e{12 - e}") for e in range(-_E_MAX, _E_MAX + 1)])
-    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    quads = np.stack([np.repeat(d, 1000), np.tile(np.repeat(d, 100), 10),
-                      np.tile(np.repeat(d, 10), 100), np.tile(d, 1000)], axis=1)
-    e = np.arange(-_E_MAX, _E_MAX + 1)
-    ae = np.abs(e)
-    exps = np.stack([np.full(e.shape, ord("e")),
-                     np.where(e < 0, ord("-"), ord("+")),
-                     ae // 10 % 10 + ord("0"), ae % 10 + ord("0")], axis=1)
-    return (pow10, quads.view(np.uint32).ravel(),
-            exps.astype(np.uint8).view(np.uint32).ravel())
+    d = np.arange(ord("0"), ord("9") + 1, dtype="<u4")
+    pairs = (d[:, None] << 16 | d << 24).ravel()      # "00" to "99" in the high half
+    quads = np.bitwise_or.outer(pairs >> 16, pairs).ravel()
+    exps = np.concatenate([[0], pairs[:0:-1] | 0x2d65, pairs | 0x2b65, [0]])  # "e-", "e+"
+    heads = np.concatenate([d << 16 | 0x2e000000, d << 16 | 0x2e002d00])  # ".", "-."
+    slots = np.frombuffer(b"".join(b"\0" + text.ljust(19, b"\0") for text in
+                                   (b"%.12e", b"nan", b"inf", b"-inf")), "<u4")
+    return pow10, quads, exps.astype("<u4"), heads, slots.reshape(4, 5)
 
 
 def _format_block(block):
-    """The bytes of block's rows, each value as "%.12e" formats it."""
-    pow10, quads, exps = _tables()
-    rows, cols = block.shape
+    """The bytes of block's rows, each value as "%.12e" formats it; no final newline."""
+    pow10, quads, exps, heads, slots = _tables()
     a = np.abs(block)
     inside = (a >= 1e-99) & (a < 1e99)
-    a = np.where(inside, a, 1.0)
+    a = np.where(inside, a, 1.0)      # s = 1e12: not fast
     e = np.floor(np.log10(a)).astype(np.intp) + _E_MAX
     s = a * pow10[e]
-    fast = (inside & (s >= 1e12 + 1) & (s < 1e13 - 1)
-            & (np.abs(s - np.floor(s) - 0.5) > 0.005))
-    zero = block == 0
-    q = np.where(fast, np.rint(s), 0.0)
-    lead = np.floor(q / 1e12)
-    q -= lead * 1e12
-    hi = np.floor(q / 1e8)
-    q -= hi * 1e8
-    mid = np.floor(q / 1e4)
-    digits = np.stack([hi, mid, q - mid * 1e4], axis=-1).astype(np.intp)
-
-    buf = np.empty((rows, cols, _SLOT), np.uint8)
-    buf[..., 0] = np.where(np.signbit(block), ord("-"), 0)
-    buf[..., 1] = lead + ord("0")
-    buf[..., 2] = ord(".")
-    buf[..., 3:15] = quads[digits].view(np.uint8).reshape(rows, cols, 12)
-    buf[..., 15:19] = exps[e].view(np.uint8).reshape(rows, cols, 4)
-    buf[..., 19] = 0
-    buf[..., 20] = ord(" ")
-    buf[:, -1, 20] = ord("\n")
-    slow = ~(fast | zero)
-    if slow.any():
-        text = b"".join(("%.12e" % x).encode().ljust(_SLOT - 1, b"\0")
-                        for x in block[slow].tolist())
-        buf[slow, :-1] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
-    return buf.tobytes().replace(b"\0", b"")
-
+    r = np.rint(s)
+    fast = (s >= 1e12 + 1) & (s < 1e13 - 1) & (np.abs(s - r) < 0.5 - _TIE_BAND)
+    q = np.where(fast, r, 0.0).astype(np.int64)
+    lead, hi = q // 10**12, q // 10**8
+    lo = q - hi * 10**8
+    mid = lo // 10**4
+    words = np.empty(block.shape + (5,), "<u4")
+    words[..., 0] = heads[lead + 10 * np.signbit(block)]
+    words[..., 1] = quads[hi - lead * 10**4]
+    words[..., 2] = quads[mid]
+    words[..., 3] = quads[lo - mid * 10**4]
+    words[..., 4] = exps[e]
+    slow = ()
+    other = ~fast & (block != 0)
+    if other.any():
+        x = block[other]
+        kind = np.where(np.isnan(x), 1, np.where(np.isinf(x), 2 + np.signbit(x), 0))
+        words[other] = slots[kind]
+        slow = tuple(x[kind == 0].tolist())
+    separators = words.view(np.uint8)[..., 0]
+    separators[...] = ord(" ")
+    separators[:, 0] = ord("\n")
+    separators[0, 0] = 0
+    text = words.tobytes().translate(None, b"\0")
+    return text % slow if slow else text

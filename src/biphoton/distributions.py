@@ -150,10 +150,16 @@ def _g_far(u):
     """G from _SERIES_SWITCH on; 8 u^2 is finite up to |u| ~ 4.7e153."""
     v = np.abs(u)
     positive = u > 0.0
-    # I(v) by its series, Horner's rule in w^2 for P and Q
+    # I(v) by its series: np.polyval's Horner steps in w^2 for P and Q, in place
     w = 0.5 / v
     x = w * w
-    series = np.polyval(_SERIES_P, x) + 1j * (w * np.polyval(_SERIES_Q, x))
+    p, q = np.full(x.shape, _SERIES_P[0]), np.full(x.shape, _SERIES_Q[0])
+    for cp, cq in zip(_SERIES_P[1:], _SERIES_Q[1:], strict=True):
+        p *= x
+        p += cp
+        q *= x
+        q += cq
+    series = p + 1j * (w * q)
     # endpoint term, v = |u|: E(v) = e^{2iv}/(8 v^2) I(v);
     # u < 0 takes conj(E), and Re[e^{-i pi/4} conj(E)] = Re[e^{i pi/4} E]
     end = np.exp(2j * v) / (8.0 * v * v) * series

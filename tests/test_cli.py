@@ -16,7 +16,7 @@ from biphoton import (CrystalFileError, Curve, SpdcParams, cli, collinear_cut_an
 from biphoton import crystal as cr, distributions as dist
 from biphoton.crystal import MICRON_TO_CM
 
-from conftest import argmax_x, traced_peak
+from conftest import argmax_x, traced_peak, write_table_rows
 
 
 def run(*argv):
@@ -355,10 +355,10 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_commands_load_no_numpy_polynomial(tmp_path):
-    # G's rule is a table of literals and its series uses np.polyval, so no
-    # command loads numpy.polynomial (0.7 MB) or starts LAPACK through
-    # leggauss's eigenvalue solve (1.3 MB); a fresh interpreter, because the
-    # tests' own oracles import numpy.polynomial here
+    # G's rule is a table of literals and its series is Horner's rule in
+    # place, so no command loads numpy.polynomial (0.7 MB) or starts LAPACK
+    # through leggauss's eigenvalue solve (1.3 MB); a fresh interpreter,
+    # because the tests' own oracles import numpy.polynomial here
     argvs = [[command, "--grid", "201", "--out", str(tmp_path / command)]
              for command in ("fcurve", "distributions", "report")]
     argvs.append(["scan", "--pairs", "1000", "--grid", "201",
@@ -734,6 +734,31 @@ def test_rerun_is_byte_identical(tmp_path, command):
     for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+_ROW_ORACLE_CONFIGS = {**_SCAN_CONFIGS,
+                       "long": ["--theta0", "0.28", "--waist", "0.05", "--length", "10.0"],
+                       "theta0=0": ["--theta0", "0"]}
+
+
+@pytest.mark.parametrize("config", sorted(_ROW_ORACLE_CONFIGS))
+def test_cli_tables_are_what_the_row_writer_writes(tmp_path, config):
+    # each table read back and written again by the plain "%.12e" row
+    # writer: a 13-digit mantissa round-trips through a double, so its bytes
+    # come back.  dispersion's cone_angle.dat holds NaN rows, and
+    # cone_angle_fit.dat zeros; theta0 = 0 has no ring to scan
+    for command in ("dispersion", "fcurve", "distributions", "scan", "report"):
+        out = tmp_path / command
+        extra = ["--pairs", "20000"] if command == "scan" else []
+        refused = (config, command) == ("theta0=0", "scan")
+        assert run(command, *_ROW_ORACLE_CONFIGS[config], *extra,
+                   "--out", str(out)) == (2 if refused else 0)
+        for path in sorted(out.glob("*.dat")):
+            rows = np.loadtxt(path, ndmin=2)
+            write_table_rows(tmp_path / "rows.dat", header(path), list(rows.T))
+            assert (tmp_path / "rows.dat").read_bytes() == path.read_bytes(), path.name
+    cone = np.loadtxt(tmp_path / "dispersion" / "cone_angle.dat")
+    assert np.isnan(cone).any()
 
 
 @pytest.mark.parametrize("command, key", [

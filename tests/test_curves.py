@@ -121,6 +121,36 @@ def test_write_read_roundtrip(tmp_path):
     assert not any(line.startswith("#") for line in text[3:])
 
 
+# the block writer's tables, pinned word for word, so that a cheaper
+# construction cannot change them unseen
+def test_four_digit_table_is_the_ascii_of_each_index():
+    quads = curves._tables()[1]
+    assert quads.dtype == np.dtype("<u4")
+    assert quads.tobytes() == "".join("%04d" % i for i in range(10_000)).encode()
+
+
+def test_exponent_table_is_e_and_two_signed_digits():
+    exps = curves._tables()[2]
+    e = range(-99, 100)
+    assert exps.dtype == np.dtype("<u4")
+    assert (exps[[k + curves._E_MAX for k in e]].tobytes()
+            == "".join("e%+03d" % k for k in e).encode())
+
+
+def test_powers_of_ten_are_the_parsed_literals():
+    pow10 = curves._tables()[0]
+    assert pow10.tolist() == [float(f"1e{12 - k}")
+                              for k in range(-curves._E_MAX, curves._E_MAX + 1)]
+
+
+def test_head_and_slot_tables():
+    heads, slots = curves._tables()[3:]
+    assert heads.tobytes() == b"".join(b"\0" + sign + b"%d." % d
+                                       for sign in (b"\0", b"-") for d in range(10))
+    assert [bytes(slot).rstrip(b"\0") for slot in slots] == [
+        b"\0%.12e", b"\0nan", b"\0inf", b"\0-inf"]
+
+
 def assert_writes_as_rows(tmp_path, columns):
     header = ["table", "columns: " + " ".join(f"c{i}" for i in range(len(columns)))]
     curves.write_table(tmp_path / "blocks.dat", header, columns)
@@ -177,5 +207,6 @@ def test_write_table_block_seams(tmp_path, rows):
     rng = np.random.default_rng(rows)
     values = _adversarial_values()
     columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
-               rng.choice(values, rows), np.arange(rows, dtype=float)]
+               rng.choice(values, rows), np.arange(rows, dtype=float),
+               np.full(rows, np.nan), np.where(np.arange(rows) % 2, -np.inf, np.inf)]
     assert_writes_as_rows(tmp_path, columns)

@@ -162,6 +162,19 @@ def test_s_rule_is_leggauss_56():
     assert np.array_equal(dist._S_WEIGHTS, 0.5 * weights)
 
 
+def _g_far_around(u, p_of, q_of):
+    # the far band written out around the series p_of(w^2) + i w q_of(w^2),
+    # for reference series that _g_far must match bit for bit
+    v = np.abs(u)
+    w = 0.5 / v
+    x = w * w
+    end = np.exp(2j * v) / (8.0 * v * v) * (p_of(x) + 1j * (w * q_of(x)))
+    positive = u > 0.0
+    stationary = np.where(positive, math.pi / np.sqrt(v), 0.25 * math.pi / v ** 1.5)
+    turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
+    return stationary - 2.0 * dist._ROOT_2PI * (turn * end).real
+
+
 def test_g_far_series_is_numpy_polynomial_polyval_bit_for_bit():
     # np.polyval on the coefficients highest power first runs the Horner
     # recurrence of numpy.polynomial's polyval on them in rising order
@@ -169,16 +182,8 @@ def test_g_far_series_is_numpy_polynomial_polyval_bit_for_bit():
     v = np.concatenate([[16.0], np.logspace(np.log10(16.0), np.log10(2e8), 997),
                         [2e8]])
     u = np.concatenate([v, -v])
-    w = 0.5 / v
-    x = w * w
     a = dist._SERIES_A
-    series = np.concatenate([polyval(x, a[0::2]) + 1j * (w * polyval(x, a[1::2]))] * 2)
-    end = np.exp(2j * np.abs(u)) / (8.0 * u * u) * series
-    positive = u > 0.0
-    stationary = np.where(positive, math.pi / np.sqrt(np.abs(u)),
-                          0.25 * math.pi / np.abs(u) ** 1.5)
-    turn = np.exp(np.where(positive, -0.25j, 0.25j) * math.pi)
-    expected = stationary - 2.0 * dist._ROOT_2PI * (turn * end).real
+    expected = _g_far_around(u, lambda x: polyval(x, a[0::2]), lambda x: polyval(x, a[1::2]))
     assert np.array_equal(dist._g_far(u), expected)
 
 
@@ -189,6 +194,20 @@ _G_ORACLE_POINTS = [0.0, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0, 15.5, -15.5,
                     _V + 1e-3, _V - 1e-3, -_V + 1e-3, -_V - 1e-3, _V, -_V,
                     24.0, -24.0, 1e2, -1e2, 1e3, -1e3, 1.8e4, -2.3e4, 1e6, -1e6,
                     2e8, -2e8]
+
+
+def test_g_far_is_np_polyval_bit_for_bit(params_long):
+    # the oracle's far points, and every u of the long crystal's single curve
+    points = np.array(_G_ORACLE_POINTS)
+    far = points[np.abs(points) >= _V]
+    kappa = params_long.kappa(2.0 * params_long.k_from_kappa(
+        default_kappa_grid(params_long)))
+    grid_u = params_long.sinc_scale * (4.0 * params_long.theta0 ** 2 - kappa * kappa)
+    assert np.all(np.abs(grid_u) >= _V)
+    for u in (far, grid_u):
+        assert np.array_equal(dist._g_far(u), _g_far_around(
+            u, lambda x: np.polyval(dist._SERIES_P, x),
+            lambda x: np.polyval(dist._SERIES_Q, x)))
 
 
 def test_g_against_fresnel_oracle():
