@@ -32,10 +32,8 @@ its key's type cannot parse, a missing, unknown or second command, a
 |k2x| not below pi/lambda_p, a pump wavelength outside the crystal's
 range or at a pole of its Sellmeier form, a --rel-tol finer than G(u) is
 evaluated to, a --grid too big to allocate, for `dispersion` a crystal
-with no collinear cut, for `distributions` and `report` a crystal so long
-or a pump waist so narrow that the in-plane kernel would need more than
-254 copies of its near rule at a point, for `scan` a cone no wider than
-its ring's thickness, and an --out that cannot be made a directory.  Each
+with no collinear cut, for `scan` a cone no wider than its ring's
+thickness, and an --out that cannot be made a directory.  Each
 command computes all it writes before it makes the output directory, so
 every refusal comes before any output.
 """
@@ -178,15 +176,6 @@ def _load_setup(cfg):
     return params
 
 
-def _plane_curve(cfg, grid, params):
-    """The in-plane curve; a point past its kernel's reach exits 2."""
-    try:
-        return dist.plane_restricted_curve(grid, params)
-    except ValueError as exc:
-        raise ConfigError(f"length = {cfg.length!r}, waist = {cfg.waist!r}: "
-                          f"{exc}") from None
-
-
 def _outdir(cfg):
     """The output directory, made if missing; a path that cannot be one exits 2."""
     path = Path(cfg.out)
@@ -290,7 +279,7 @@ def cmd_distributions(cfg):
     grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
     single, coinc, plane = (curve.normalized(cfg.normalize) for curve in (
         dist.single_particle_curve(grid, params),
-        dist.coincidence_curve(cfg.k2x, params), _plane_curve(cfg, grid, params)))
+        dist.coincidence_curve(cfg.k2x, params), dist.plane_restricted_curve(grid, params)))
     text = dist.entanglement_report(params, single, plane)
 
     out = _outdir(cfg)
@@ -361,7 +350,7 @@ def cmd_report(cfg):
     params = _load_setup(cfg)
     grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
     text = dist.entanglement_report(params, *(curve.normalized() for curve in (
-        dist.single_particle_curve(grid, params), _plane_curve(cfg, grid, params))))
+        dist.single_particle_curve(grid, params), dist.plane_restricted_curve(grid, params))))
     out = _outdir(cfg)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")

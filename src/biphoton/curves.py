@@ -85,16 +85,16 @@ class Curve:
 
 
 def write_table(path, header_lines, columns):
-    """Write `# `-prefixed header lines, then the columns side by side, one row per line.
+    """Write `# `-prefixed header lines, then one or more equal columns, one row per line.
 
     Every value is written as `"%.12e" % value` would write it, values
     separated by one space.  Rows are formatted _BLOCK_ROWS at a time, so
     the memory taken grows with the number of columns, not of rows.
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
-    rows = len(columns[0])
-    if any(len(column) != rows for column in columns):
+    if not columns or any(len(column) != len(columns[0]) for column in columns):
         raise ValueError("columns must be of equal length")
+    rows = len(columns[0])
     with open(path, "wb") as fh:
         fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
         for start in range(0, rows, _BLOCK_ROWS):

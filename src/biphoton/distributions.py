@@ -31,17 +31,17 @@ the model's domain reaches.  That accuracy is stated, not requested: no
 function here takes a tolerance, and the command line compares a
 requested --rel-tol with it once.
 
-The in-plane curve is one kernel K0(u0; a, b), stated above its function,
-on two bands like G's: a fixed Gauss-Legendre rule near the cone edge and
-the endpoint expansions in i/(2 u0) elsewhere.  The quadrature kernels
-(G's and K0's Gauss-Legendre bands, K0's Gauss-Laguerre rule) fill a
-preallocated result at most _ROWS grid points at a time, in cache: their
-node matrices stay a fixed few hundred kB, and memory grows only with the
-output columns.  The series bands have no node matrix and go _SERIES_ROWS
-points at a time, which spreads numpy's per-call overhead.  Every point's
-nodes, arithmetic and reduction order are those of an unchunked
-evaluation, so f_exact and the in-plane curve are bitwise the same
-wherever the chunks split.
+The in-plane curve is one kernel K0(u0; a, b), stated above its function, on
+bands like G's: a fixed Gauss-Legendre rule near the cone edge, one node family
+in sqrt(b s) for the points there of a pump that diffracts within the crystal,
+and the endpoint expansions in i/(2 u0) elsewhere.  The quadrature kernels (G's
+and K0's Gauss-Legendre and large-b bands, K0's Gauss-Laguerre rule) fill a
+preallocated result at most _ROWS grid points at a time, in cache: their node
+matrices stay a fixed few MB at most, and memory grows only with the output
+columns.  The series bands have no node matrix and go _SERIES_ROWS points at a
+time, which spreads numpy's per-call overhead.  Every point's nodes, arithmetic
+and reduction order are those of an unchunked evaluation, so f_exact and the
+in-plane curve are bitwise the same wherever the chunks split.
 
 Because the gain is large, sinc^2 acts nearly like a delta function of
 its argument, giving the closed-form cone-interior approximation
@@ -276,12 +276,18 @@ def coincidence_curve(k2x_fixed, params):
 # beta = lam/(pi w_p).  As sinc^2(x) = 2 Re int_0^1 (1 - s) e^{2ixs} ds,
 # w_p plane = 2 sqrt(pi) Re K0, with
 #     K0 = int_0^1 (1 - s) h(s) e^{2iu0 s} ds,  h = A^{-1/2} e^{-a^2 s^2/A},  A = 1 + 2ibs.
-# Each grid point takes one of two bands, as G's do.
+# Each grid point takes one of four bands.
 #   Near band, |u0| < max(_K0_MID_A a, _K0_MID_B b, _K0_MID_U): G's 56-node rule on
 #   each half of [0, s_max], s_max = min(1, T/sqrt(a^2 - 4 b^2 T^2)), T = _K0_T, past
-#   which |h| < e^{-T^2}.  A^{-1/2} branches at s = i/(2b), so one copy of the rule
-#   holds while b s_max <= _K0_NEAR_B; past that, [0, s_max] is split into
-#   ceil(b s_max/_K0_NEAR_B) equal parts, each with its own copy.
+#   which |h| < e^{-T^2}.  A^{-1/2} branches at s = i/(2b), so the rule holds while
+#   b s_max <= _K0_NEAR_B.
+#   Large-b band, the near band's points past that.  With tau = 2bs, zeta = i tau/A,
+#   c = (a/(2b))^2 and nu = (u0 + a^2/(4b))/b = (2 theta0/beta)^2, one value a curve,
+#       K0 = int_0^{2b} (2b - tau) A^{-1/2} e^{i nu tau - c zeta} dtau / (4 b^2),  Re zeta >= 0:
+#   one node family per curve (here c < 50.07, nu < 191), G's rule in q = sqrt(tau) on
+#   [0, 1], [1, 4], [4, 16] ... each holding at most _K0_PHASE rad of nu q^2 up to tau_c =
+#   min(2b, max(_K0_PHASE/nu, _K0_RAY_MIN)), then laggauss(10) in nu y up the rays tau_c + iy
+#   and 2b + iy.  At most 412 nodes a point (b < 5e6); more only where nu < _K0_PHASE/2b.
 #   Far band: the endpoint expansions in i/(2 u0), as in _g_far.  Along s = e + ixt,
 #   x = 1/(2 u0), end e is h(e) q^2 J0(g q, r q^2), with g = 2bx/A, r = (ax)^2/A^3
 #   (A at e), q = 1/(1 + 2i a^2 x e (1 + ibe)/A^2) and
@@ -291,13 +297,14 @@ def coincidence_curve(k2x_fixed, params):
 #   |u0| >= max(_K0_FAR_A a, _K0_FAR_B b) on (|g| < 1.1e-5, |r| < 2.9e-5) it is its
 #   series' terms C_ij g^i r^j, C_ij = (j + 1/2)_i (i + 2j + 1)!/(i! j!), i <= 2 and
 #   i + 2j <= 6, the rest under 3e-14.
-# Worst error against composite Gauss-Legendre (a to 1000, b to 203, every switch):
-# 6e-14 of the peak.  A point that needs more than _K0_COPIES copies (b s_max > 203,
-# 28448 nodes) is refused.
+# Worst error of the other bands against composite Gauss-Legendre (a to 1000, every
+# switch): 6e-14 of the peak; the large-b band's against mpmath, on 838 points with b
+# from 0.81 to 2.3e6, nu from 0 to 189 and c from 0 to 50.06: 1.7e-14 of the peak.
 _K0_T = 6.0
 _K0_END = 40.0
 _K0_NEAR_B = 0.8
-_K0_COPIES = 254
+_K0_PHASE = 100.0
+_K0_RAY_MIN = 3.0
 _K0_MID_A = 10.0
 _K0_MID_B = 100.0
 _K0_MID_U = 0.25
@@ -346,32 +353,47 @@ def _k0_span(a, b):
 
 
 def _k0_band(u0, a, b):
-    """Each point's copies of the near rule, ceil(b s_max/_K0_NEAR_B) >= 1, or 0
-    on the far band by laggauss and -1 by the series."""
-    band = _k0_span(a, b) * (b / _K0_NEAR_B)
-    np.maximum(np.ceil(band, out=band), 1.0, out=band)
+    """Each point's band: 2 large-b, 1 near, 0 far by laggauss and -1 by the series."""
+    band = np.where(_k0_span(a, b) * (b / _K0_NEAR_B) > 1.0, 2.0, 1.0)
     for k_a, k_b, far in ((_K0_MID_A, _K0_MID_B, 0.0), (_K0_FAR_A, _K0_FAR_B, -1.0)):
         band[np.abs(u0) >= np.maximum(k_a * a, max(k_b * b, _K0_MID_U))] = far
     return band
 
 
-def _k0_near(u0, a, b, copies):
+def _k0_near(u0, a, b):
     s_max = _k0_span(a, b)
-    s = s_max[:, None] * ((np.arange(copies)[:, None] + _NEAR_NODES).ravel() / copies)
+    s = s_max[:, None] * _NEAR_NODES
     big_a = 1.0 + 2j * b * s
     f = np.exp(2j * u0[:, None] * s - (a[:, None] * s) ** 2 / big_a) / np.sqrt(big_a)
-    return s_max / copies * np.sum((1.0 - s) * f.real * np.tile(_NEAR_WEIGHTS, copies),
-                                   axis=1)
+    return s_max * np.sum((1.0 - s) * f.real * _NEAR_WEIGHTS, axis=1)
+
+
+def _k0_wide_rule(nu, b):
+    """The large-b band's nodes zeta_j and weights w_j: K0 = sum_j w_j e^{-c zeta_j}."""
+    tau_c = min(2.0 * b, max(_K0_PHASE / nu, _K0_RAY_MIN)) if nu > 0.0 else 2.0 * b
+    edges = [0.0, *4.0 ** np.arange(math.ceil(math.log(tau_c, 16.0))), math.sqrt(tau_c)]
+    cuts = np.concatenate([np.linspace(q0, q1, math.ceil(nu * (q1 * q1 - q0 * q0) / _K0_PHASE)
+                                       or 1, endpoint=False)
+                           for q0, q1 in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+    width = np.diff(cuts)[:, None]
+    q = (cuts[:-1, None] + width * _S_NODES).ravel()
+    tau, d_tau = q * q + 0j, 2.0 * q * (width * _S_WEIGHTS).ravel() + 0j
+    if tau_c < 2.0 * b:   # laggauss's weight e^{-t} is e^{i nu tau}'s decay up each ray
+        up, ray = 1j / nu * _LAG_NODES, 1j / nu * _LAG_WEIGHTS * np.exp(_LAG_NODES)
+        tau = np.concatenate([tau, tau_c + up, 2.0 * b + up])
+        d_tau = np.concatenate([d_tau, ray, -ray])
+    big_a = 1.0 + 1j * tau
+    weights = d_tau * (2.0 * b - tau) * np.exp(1j * nu * tau) / np.sqrt(big_a) / (4.0 * b * b)
+    return 1j * tau / big_a, weights
 
 
 def plane_restricted_curve(kappa_grid, params):
     """Distribution obtained when only in-plane photons are counted.
 
     integral dk2x |psi(k1x, k2x, 0, 0)|^2 on a 1-D grid, 2 sqrt(pi) Re K0/w_p
-    above, to _K0_PEAK_ERR (1e-12) of the peak.  A point whose near band needs
-    more than _K0_COPIES copies of its rule raises ValueError.  The curve is
-    two islands at kappa = +-theta0, each about 2.78/(8 S theta0) wide at half
-    height: its half-area set is far smaller than the single-photon
+    above, to _K0_PEAK_ERR (1e-12) of the peak anywhere in the model's domain.
+    The curve is two islands at kappa = +-theta0, each about 2.78/(8 S theta0)
+    wide at half height: its half-area set is far smaller than the single-photon
     marginal's, its rms width (~theta0, the island separation) is not.
     """
     kappa_grid = np.asarray(kappa_grid, dtype=float)
@@ -380,19 +402,18 @@ def plane_restricted_curve(kappa_grid, params):
     u0 = params.sinc_scale * (4.0 * params.theta0 ** 2 - 4.0 * kappa_grid * kappa_grid)
     per_kappa = 4.0 * params.sinc_scale * beta   # a = per_kappa |kappa1|, by chunk
     band = _k0_band(u0, per_kappa * np.abs(kappa_grid), b)
-    most = band.max(initial=0.0)
-    if most > _K0_COPIES:
-        raise ValueError(
-            f"the in-plane kernel needs up to {most:.0f} copies of its near rule "
-            f"at a point, past {_K0_COPIES}: the crystal is too long or the pump "
-            "waist too narrow")
     vals = np.empty(u0.shape)
-    for m in range(-1, int(most) + 1):
+    for m in (-1.0, 0.0, 1.0, 2.0):
         points = np.flatnonzero(band == m)
-        size = _SERIES_ROWS if m < 0 else max(_ROWS // max(m, 1), 1)
-        for rows in _row_slices(points.size, size):
+        if m > 1.0 and points.size:
+            zeta, weights = _k0_wide_rule((2.0 * params.theta0 / beta) ** 2, b)
+        for rows in _row_slices(points.size, _SERIES_ROWS if m < 0.0 else _ROWS):
             p = points[rows]
             a = per_kappa * np.abs(kappa_grid[p])
-            vals[p] = (_k0_near(u0[p], a, b, m) if m > 0 else
-                       _k0_far(u0[p], a, b, _j0_series if m else _j0_rule))
+            if m > 1.0:
+                c = (a / (2.0 * b)) ** 2
+                vals[p] = np.sum((weights * np.exp(-c[:, None] * zeta)).real, axis=1)
+            else:
+                vals[p] = (_k0_near(u0[p], a, b) if m > 0.0 else
+                           _k0_far(u0[p], a, b, _j0_series if m else _j0_rule))
     return Curve(x=kappa_grid, y=vals * (2.0 * math.sqrt(math.pi) / params.w_p))

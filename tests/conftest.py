@@ -553,3 +553,59 @@ def plane_sigma(kappa1, params, resolution=1):
         f = (1.0 - s) / np.sqrt(big_a) * np.exp(2j * u0 * s - a * a * s * s / big_a)
         out.append(2.0 * math.sqrt(math.pi) * float((f @ w).real) / params.w_p)
     return np.array(out)
+
+
+
+def plane_mp(kappa1, params):
+    """Oracle for the in-plane curve where plane_sigma cannot certify it: mpmath.
+
+    The same w_p plane = 2 sqrt(pi) Re K0 as plane_sigma, with u0 and a formed
+    from the float parameters in mpmath, whose working precision keeps 18
+    digits of the phase 2 u0 s.  Where the decay rate 2U, U = u0 + a^2/(4b) =
+    4 S theta0^2, passes 30 the path leaves the real axis at s1 = 1/(2b): K0
+    is the integral over [0, s1] and up the ray s1 + iy, less that up the ray
+    1 + iy, both rays decaying like e^{-2Uy}.  The integrand is analytic
+    between them (A = 1 + 2ibs stays off the negative axis), and with
+    a^2 s^2/A = -i a^2 s/(2b) + c (1 - 1/A), c = (a/(2b))^2, it is bounded
+    there by |A|^{-1/2}, since |A| >= 1 right of s1.  Otherwise it stays on
+    [0, 1].  mpmath's adaptive Gauss-Legendre on breakpoints a factor 4 apart
+    from 1/(8b), the scale of A^{-1/2}'s branch point at s = i/(2b), and at
+    most 10 rad of the phase apart.
+    """
+    out = []
+    for k in np.atleast_1d(np.asarray(kappa1, dtype=float)):
+        u0_float = params.sinc_scale * abs(4.0 * params.theta0 ** 2 - 4.0 * k * k)
+        with mpmath.workdps(18 + math.ceil(math.log10(1.0 + u0_float))):
+            scale, w_p = mpmath.mpf(params.sinc_scale), mpmath.mpf(params.w_p)
+            beta = mpmath.mpf(params.lambda_cm) / (mpmath.pi * w_p)
+            u0 = scale * (4 * mpmath.mpf(params.theta0) ** 2 - 4 * mpmath.mpf(k) ** 2)
+            a, b = 4 * scale * beta * abs(mpmath.mpf(k)), scale * beta * beta
+            rate, c = 2 * u0 + a * a / (2 * b), (a / (2 * b)) ** 2
+
+            def f(s):
+                big_a = 1 + 2j * b * s
+                return (1 - s) * mpmath.exp(2j * u0 * s - a * a * s * s / big_a) / mpmath.sqrt(big_a)
+
+            def quad(g, start, end, *tail, turn=0):
+                # breakpoints 0, then a factor 4 apart from start, each piece
+                # holding at most 10 rad of e^{i turn s} and of c Im(1 - 1/A)
+                pts = [mpmath.mpf(0)]
+                while start < end:
+                    pts.append(start)
+                    start *= 4
+                pts.append(end)
+                pts = [x for lo, hi in zip(pts[:-1], pts[1:]) for x in mpmath.linspace(
+                    lo, hi, max(1, int(mpmath.ceil((turn * (hi - lo) + min(
+                        c, 2 * b * c * (hi - lo))) / 10))) + 1)[:-1]]
+                return mpmath.quad(g, pts + [end, *tail], method="gauss-legendre")
+
+            if rate < 30:
+                k0 = quad(f, 1 / (8 * b), 1, turn=abs(rate))
+            else:
+                s1 = 1 / (2 * b)
+                k0 = quad(f, 1 / (8 * b), s1, turn=rate) + 1j * (
+                    quad(lambda y: f(s1 + 1j * y), min(1 / (8 * b), 1 / rate), 64 / rate,
+                         mpmath.inf)
+                    - quad(lambda y: f(1 + 1j * y), 1 / rate, 64 / rate, mpmath.inf))
+            out.append(float(2 * mpmath.sqrt(mpmath.pi) * k0.real / w_p))
+    return np.array(out)

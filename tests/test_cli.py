@@ -499,12 +499,17 @@ def test_theta0_zero_distributions_ok(tmp_path):
 @pytest.mark.parametrize("setup", [
     ("--length", "100", "--waist", "0.001"),
     ("--length", "100", "--waist", "0.001", "--theta0", "0.05"),
-    ("--waist", "0.0003")])
+    ("--waist", "0.0003"),
+    ("--length", "100", "--waist", "0.0006"),
+    ("--length", "30", "--waist", "0.001", "--theta0", "0.01"),
+    ("--length", "100", "--waist", "0.0005", "--theta0", "0.01")])
 def test_long_crystal_narrow_waist_writes_the_in_plane_curve(tmp_path, capsys, setup):
     # L = 1 m and w_p = 10 um, at the CLI's cut or 0.05 rad from the axis,
-    # and w_p = 3 um at L = 1 mm, where b = S beta^2 > 0.8
-    # splits the in-plane kernel's near rule: every column finite, every
-    # curve nonnegative, and the report's plane lines finite
+    # w_p = 3 um at L = 1 mm, w_p = 6 um at L = 1 m (b = S beta^2 = 269) and
+    # the cone at 0.01 rad with w_p = 10 um at L = 30 cm or 5 um at 1 m,
+    # where b > 0.8 puts points on the in-plane kernel's large-b band:
+    # every column finite, every curve nonnegative, and the report's plane
+    # lines finite
     for command in ("distributions", "report"):
         out = tmp_path / command
         assert run(command, *setup, "--grid", "401", "--out", str(out)) == 0
@@ -571,10 +576,6 @@ def test_parser_survives_a_refusal(tmp_path, capsys):
     # a crystal past 100 cm with a waist below lambda_p/(2 pi)
     ("distributions", "--length", "1e303", "--waist", "1e-5"),
     ("report", "--length", "1e303", "--waist", "1e-5"),
-    # b = S beta^2 = 269: near the axis the in-plane kernel needs 337 copies
-    # of its near rule, past 254
-    ("distributions", "--length", "100", "--waist", "0.0006"),
-    ("report", "--length", "100", "--waist", "0.0006"),
     # a waist wider than the model's 1 cm
     ("scan", "--waist", "1e10", "--pairs", "1000"),
     ("scan", "--waist", "1e200", "--pairs", "1000"),

@@ -37,6 +37,13 @@ def test_validation(tmp_path):
     assert not (tmp_path / "t.dat").exists()
 
 
+def test_write_table_refuses_no_columns(tmp_path):
+    # no columns at all is refused as unequal columns are, before the file is opened
+    with pytest.raises(ValueError, match="equal length"):
+        curves.write_table(tmp_path / "t.dat", ["title"], [])
+    assert not (tmp_path / "t.dat").exists()
+
+
 def test_unit_area_contract():
     c = gaussian_curve().normalized("area")
     assert abs(c.area() - 1.0) < 1e-6

@@ -11,8 +11,8 @@ from biphoton import distributions as dist
 
 from conftest import (argmax_x, closed_forms, curve_rms, density4,
                       excess_kurtosis, f_approx_moment_ratio, f_exact_panels,
-                      f_exact_simpson, fwhm, g_fresnel, plane_gh64, plane_sigma,
-                      raw_frame_reduced, report_head, traced_peak)
+                      f_exact_simpson, fwhm, g_fresnel, plane_gh64, plane_mp,
+                      plane_sigma, raw_frame_reduced, report_head, traced_peak)
 
 
 def test_f_exact_is_even(params_a):
@@ -546,63 +546,159 @@ def test_plane_restricted_curve_long_crystal_narrow_waist(bbo, cut):
         p, np.linspace(p.theta0 - half, p.theta0 + half, 41))
 
 
-def _near_copies(p, kappas):
-    """Copies of the near rule the kernel takes at each kappa1, by its stated rule."""
+def _bands(p, kappas):
+    """The band the kernel takes at each kappa1: 2 large-b, 1 near, 0 and -1 far."""
     _, per_kappa, b = _plane_coefficients(p)
-    a = per_kappa * np.abs(kappas)
-    s_max = dist._K0_T / np.sqrt(np.maximum(a * a - 4.0 * (b * dist._K0_T) ** 2,
-                                            dist._K0_T ** 2))
-    return np.maximum(np.ceil(s_max * (b / dist._K0_NEAR_B)), 1.0)
+    u0 = 4.0 * p.sinc_scale * (p.theta0 ** 2 - kappas * kappas)
+    return dist._k0_band(u0, per_kappa * np.abs(kappas), b)
 
 
 @pytest.mark.parametrize("length, w_p, theta0", [
     (0.1, 0.0003, 0.1), (0.1, 0.0003, 0.0), (1.0, 0.001, 0.05), (10.0, 0.003, 0.0),
-    (100.0, 0.0007, 0.0)])
+    (100.0, 0.0007, 0.0), (100.0, 0.00069, 0.0)])
 def test_plane_restricted_curve_on_split_near_rules(bbo, length, w_p, theta0,
                                                     monkeypatch):
-    # b = S beta^2 from 0.97 to 198 with the cone within 5 beta of the axis:
-    # near-band points with b s_max past _K0_NEAR_B split [0, s_max] into up
-    # to 248 copies of the rule.  The curve meets the oracle, the same for
-    # any chunk size
+    # b = S beta^2 from 0.97 to 204 with the cone within 5 beta of the axis:
+    # near-band points with b s_max past _K0_NEAR_B take the large-b band.
+    # The curve meets the oracle, the same for any chunk size
     p = SpdcParams.from_crystal(bbo, 0.4047, w_p, length, theta0=theta0)
     kappas = default_kappa_grid(p, 41)
-    assert _near_copies(p, kappas).max() > 1.0
+    assert np.any(_bands(p, kappas) == 2.0)
     _check_plane_against_sigma_oracle(p, kappas)
     chunked = plane_restricted_curve(kappas, p).y
     monkeypatch.setattr(dist, "_ROWS", 1)
     assert np.array_equal(plane_restricted_curve(kappas, p).y, chunked)
 
 
-def test_plane_restricted_curve_across_copy_switches(bbo):
+def test_plane_restricted_curve_across_the_large_b_switch(bbo):
     # L = 10 cm, w_p = 22 um: b = 2.0, and the island at theta0 = 3.35 beta
-    # spans the switches b s_max = 2 _K0_NEAR_B (3 copies to 2) and
-    # _K0_NEAR_B (2 to 1), a = b sqrt(4 T^2 + (T/(k _K0_NEAR_B))^2)
+    # spans b s_max = _K0_NEAR_B, a = b sqrt(4 T^2 + (T/_K0_NEAR_B)^2): the near
+    # band on one side, the large-b band on the other.  Both kernels at both
+    # sides agree within _K0_PEAK_ERR of the peak, and meet the oracle
     beta, per_kappa, b = _plane_coefficients(
         SpdcParams.from_crystal(bbo, 0.4047, 0.0022, 10.0, theta0=0.0))
     p = SpdcParams.from_crystal(bbo, 0.4047, 0.0022, 10.0, theta0=3.35 * beta)
-    sides = np.array([1.0 - 1e-9, 1.0 + 1e-9])
-    switches = [b * math.hypot(2.0 * dist._K0_T, dist._K0_T / (k * dist._K0_NEAR_B))
-                / per_kappa for k in (2, 1)]
-    for k, kappa in zip((2, 1), switches):
-        assert list(_near_copies(p, kappa * sides)) == [k + 1.0, k]
-    kappas = np.sort(np.concatenate([np.outer(switches, sides).ravel(),
-                                     p.theta0 + np.linspace(-2.0, 2.0, 9) * beta]))
+    switch = b * math.hypot(2.0 * dist._K0_T, dist._K0_T / dist._K0_NEAR_B) / per_kappa
+    sides = switch * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    assert list(_bands(p, sides)) == [2.0, 1.0]
+    peak = plane_sigma(p.theta0, p)[0]
+    u0 = 4.0 * p.sinc_scale * (p.theta0 ** 2 - sides * sides)
+    zeta, weights = dist._k0_wide_rule((2.0 * p.theta0 / beta) ** 2, b)
+    wide = np.sum((weights * np.exp(-(sides / beta)[:, None] ** 2 * 4.0 * zeta)).real, axis=1)
+    near = dist._k0_near(u0, per_kappa * sides, b)
+    assert np.max(np.abs(wide - near)) * 2.0 * math.sqrt(math.pi) / p.w_p <= (
+        dist._K0_PEAK_ERR * peak)
+    kappas = np.sort(np.concatenate([sides, p.theta0 + np.linspace(-2.0, 2.0, 9) * beta]))
     _check_plane_against_sigma_oracle(p, kappas)
 
 
-def test_plane_restricted_curve_refuses_an_unresolvable_edge(bbo):
-    # L = 1 m, theta0 = 0: at kappa1 = 0 the near band takes ceil(b/_K0_NEAR_B)
-    # copies of its rule.  The narrowest waist that needs at most _K0_COPIES
-    # (b just under 203.2) is computed; just past it, the point is refused
-    p = SpdcParams.from_crystal(bbo, 0.4047, 0.001, 100.0, theta0=0.0)
-    _, _, b = _plane_coefficients(p)
-    edge = 0.001 * math.sqrt(b / (dist._K0_COPIES * dist._K0_NEAR_B))
-    fits = SpdcParams.from_crystal(bbo, 0.4047, edge * (1.0 + 1e-9), 100.0, theta0=0.0)
-    assert _near_copies(fits, np.array([0.0]))[0] == dist._K0_COPIES
-    _check_plane_against_sigma_oracle(fits, np.array([0.0, 1e-3, 3e-3]))
-    p = SpdcParams.from_crystal(bbo, 0.4047, edge * (1.0 - 1e-9), 100.0, theta0=0.0)
-    with pytest.raises(ValueError, match="too long or the pump waist too narrow"):
-        plane_restricted_curve(np.array([0.0]), p)
+def _plane_oracle(p, kappas, peak):
+    """plane_sigma's finer resolution where its two resolutions agree to 1e-13 of
+    the peak and b is at most 300 (past that its panels grow with b), plane_mp
+    elsewhere."""
+    kappas = np.asarray(kappas, dtype=float)
+    if _plane_coefficients(p)[2] > 300.0:
+        return plane_mp(kappas, p)
+    coarse, fine = plane_sigma(kappas, p), plane_sigma(kappas, p, resolution=2)
+    uncertified = np.abs(coarse - fine) > 1e-13 * peak
+    fine[uncertified] = plane_mp(kappas[uncertified], p)
+    return fine
+
+
+def _large_b_config(bbo, b, nu):
+    """L = 1 m, with the waist that gives b = S beta^2 and the cone nu = (2 theta0/beta)^2."""
+    n_o = SpdcParams.from_crystal(bbo, 0.4047, 0.1, 100.0, theta0=0.0).n_o
+    w_p = math.sqrt(100.0 * 0.4047e-4 / (8.0 * math.pi * n_o * b))
+    beta = 0.4047e-4 / (math.pi * w_p)
+    return SpdcParams.from_crystal(bbo, 0.4047, w_p, 100.0, theta0=0.5 * beta * math.sqrt(nu))
+
+
+def test_plane_restricted_curve_near_the_axis_against_mpmath(bbo):
+    # L = 1 m, w_p = 10 um, theta0 = 0.05 (b = 97): near the axis, where the
+    # phase 2 u0 s reaches 1.2e4 rad, plane_sigma's two resolutions disagree
+    # by more than 1e-13 of the peak; the kernel meets mpmath there
+    p = SpdcParams.from_crystal(bbo, 0.4047, 0.001, 100.0, theta0=0.05)
+    kappas = np.array([0.0, 0.004, 0.0075])
+    peak = plane_sigma(p.theta0, p)[0]
+    disagree = np.abs(plane_sigma(kappas, p) - plane_sigma(kappas, p, resolution=2))
+    assert disagree.max() > 1e-13 * peak
+    err = np.abs(plane_restricted_curve(kappas, p).y - plane_mp(kappas, p))
+    assert err.max() <= dist._K0_PEAK_ERR * peak
+
+
+# (b, nu, c): b from 1 to 3e4, nu from 0 to 190 and c from 0 to 50 on the
+# large-b band, then at b = 30 both sides of its switches: nu = _K0_PHASE/(2b)
+# (rays or none), nu = _K0_PHASE/_K0_RAY_MIN (tau_c from _K0_PHASE/nu to
+# _K0_RAY_MIN) and the far band's |u0| = max(_K0_MID_A a, _K0_MID_B b) at
+# nu = 120 (c = 20) and 190 (c = 49.4); and b = 2e4 with nu = 50
+_SIDES = (1.0 - 1e-7, 1.0 + 1e-7)
+_EXIT_190 = ((-20.0 + math.sqrt(400.0 + 4.0 * 190.0)) / 2.0) ** 2
+_LARGE_B = [
+    *[(b, nu, c) for b in (1.0, 30.0, 300.0, 3000.0, 3e4)
+      for nu, cs in ((0.0, (0.0, 25.0, 50.0)), (2.0, (0.0, 50.0)),
+                     (50.0, (0.0, 25.0, 50.0)), (190.0, (50.0,)))
+      for c in cs if b < 300.0 or c != 25.0],
+    *[(30.0, nu * side, c) for nu in (dist._K0_PHASE / 60.0, dist._K0_PHASE / dist._K0_RAY_MIN)
+      for side in _SIDES for c in (0.0, 50.0)],
+    *[(30.0, 120.0, 20.0 * side) for side in _SIDES],
+    *[(30.0, 190.0, _EXIT_190 * side) for side in _SIDES],
+    (2e4, 50.0, 0.1), (2e4, 50.0, 25.0)]
+
+
+@pytest.mark.parametrize("b", sorted({b for b, _, _ in _LARGE_B}))
+def test_plane_large_b_band_against_oracles(bbo, b):
+    rows = [(nu, c) for b_, nu, c in _LARGE_B if b_ == b]
+    for nu in sorted({nu for nu, _ in rows}):
+        p = _large_b_config(bbo, b, nu)
+        beta = p.lambda_cm / (math.pi * p.w_p)
+        kappas = np.array([0.5 * beta * math.sqrt(c) for nu_, c in rows if nu_ == nu])
+        bands = _bands(p, kappas)
+        assert set(bands) <= {2.0, 0.0} and 2.0 in bands, (nu, bands)
+        # the island's middle joins the points, so the curve has two or more,
+        # and the kernel's own maximum is the peak
+        grid = np.unique(np.append(kappas, p.theta0))
+        curve = plane_restricted_curve(grid, p).y
+        peak = curve.max()
+        err = np.abs(curve[np.searchsorted(grid, kappas)] - _plane_oracle(p, kappas, peak))
+        assert err.max() <= dist._K0_PEAK_ERR * peak, (nu, err / peak)
+        # a node count that does not grow with b
+        assert dist._k0_wide_rule((2.0 * p.theta0 / beta) ** 2, _plane_coefficients(p)[2])[
+            0].size <= 356
+
+
+def _swept_large_b_configs(bbo, seed=20261021):
+    """Configs log-uniform in L, w_p and theta0 over the domain at lambda_p =
+    0.4047 um (theta0 from 1e-4 to 0.5 rad), kept where a point of a 401-point
+    curve takes the large-b band, the first two in each decade of b from 1 to
+    1e6, with their grids."""
+    rng = np.random.default_rng(seed)
+    lam, n_o = 0.4047e-4, SpdcParams.from_crystal(bbo, 0.4047, 0.1, 0.1, theta0=0.0).n_o
+    draws = 10.0 ** rng.uniform([math.log10(lam), math.log10(lam / (2.0 * math.pi)) + 1e-9,
+                                 -4.0], [2.0, 0.0, math.log10(0.5)], size=(100_000, 3))
+    decades = np.floor(np.log10(draws[:, 0] * lam / (8.0 * math.pi * n_o * draws[:, 1] ** 2)))
+    kept = {decade: [] for decade in range(6)}
+    for (length, w_p, theta0), decade in zip(draws, decades):
+        if len(kept.get(decade, [None] * 2)) < 2:
+            p = SpdcParams.from_crystal(bbo, 0.4047, w_p, length, theta0=theta0)
+            grid = default_kappa_grid(p, 401)
+            if np.any(_bands(p, grid) == 2.0):
+                kept[decade].append((p, grid))
+    assert all(len(configs) == 2 for configs in kept.values())
+    return [config for configs in kept.values() for config in configs]
+
+
+def test_plane_large_b_band_on_a_seeded_sweep(bbo):
+    # twelve configs with b from 1 to 1e6: the curve is finite and nonnegative
+    # with no warning (the suite makes warnings errors), and at five of its
+    # large-b points, from the axis out, meets the oracle within _K0_PEAK_ERR
+    # of its peak
+    for p, grid in _swept_large_b_configs(bbo):
+        curve = plane_restricted_curve(grid, p).y
+        assert np.all(np.isfinite(curve)) and np.all(curve >= 0.0)
+        wide = np.flatnonzero((_bands(p, grid) == 2.0) & (grid >= 0.0))
+        points = np.unique(wide[np.linspace(0, wide.size - 1, 5).round().astype(int)])
+        err = np.abs(curve[points] - _plane_oracle(p, grid[points], curve.max()))
+        assert err.max() <= dist._K0_PEAK_ERR * curve.max(), (p, err / curve.max())
 
 
 def test_k0_without_slope_or_bend_is_sinc2():
@@ -612,7 +708,7 @@ def test_k0_without_slope_or_bend_is_sinc2():
     v = np.concatenate([[dist._K0_MID_U], np.logspace(np.log10(dist._K0_MID_U), 8.3, 199)])
     far = np.concatenate([v, -v])
     for u0, kernel in (
-            (near, lambda u, a, b: dist._k0_near(u, a, b, 1)),
+            (near, dist._k0_near),
             (far, lambda u, a, b: dist._k0_far(u, a, b, dist._j0_rule)),
             (far, lambda u, a, b: dist._k0_far(u, a, b, dist._j0_series))):
         want = 0.5 * (np.sin(u0) / np.where(u0 == 0.0, 1.0, u0)) ** 2
