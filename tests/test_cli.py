@@ -576,6 +576,9 @@ def test_parser_survives_a_refusal(tmp_path, capsys):
     # a crystal past 100 cm with a waist below lambda_p/(2 pi)
     ("distributions", "--length", "1e303", "--waist", "1e-5"),
     ("report", "--length", "1e303", "--waist", "1e-5"),
+    # the narrow waist that runs at L = 100 cm, on the next crystal past it
+    ("distributions", "--length", "100.00000000000001", "--waist", "0.0006"),
+    ("report", "--length", "100.00000000000001", "--waist", "0.0006"),
     # a waist wider than the model's 1 cm
     ("scan", "--waist", "1e10", "--pairs", "1000"),
     ("scan", "--waist", "1e200", "--pairs", "1000"),
