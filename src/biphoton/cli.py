@@ -66,8 +66,7 @@ _KEYS = {
     "waist": (float, 0.1, "pump waist, cm"),
     "length": (float, 0.1, "crystal length, cm"),
     "z": (float, 100.0, "crystal-detector distance, cm"),
-    "grid": (int, 2001, "grid resolution; report evaluates at most 1201 "
-                        "points and scan histograms into at most 241 lines"),
+    "grid": (int, 2001, "grid resolution; scan histograms into at most 241 lines"),
     "seed": (int, 12345, "64-bit sampling seed (scan)"),
     "out": (str, "out", "output directory"),
     "normalize": (str, "area", "curve normalization: area, peak or raw"),
@@ -273,23 +272,29 @@ def cmd_fcurve(cfg):
     return EXIT_OK
 
 
-def cmd_distributions(cfg):
-    """Single, coincidence and plane-restricted curves."""
+def _report(cfg, tables):
+    """Writes and prints report.txt from the single and in-plane curves on the --grid
+    points as they are (no width depends on scale); with tables, the curve tables too."""
     params = _load_setup(cfg)
     grid = _grid(cfg, lambda n: dist.default_kappa_grid(params, n))
-    single, coinc, plane = (curve.normalized(cfg.normalize) for curve in (
-        dist.single_particle_curve(grid, params),
-        dist.coincidence_curve(cfg.k2x, params), dist.plane_restricted_curve(grid, params)))
+    single = dist.single_particle_curve(grid, params)
+    plane = dist.plane_restricted_curve(grid, params)
     text = dist.entanglement_report(params, single, plane)
-
+    curves = {name: curve.normalized(cfg.normalize) for name, curve in (
+        ("single_particle", single), ("coincidence", dist.coincidence_curve(cfg.k2x, params)),
+        ("plane_restricted", plane))} if tables else {}
     out = _outdir(cfg)
     header = _header("biphoton reduced distributions", cfg, params)
-    for name, curve in (("single_particle", single), ("coincidence", coinc),
-                        ("plane_restricted", plane)):
+    for name, curve in curves.items():
         curve.write(out / f"{name}.dat", _columns(header, "kappa", name))
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
-    print(f"wrote distribution curves to {out}")
+    return out
+
+
+def cmd_distributions(cfg):
+    """Single, coincidence and plane-restricted curves."""
+    print(f"wrote distribution curves to {_report(cfg, tables=True)}")
     return EXIT_OK
 
 
@@ -347,13 +352,7 @@ def cmd_scan(cfg):
 
 def cmd_report(cfg):
     """Widths and entanglement ratio."""
-    params = _load_setup(cfg)
-    grid = dist.default_kappa_grid(params, min(cfg.grid, 1201))
-    text = dist.entanglement_report(params, *(curve.normalized() for curve in (
-        dist.single_particle_curve(grid, params), dist.plane_restricted_curve(grid, params))))
-    out = _outdir(cfg)
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    print(text, end="")
+    _report(cfg, tables=False)
     return EXIT_OK
 
 

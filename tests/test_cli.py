@@ -676,7 +676,7 @@ def test_wavelength_error_names_lambda_p(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions"])
+@pytest.mark.parametrize("command", ["dispersion", "fcurve", "distributions", "report"])
 @pytest.mark.parametrize("grid", ["100000000000000000", "4611686018427387904"])
 def test_unallocatable_grid_is_a_config_error(tmp_path, capsys, command, grid):
     # 711 PiB lies past any address space and 2**62 overflows numpy's size
@@ -689,7 +689,7 @@ def test_unallocatable_grid_is_a_config_error(tmp_path, capsys, command, grid):
 
 @pytest.mark.parametrize("command, module, name", [
     ("fcurve", dist, "f_exact"), ("distributions", dist, "f_exact"),
-    ("dispersion", cr, "phase_match")])
+    ("report", dist, "f_exact"), ("dispersion", cr, "phase_match")])
 def test_grid_too_big_for_its_arrays_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                        command, module, name):
     # the grid itself allocates; an array sized by it later does not
@@ -763,6 +763,23 @@ def test_cli_tables_are_what_the_row_writer_writes(tmp_path, config):
             assert (tmp_path / "rows.dat").read_bytes() == path.read_bytes(), path.name
     cone = np.loadtxt(tmp_path / "dispersion" / "cone_angle.dat")
     assert np.isnan(cone).any()
+
+
+@pytest.mark.parametrize("config", sorted(_ROW_ORACLE_CONFIGS))
+def test_report_is_what_distributions_reports(tmp_path, capsys, config):
+    # both commands write and print one report, from the same curves on the
+    # --grid points, whatever distributions normalizes its tables to
+    for grid in ("1201", "2001", "3001"):
+        argv = [*_ROW_ORACLE_CONFIGS[config], "--grid", grid]
+        assert run("report", *argv, "--out", str(tmp_path / "r")) == 0
+        text = (tmp_path / "r" / "report.txt").read_text()
+        assert capsys.readouterr().out == text
+        for mode in ("area", "peak", "raw"):
+            out = tmp_path / mode
+            assert run("distributions", *argv, "--normalize", mode,
+                       "--out", str(out)) == 0
+            assert (out / "report.txt").read_text() == text, (grid, mode)
+            assert capsys.readouterr().out.startswith(text)
 
 
 @pytest.mark.parametrize("command, key", [
